@@ -22,7 +22,6 @@ from .norm import (
     EuclideanNorm,
     NormedPlane,
     Point,
-    as_array,
     boundary_point,
     gauge,
     gauge_scalar,
@@ -56,12 +55,6 @@ class BallHull:
     arcs: tuple[Arc, ...]
     radius: float
     support_centers: tuple[Point, ...]
-
-
-def _signed_area2(pts) -> float:
-    arr = as_array([tuple(p) for p in pts])
-    x, y = arr[:, 0], arr[:, 1]
-    return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 def _pair_extremes(plane, p: Point, q: Point, d: float) -> list[Point]:
@@ -316,9 +309,6 @@ class BallHullTree:
     @property
     def root(self):
         return self._hulls[0]
-
-    def live_count(self) -> int:
-        return sum(self.alive)
 
 
 def build_tree(plane: NormedPlane, points, d: float) -> BallHullTree:

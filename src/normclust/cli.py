@@ -24,7 +24,6 @@ from .norm import (
     PolygonNorm,
     TwoArcNorm,
     boundary_point,
-    gauge,
     pairwise_distances,
     validate_norm,
 )

@@ -4,17 +4,20 @@ Feasibility of a two-way split at threshold d is decided on the graph of
 "long" pairs (distance > d): a split exists exactly when that graph is
 bipartite, and any proper 2-coloring is a witness.  The 3-clustering
 pipeline follows the zone decomposition around a leftmost point with the
-residual assignment solved as a 2-SAT instance.  k-clustering enumerates
-separating-line candidates per edge of every connected cluster-adjacency
-graph, which is exhaustive because an optimal solution with pairwise
-linearly separable clusters always exists.
+residual assignment solved as a 2-SAT instance.  An optimal k-clustering
+with pairwise linearly separable clusters always exists, so k-clustering
+peels off one cluster at a time, each an intersection of line dissections
+(``geometry.line_dissections``), and the bounded 2-clustering falls back on
+the same dissections.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,13 +26,19 @@ from scipy.optimize import brentq, linprog
 
 from .errors import (
     BadBounds,
-    BudgetExceeded,
     DegenerateBasis,
     EmptyInput,
     NormClustError,
     TooFewPoints,
 )
-from .geometry import stabbing_line
+from .geometry import (
+    OnRule,
+    dissections_within,
+    line_dissections,
+    split_by_line,
+    stabbing_line,
+    subset_diameters,
+)
 from .norm import (
     EuclideanNorm,
     NormedPlane,
@@ -208,10 +217,10 @@ def constrained_2cluster(plane: NormedPlane, points, d1: float, d2: float
                          ) -> Optional[Partition]:
     """Split S into (S1, S2) with diam(S1) <= d1 and diam(S2) <= d2, or None.
 
-    Tries the stabbing-line recipe on the long-pair segments for d1 first,
-    then an exhaustive sweep over candidate separating lines (lines through
-    two points, all side and on-assignment variants, both roles), which is
-    complete because a valid split always admits a separable witness.
+    With no pair longer than d1, S2 is one extreme point.  Otherwise tries
+    the stabbing-line recipe on the long-pair segments for d1 first, then
+    every line dissection in both roles, which is complete because a valid
+    split always admits a separable witness.
     """
     if d2 > d1 or d2 < 0 or d1 < 0:
         raise BadBounds("need d1 >= d2 >= 0")
@@ -228,72 +237,35 @@ def constrained_2cluster(plane: NormedPlane, points, d1: float, d2: float
             (_mask_diam(D, list(side1)), _mask_diam(D, list(side2))),
         )
 
-    if _mask_diam(D, range(n)) <= d2:
+    whole = _mask_diam(D, range(n))
+    if whole <= d2:
         return result(range(n), [])
+    if whole <= d1:
+        # no pair is longer than d1: cut off one extreme point as S2
+        low = min(range(n), key=pts.__getitem__)
+        return result([i for i in range(n) if i != low], [low])
 
     # the single-stabbing-line recipe
     long_pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if D[i, j] > d1]
-    if long_pairs:
-        segs = [Segment(pts[i], pts[j]) for i, j in long_pairs]
-        line = stabbing_line(segs)
-        if line is None:
-            return None
-        from .geometry import OnRule, split_by_line
-
-        for rule in (OnRule.TO_LEFT, OnRule.TO_RIGHT):
-            left, right = split_by_line(pts, line, rule)
-            li = [i for i in range(n) if pts[i] in set(left)]
-            ri = [i for i in range(n) if i not in li]
-            for s1, s2 in ((li, ri), (ri, li)):
-                if _mask_diam(D, s1) <= d1 and _mask_diam(D, s2) <= d2:
-                    return result(s1, s2)
-
-    # exhaustive candidate sweep
-    scale = max(1.0, float(np.abs(arr).max()))
-    seen: set[int] = set()
-    full = (1 << n) - 1
-
-    def try_mask(mask: int) -> Optional[Partition]:
-        if mask in seen:
-            return None
-        seen.add(mask)
-        s1 = [i for i in range(n) if mask >> i & 1]
-        s2 = [i for i in range(n) if not mask >> i & 1]
-        dA, dB = _mask_diam(D, s1), _mask_diam(D, s2)
-        if dA <= d1 and dB <= d2:
-            return result(s1, s2)
-        if dB <= d1 and dA <= d2:
-            return result(s2, s1)
+    segs = [Segment(pts[i], pts[j]) for i, j in long_pairs]
+    line = stabbing_line(segs)
+    if line is None:
         return None
+    for rule in (OnRule.TO_LEFT, OnRule.TO_RIGHT):
+        left, right = split_by_line(pts, line, rule)
+        li = [i for i in range(n) if pts[i] in set(left)]
+        ri = [i for i in range(n) if i not in li]
+        for s1, s2 in ((li, ri), (ri, li)):
+            if _mask_diam(D, s1) <= d1 and _mask_diam(D, s2) <= d2:
+                return result(s1, s2)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pts[i] == pts[j]:
-                continue
-            nx = -(pts[j].y - pts[i].y)
-            ny = pts[j].x - pts[i].x
-            off = (arr[:, 0] - pts[i].x) * nx + (arr[:, 1] - pts[i].y) * ny
-            band = 1e-9 * scale * max(abs(nx), abs(ny), 1.0)
-            strict = 0
-            on_idx = []
-            for k in range(n):
-                if off[k] > band:
-                    strict |= 1 << k
-                elif abs(off[k]) <= band:
-                    on_idx.append(k)
-            for r in range(len(on_idx[:6]) + 1):
-                for chosen in itertools.combinations(on_idx[:6], r):
-                    mask = strict
-                    for c in chosen:
-                        mask |= 1 << c
-                    out = try_mask(mask) or try_mask(full ^ mask)
-                    if out is not None:
-                        return out
-    for mask in (0, full):
-        out = try_mask(mask)
-        if out is not None:
-            return out
-    return None
+    # exhaustive sweep; the complement of every dissection is one too, so
+    # trying each row as S1 covers both roles
+    hit = next(dissections_within(arr, D, d1, d2), None)
+    if hit is None:
+        return None
+    s1 = hit[0][0]
+    return result(np.flatnonzero(s1).tolist(), np.flatnonzero(~s1).tolist())
 
 
 # --------------------------------------------------------------------------
@@ -437,179 +409,98 @@ def min_enclosing_ball(plane: NormedPlane, points) -> tuple[Point, float]:
 
 
 # --------------------------------------------------------------------------
-# k-clustering via separating-line enumeration
+# k-clustering by peeling off one separable cluster at a time
 
 
-def _candidate_masks(pts: np.ndarray) -> list[int]:
-    n = len(pts)
-    full = (1 << n) - 1
-    scale = max(1.0, float(np.abs(pts).max()))
-    masks = {0, full}
-    for i in range(n):
-        for j in range(i + 1, n):
-            nx = -(pts[j, 1] - pts[i, 1])
-            ny = pts[j, 0] - pts[i, 0]
-            if nx == 0 and ny == 0:
-                continue
-            off = (pts[:, 0] - pts[i, 0]) * nx + (pts[:, 1] - pts[i, 1]) * ny
-            band = 1e-9 * scale * max(abs(nx), abs(ny))
-            strict = 0
-            on_idx = []
-            for k in range(n):
-                if off[k] > band:
-                    strict |= 1 << k
-                elif abs(off[k]) <= band:
-                    on_idx.append(k)
-            on_idx = on_idx[:6]
-            for r in range(len(on_idx) + 1):
-                for chosen in itertools.combinations(on_idx, r):
-                    m = strict
-                    for c in chosen:
-                        m |= 1 << c
-                    masks.add(m)
-                    masks.add(full ^ m)
-    return sorted(masks)
-
-
-def _connected_labeled_graphs(k: int) -> list[tuple[tuple[int, int], ...]]:
-    all_edges = list(itertools.combinations(range(k), 2))
-    graphs = []
-    for r in range(1, len(all_edges) + 1):
-        for edges in itertools.combinations(all_edges, r):
-            seen = {0}
-            frontier = [0]
-            while frontier:
-                v = frontier.pop()
-                for (a, b) in edges:
-                    if a == v and b not in seen:
-                        seen.add(b)
-                        frontier.append(b)
-                    elif b == v and a not in seen:
-                        seen.add(a)
-                        frontier.append(a)
-            if len(seen) == k:
-                graphs.append(edges)
-    return graphs
-
-
-_partition_cache: dict[tuple, frozenset] = {}
-
-
-def _enumerate_separable_partitions(pts: np.ndarray, k: int,
-                                    work_budget: int = 200_000_000) -> frozenset:
-    """All k-tuples of masks realizable as intersections of per-edge
-    half-plane candidates that exactly dissect the point set.
-
-    Partial assignments are pruned on coverage: region masks only shrink as
-    edges are fixed, so a point excluded from every region never returns.
-    """
-    key = (pts.tobytes(), k)
-    if key in _partition_cache:
-        return _partition_cache[key]
-    n = len(pts)
-    full = (1 << n) - 1
-    masks = np.array(_candidate_masks(pts), dtype=np.int64)
-    inv_masks = np.int64(full) ^ masks
-    found: set[tuple[int, ...]] = set()
-    work = [0]
-
-    for edges in _connected_labeled_graphs(k):
-        # bind vertices early: greedily order edges to touch used vertices
-        ordered: list[tuple[int, int]] = [edges[0]]
-        remaining = list(edges[1:])
-        used = set(edges[0])
-        while remaining:
-            nxt = max(remaining, key=lambda e: (e[0] in used) + (e[1] in used))
-            remaining.remove(nxt)
-            used.update(nxt)
-            ordered.append(nxt)
-        m = len(ordered)
-
-        def rec(level: int, regions: tuple[int, ...]):
-            work[0] += len(masks)
-            if work[0] > work_budget:
-                raise BudgetExceeded(
-                    "separating-line enumeration exceeded its work budget"
-                )
-            a, b = ordered[level]
-            if level == m - 1:
-                reg_a = np.int64(regions[a]) & masks
-                reg_b = np.int64(regions[b]) & inv_masks
-                union = reg_a | reg_b
-                counts = np.bitwise_count(reg_a.astype(np.uint64)).astype(np.int64)
-                counts += np.bitwise_count(reg_b.astype(np.uint64)).astype(np.int64)
-                for v in range(k):
-                    if v != a and v != b:
-                        union = union | np.int64(regions[v])
-                        counts += int(bin(regions[v]).count("1"))
-                ok = (union == full) & (counts == n)
-                for idx in np.nonzero(ok)[0]:
-                    out = list(regions)
-                    out[a] = int(reg_a[idx])
-                    out[b] = int(reg_b[idx])
-                    found.add(tuple(sorted(out)))
-                return
-            ra = np.int64(regions[a]) & masks
-            rb = np.int64(regions[b]) & inv_masks
-            rest = 0
-            rest_count = 0
-            for v in range(k):
-                if v != a and v != b:
-                    rest |= regions[v]
-                    rest_count += int(bin(regions[v]).count("1"))
-            # regions only shrink: prune on coverage and on the count bound
-            cnt = np.bitwise_count(ra.astype(np.uint64)).astype(np.int64)
-            cnt += np.bitwise_count(rb.astype(np.uint64)).astype(np.int64)
-            good = ((ra | rb | np.int64(rest)) == full) & (cnt + rest_count >= n)
-            for idx in np.nonzero(good)[0]:
-                nxt = list(regions)
-                nxt[a] = int(ra[idx])
-                nxt[b] = int(rb[idx])
-                rec(level + 1, tuple(nxt))
-
-        rec(0, (full,) * k)
-    out = frozenset(found)
-    if len(_partition_cache) > 8:
-        _partition_cache.clear()
-    _partition_cache[key] = out
-    return out
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
                        ) -> tuple[float, Partition]:
-    """Minimize a monotone objective of per-cluster diameters or radii over
-    k-clusterings; exhaustive over separating-line dissections."""
+    """Minimize the max, sum or sum of squares of per-cluster diameters or
+    radii over all k-clusterings (empty clusters allowed).
+
+    Some optimum has pairwise linearly separable clusters, so the cluster
+    holding the lowest-index point of the remaining points U is U cut by at
+    most j-1 line dissections, where j clusters are left to place.  Hence
+    ``best(U, j) = min over such R of combine(measure(R), best(U - R, j-1))``,
+    evaluated exactly with point sets as integer bitmasks and memoized for
+    the duration of the call.  Ties go to the first region in dissection
+    order.
+    """
     pts = as_array([tuple(p) for p in points])
     n = len(pts)
     if n < k:
         raise TooFewPoints(f"need at least k={k} points")
     if not 2 <= k <= 4:
         raise NormClustError("k must be between 2 and 4")
-    D = pairwise_distances(plane, pts)
+    rows, _ = line_dissections(pts)
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    cuts = [int.from_bytes(r.tobytes(), "little") for r in packed]
 
-    measure_cache: dict[int, float] = {0: 0.0}
+    if objective.measure is Measure.DIAMETER:
+        D = pairwise_distances(plane, pts)
+        known = dict(zip(cuts, subset_diameters(D, rows).tolist()))
+        dist = D.tolist()
 
-    def measure(mask: int) -> float:
-        if mask not in measure_cache:
-            idx = [i for i in range(n) if mask >> i & 1]
-            if objective.measure is Measure.DIAMETER:
-                measure_cache[mask] = _mask_diam(D, idx)
-            else:
-                measure_cache[mask] = min_enclosing_ball(plane, pts[idx])[1] if idx else 0.0
-        return measure_cache[mask]
+        def measure(mask: int) -> float:
+            # diam(m) = max(diam(m without its lowest point), farthest point
+            # of m from that lowest point)
+            chain = []
+            while mask not in known:
+                chain.append(mask)
+                mask &= mask - 1
+            value = known[mask]
+            for m in reversed(chain):
+                far = dist[(m & -m).bit_length() - 1]
+                value = max(value, max(far[i] for i in _bits(m)))
+                known[m] = value
+            return value
+    else:
+        @functools.cache
+        def measure(mask: int) -> float:
+            return min_enclosing_ball(plane, pts[list(_bits(mask))])[1] if mask else 0.0
 
-    best_val, best_sig = None, None
-    for sig in sorted(_enumerate_separable_partitions(pts, k)):
-        val = objective.combine(measure(m) for m in sig)
-        if best_val is None or val < best_val - 1e-15 or (
-            abs(val - best_val) <= 1e-15 and sig < best_sig
-        ):
-            best_val, best_sig = val, sig
-    assert best_sig is not None
-    clusters = tuple(
-        tuple(i for i in range(n) if m >> i & 1) for m in best_sig
-    )
-    return float(best_val), Partition(clusters, tuple(measure(m) for m in best_sig))
+    square = objective.combiner is Combiner.SUM_SQUARES
+    join = max if objective.combiner is Combiner.MAX else operator.add
+
+    def term(mask: int) -> float:
+        value = measure(mask)
+        return value * value if square else value
+
+    @functools.cache
+    def best(U: int, j: int) -> tuple[float, tuple[int, ...]]:
+        """The least objective over splits of U into j clusters, and their
+        masks."""
+        if j == 1 or U == 0:
+            return term(U), (U,) + (0,) * (j - 1)
+        low = U & -U
+        own = list(dict.fromkeys(U & c for c in cuts if c & low))
+        regions = dict.fromkeys(own)
+        level = own
+        for _ in range(j - 2):
+            level = [r for r in dict.fromkeys(a & b for a in level for b in own)
+                     if r not in regions]
+            regions.update(dict.fromkeys(level))
+        best_value, best_masks = math.inf, ()
+        for R in regions:
+            # the objective is at least R's own term: prune before recursing
+            value = term(R)
+            if value < best_value:
+                rest_value, rest = best(U & ~R, j - 1)
+                value = join(value, rest_value)
+                if value < best_value:
+                    best_value, best_masks = value, (R,) + rest
+        return best_value, best_masks
+
+    _, masks = best((1 << n) - 1, k)
+    part = Partition(tuple(tuple(_bits(m)) for m in masks), tuple(measure(m) for m in masks))
+    return part.value(objective), part
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -252,6 +252,157 @@ def stabbing_line(segments: Sequence[Segment], tol: float = DEFAULT_TOL) -> Opti
         if all(_segment_stabbed(line, s, tol) for s in segs):
             return line
     return None
+
+
+# --------------------------------------------------------------------------
+# line dissections
+
+_CHUNK = 1 << 18  # elements in one temporary of the chunked helpers below
+
+
+def _first_distinct(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct boolean row."""
+    packed = np.packbits(rows, axis=1)
+    keys = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    order = np.lexsort(keys.T)  # stable: equal rows keep their index order
+    keys = keys[order]
+    fresh = np.ones(len(keys), bool)
+    fresh[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    return np.sort(order[fresh])
+
+
+def line_splits(left: np.ndarray, on: np.ndarray, along: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The splits of points by lines that keep each line's points in order.
+
+    Row l of the boolean ``left`` and ``on`` matrices marks the points
+    strictly left of line l and the points on it; ``along`` holds their
+    positions along it.  A line with m points on it gives its left points
+    plus a prefix of its on-line points, of each size 0..m, then its left
+    points plus a suffix of each size 1..m-1: every such split once.
+    Returns the rows and the line of each row.
+    """
+    rank = np.argsort(np.argsort(np.where(on, along, np.inf), axis=1, kind="stable"), axis=1)
+    count = on.sum(axis=1)
+
+    def sizes(k, first):
+        line = np.repeat(np.arange(len(on)), k)
+        return line, (np.arange(len(line)) - np.repeat(np.cumsum(k) - k, k) + first)[:, None]
+
+    pline, psize = sizes(count + 1, 0)
+    sline, ssize = sizes(np.maximum(count - 1, 0), 1)
+    prefix = left[pline] | (rank[pline] < psize)
+    suffix = left[sline] | (on[sline] & (rank[sline] >= count[sline, None] - ssize))
+    return np.concatenate([prefix, suffix]), np.concatenate([pline, sline])
+
+
+def iter_line_dissections(points) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows of ``line_dissections`` in blocks ``(rows, pairs)``, working
+    through the point pairs in chunks so that no temporary exceeds about
+    ``_CHUNK`` elements.  Rows are distinct within a block but may repeat
+    across blocks; the all and none rows come last."""
+    pts = as_array([tuple(p) for p in points])
+    n = len(pts)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = np.any(pts[iu] != pts[ju], axis=1)
+    iu, ju = iu[keep], ju[keep]
+    seen: set[bytes] = set()
+    step = max(1, _CHUNK // max(1, 2 * n))
+    for s in range(0, len(iu), step):
+        i, j = iu[s:s + step], ju[s:s + step]
+        direction = pts[j] - pts[i]
+        # side_of(line_through(pts[i], pts[j]), p) for every pair at once
+        rel = pts[None, :, :] - pts[i][:, None, :]
+        det = direction[:, None, 0] * rel[..., 1] - direction[:, None, 1] * rel[..., 0]
+        reach = np.maximum(np.abs(rel).max(axis=2), 1.0)
+        band = DEFAULT_TOL * np.maximum(1.0, np.abs(direction).max(axis=1)[:, None] * reach)
+        on = np.abs(det) <= band
+        # one pair per distinct line, which its points on the line identify;
+        # only a line with three or more points on it is met by two pairs
+        first = _first_distinct(on)
+        rich = first[on[first].sum(axis=1) > 2]
+        repeat = set()
+        for r in rich.tolist():
+            key = np.packbits(on[r]).tobytes()
+            if key in seen:
+                repeat.add(r)
+            seen.add(key)
+        first = np.array([r for r in first.tolist() if r not in repeat], dtype=int)
+        along = (rel[first] * direction[first, None, :]).sum(axis=2)
+        rows, line = line_splits(det[first] > band[first], on[first], along)
+        rows = np.concatenate([rows, ~rows])
+        pairs = np.stack([i[first], j[first]], axis=1)[np.tile(line, 2)]
+        distinct = _first_distinct(rows)
+        yield rows[distinct], pairs[distinct]
+    yield np.stack([np.ones(n, bool), np.zeros(n, bool)]), np.zeros((2, 2), int)
+
+
+def line_dissections(points) -> tuple[np.ndarray, np.ndarray]:
+    """Every split of the points by a line, as the rows of a boolean matrix.
+
+    Each distinct line through two points yields the points strictly on its
+    left plus a prefix or a suffix of the points on it, in their order along
+    the line (``line_splits``), and the complements of those rows.  That
+    reaches every split by a line that misses all points: translate such a
+    line until it hits a point, then turn it about that point until it hits
+    another; the points it sweeps onto itself come from one side along one
+    ray and from the other side along the opposite ray.  A split that puts a
+    point between two points of the other side is not listed; that point
+    lies in the other side's hull, so moving it there never raises a
+    diameter, a radius or a hull perimeter.
+
+    Returns ``(rows, pairs)``.  The rows are distinct and include the all
+    and none rows.  The points of row r lie on one closed side of the line
+    through points ``pairs[r]`` and the other points on the other closed
+    side, with ``side_of`` at its default tolerance deciding what is on the
+    line; the pair is (0, 0) when no two points are distinct.  In general
+    position the matrix has n(n-1)+2 rows of n; ``iter_line_dissections``
+    gives the same rows in blocks of bounded size.
+    """
+    blocks = list(iter_line_dissections(points))
+    rows = np.concatenate([b[0] for b in blocks])
+    pairs = np.concatenate([b[1] for b in blocks])
+    first = _first_distinct(rows)
+    return rows[first], pairs[first]
+
+
+def subset_diameters(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The diameter of each row's points under the distance matrix D: the
+    largest D[i, j] with i and j in the row, 0 below two points.  Works
+    through the pairs in chunks, so no temporary exceeds about ``_CHUNK``
+    elements."""
+    rows = np.asarray(rows, dtype=bool)
+    iu, ju = np.triu_indices(len(D), k=1)
+    dist = D[iu, ju]
+    out = np.zeros(len(rows))
+    step = max(1, _CHUNK // max(1, len(rows)))
+    for s in range(0, len(dist), step):
+        both = rows[:, iu[s:s + step]] & rows[:, ju[s:s + step]]
+        np.maximum(out, np.where(both, dist[s:s + step], 0.0).max(axis=1), out=out)
+    return out
+
+
+def dissections_within(points, D: np.ndarray, d1: float, d2: float
+                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows and pairs of the line dissections of the points whose own
+    diameter under D is at most d1 and whose complement's is at most d2, in
+    ``iter_line_dissections`` order.
+
+    With F the 0/1 matrix of pairs farther apart than d, a row r has
+    diameter at most d exactly when r F r = 0, which one matrix product
+    counts for a batch of rows.  Batches hold about ``_CHUNK`` elements, so
+    a caller that stops at the first block it is given stops early.
+    """
+    far1, far2 = (D > d1).astype(float), (D > d2).astype(float)
+    batch = max(1, _CHUNK // len(D))
+    for rows, pairs in iter_line_dissections(points):
+        for s in range(0, len(rows), batch):
+            part, at = rows[s:s + batch], pairs[s:s + batch]
+            inside, outside = part.astype(float), (~part).astype(float)
+            fit = ((((inside @ far1) * inside).sum(axis=1) == 0)
+                   & (((outside @ far2) * outside).sum(axis=1) == 0))
+            if fit.any():
+                yield part[fit], at[fit]
 
 
 def sorted_pairwise_distances(plane: NormedPlane, points) -> list[tuple[float, tuple[int, int]]]:

@@ -21,9 +21,7 @@ from .errors import BudgetExceeded, NoBallContainsS, Undecidable
 from .norm import (
     EuclideanNorm,
     NormedPlane,
-    Point,
     PolygonNorm,
-    TwoArcNorm,
     _circle_circle,
     as_array,
     gauge,
@@ -312,7 +310,8 @@ def bh_membership_oracle(plane: NormedPlane, points, d: float, x,
 def exhaustive_separable_2cluster(plane: NormedPlane, points, d1: float, d2: float,
                                   budget: OracleBudget = DEFAULT_BUDGET
                                   ) -> Optional[Partition]:
-    """Try every candidate separating line (all on-assignments, both roles)."""
+    """Try every distinct line through two points once, with every subset of
+    the points on it joining its left side, in both roles."""
     pts = as_array([tuple(p) for p in points])
     n = len(pts)
     if n > budget.max_points:
@@ -340,6 +339,7 @@ def exhaustive_separable_2cluster(plane: NormedPlane, points, d1: float, d2: flo
 
     tried: set[int] = set()
     masks: list[int] = []
+    lines: set[tuple[int, ...]] = set()
     for i in range(n):
         for j in range(i + 1, n):
             if np.all(pts[i] == pts[j]):
@@ -354,8 +354,11 @@ def exhaustive_separable_2cluster(plane: NormedPlane, points, d1: float, d2: flo
                     strict |= 1 << t
                 elif abs(off[t]) <= bandw:
                     on_idx.append(t)
-            for r in range(len(on_idx[:6]) + 1):
-                for chosen in itertools.combinations(on_idx[:6], r):
+            if tuple(on_idx) in lines:
+                continue
+            lines.add(tuple(on_idx))
+            for r in range(len(on_idx) + 1):
+                for chosen in itertools.combinations(on_idx, r):
                     m = strict
                     for c in chosen:
                         m |= 1 << c

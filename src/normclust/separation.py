@@ -4,28 +4,29 @@ Given clusters A and B, produce linearly separable A', B' with
 diam(A') <= diam(A), diam(B') <= diam(B) and A' u B' = A u B.  The
 construction decomposes the hull boundaries into interlacing pieces, finds
 "bad" piece pairs whose cross distance exceeds the larger diameter, groups
-them, and cuts along a line through two boundary crossings.  A brute-force
-candidate split is kept as a safety net for degenerate inputs.
+them, and cuts along a line through two boundary crossings.  Where the
+construction does not apply (a hull of one or two points, or a collinear
+one) or fails, the best split among the line dissections is taken instead.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyCluster, NoOverlap, NormClustError
 from .geometry import (
     ConvexPolygon,
-    OnRule,
     OrientedLine,
     Side,
     convex_hull,
     diameter,
-    hulls_interiors_overlap,
+    dissections_within,
+    iter_line_dissections,
+    line_splits,
     line_through,
     norm_perimeter,
     point_in_convex,
@@ -387,32 +388,14 @@ def _tangent_line(points: Sequence[Point]) -> OrientedLine:
     return line_through(v[0], v[1])
 
 
-def _find_separating_line(union, n_a: int, tol: float = 1e-9) -> Optional[OrientedLine]:
-    """A line with the first n_a points on one closed side and the rest on the
-    other, if one exists."""
-    pts = union
-    n = len(pts)
-    cands: list[OrientedLine] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pts[i] != pts[j]:
-                cands.append(line_through(pts[i], pts[j]))
-    dirs = [Point(1.0, 0.0), Point(0.0, 1.0)]
-    for p in pts:
-        for d in dirs:
-            cands.append(OrientedLine(p, d))
-    for line in cands:
-        ok_left = all(side_of(line, p, tol) is not Side.RIGHT for p in pts[:n_a]) and all(
-            side_of(line, p, tol) is not Side.LEFT for p in pts[n_a:]
-        )
-        if ok_left:
-            return line
-        ok_right = all(side_of(line, p, tol) is not Side.LEFT for p in pts[:n_a]) and all(
-            side_of(line, p, tol) is not Side.RIGHT for p in pts[n_a:]
-        )
-        if ok_right:
-            return OrientedLine(line.anchor, Point(-line.direction.x, -line.direction.y))
-    return None
+def _dissection_line(union, pair, in_a) -> OrientedLine:
+    """The line through the points ``pair`` of the union, oriented with the
+    points flagged in in_a on its closed left and the others on its closed
+    right; either side may lie wholly on the line."""
+    line = line_through(union[pair[0]], union[pair[1]])
+    if any(side_of(line, p) is (Side.RIGHT if a else Side.LEFT) for p, a in zip(union, in_a)):
+        line = OrientedLine(line.anchor, Point(-line.direction.x, -line.direction.y))
+    return line
 
 
 def _valid(plane, a_pts, b_pts, line, diam_a, diam_b) -> bool:
@@ -429,76 +412,21 @@ def _valid(plane, a_pts, b_pts, line, diam_a, diam_b) -> bool:
 
 
 def _fallback_split(plane, union, diam_a, diam_b):
-    """Exhaustive candidate-line search; among valid splits pick the one with
-    the smallest resulting hull-perimeter sum (one at least as good as the
-    constructive answer always exists)."""
-    pts = union
-    n = len(pts)
-    arr = as_array([tuple(p) for p in pts])
-    D = pairwise_distances(plane, arr)
-    scale = max(1.0, float(np.abs(arr).max()))
-    band = 1e-9 * scale
+    """Among the line dissections of the union that raise neither diameter,
+    the one with the smallest resulting hull-perimeter sum (one at least as
+    good as the constructive answer always exists)."""
+    D = pairwise_distances(plane, as_array([tuple(p) for p in union]))
     slack = 5e-10
-
-    def mask_diam(mask: np.ndarray) -> float:
-        if mask.sum() < 2:
-            return 0.0
-        sub = D[np.ix_(mask, mask)]
-        return float(sub.max())
-
-    seen: set[bytes] = set()
-    candidates: list[tuple[np.ndarray, OrientedLine]] = []
-
-    full = np.ones(n, dtype=bool)
-    empty = np.zeros(n, dtype=bool)
-    far = OrientedLine(Point(float(arr[:, 0].min() - 1.0), 0.0), Point(0.0, -1.0))
-    candidates.append((full, far))
-    candidates.append((empty, far))
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pts[i] == pts[j]:
-                continue
-            line = line_through(pts[i], pts[j])
-            off = (arr[:, 0] - line.anchor.x) * (-line.direction.y) + (
-                arr[:, 1] - line.anchor.y
-            ) * line.direction.x
-            onb = band * max(1.0, abs(line.direction.x) + abs(line.direction.y)) * scale
-            strict_left = off > onb
-            on = np.abs(off) <= onb
-            on_idx = np.nonzero(on)[0][:6]
-            for r in range(len(on_idx) + 1):
-                for chosen in itertools.combinations(on_idx, r):
-                    mask = strict_left.copy()
-                    mask[list(chosen)] = True
-                    key = mask.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        candidates.append((mask, line))
-
     best = None
-    for mask, line in candidates:
-        d_left = mask_diam(mask)
-        d_right = mask_diam(~mask)
-        for a_mask, d_a_side, d_b_side in (
-            (mask, d_left, d_right),
-            (~mask, d_right, d_left),
-        ):
-            if d_a_side <= diam_a + slack and d_b_side <= diam_b + slack:
-                a_pts = tuple(pts[k] for k in range(n) if a_mask[k])
-                b_pts = tuple(pts[k] for k in range(n) if not a_mask[k])
-                after = 0.0
-                if a_pts:
-                    after += norm_perimeter(plane, convex_hull(a_pts))
-                if b_pts:
-                    after += norm_perimeter(plane, convex_hull(b_pts))
-                # orient the line with the A side on the left
-                ln = line
-                if any(side_of(ln, p) is Side.RIGHT for p in a_pts):
-                    ln = OrientedLine(ln.anchor, Point(-ln.direction.x, -ln.direction.y))
-                if _valid(plane, a_pts, b_pts, ln, diam_a, diam_b):
-                    if best is None or after < best[0]:
-                        best = (after, a_pts, b_pts, ln)
+    for rows, pairs in dissections_within(union, D, diam_a + slack, diam_b + slack):
+        for row, pair in zip(rows, pairs):
+            a_pts = tuple(p for p, in_a in zip(union, row) if in_a)
+            b_pts = tuple(p for p, in_a in zip(union, row) if not in_a)
+            after = _perim_of(plane, a_pts) + _perim_of(plane, b_pts)
+            if best is None or after < best[0]:
+                line = _dissection_line(union, pair, row)
+                if _valid(plane, a_pts, b_pts, line, diam_a, diam_b):
+                    best = (after, a_pts, b_pts, line)
     if best is None:
         raise NormClustError("no valid separable split found (unexpected)")
     return best[1], best[2], best[3]
@@ -549,30 +477,20 @@ def _group_split(plane, union, pieces, records, groups):
     return line
 
 
-def _split_assignments(plane, union, line, diam_a, diam_b):
+def _split_assignments(union, line):
     """Splits of the union by ``line``: strict sides are fixed (left = A');
-    points exactly on the line are enumerated over both sides, the all-to-A'
-    convention first."""
-    scale = max(1.0, max(max(abs(p.x), abs(p.y)) for p in union))
+    the points on the line go to A' as a prefix or a suffix of their order
+    along it (``line_splits``)."""
+    pts = as_array([tuple(p) for p in union])
+    scale = max(1.0, float(np.abs(pts).max()))
     band = 1e-9 * scale * max(abs(line.direction.x), abs(line.direction.y), 1e-30)
-    strict_a, strict_b, on_pts = [], [], []
-    for p in union:
-        off = signed_offset(line, p)
-        if off > band:
-            strict_a.append(p)
-        elif off < -band:
-            strict_b.append(p)
-        else:
-            on_pts.append(p)
-    on_pts = on_pts[:8]
-    combos = [tuple([True] * len(on_pts)), tuple([False] * len(on_pts))]
-    for combo in itertools.product((True, False), repeat=len(on_pts)):
-        if combo not in combos:
-            combos.append(combo)
-    for combo in combos:
-        a_pts = tuple(strict_a) + tuple(p for p, to_a in zip(on_pts, combo) if to_a)
-        b_pts = tuple(strict_b) + tuple(p for p, to_a in zip(on_pts, combo) if not to_a)
-        yield a_pts, b_pts
+    rel = pts - np.array(line.anchor)
+    det = line.direction.x * rel[:, 1] - line.direction.y * rel[:, 0]
+    rows, _ = line_splits((det > band)[None], (np.abs(det) <= band)[None],
+                          (rel @ np.array(line.direction))[None])
+    for row in rows:
+        yield (tuple(p for p, to_a in zip(union, row) if to_a),
+               tuple(p for p, to_a in zip(union, row) if not to_a))
 
 
 def _separate_ordered(plane, a_points, b_points, diam_a, diam_b):
@@ -587,28 +505,31 @@ def _separate_ordered(plane, a_points, b_points, diam_a, diam_b):
             return (union, (), _tangent_line(union), SeparationWitness.NO_BAD_PAIRS)
         return None
 
-    if hull_a.degenerate or hull_b.degenerate:
-        line = _find_separating_line(union, len(a_points))
-        if line is not None:
-            return (tuple(a_points), tuple(b_points), line, SeparationWitness.DISJOINT_HULLS)
-        res = no_bad_branch()
-        if res is not None:
-            return res
-        a_pts, b_pts, line = _fallback_split(plane, union, diam_a, diam_b)
-        return (a_pts, b_pts, line, SeparationWitness.FALLBACK_SPLIT)
-
+    # no crossings for disjoint or nested hulls, and none taken for a hull
+    # of one or two points or a collinear one
     crossings = boundary_crossings(hull_a, hull_b, plane.tolerance)
     if len(crossings) < 2:
-        nested = all(point_in_convex(hull_a, v) for v in hull_b.vertices) or all(
-            point_in_convex(hull_b, v) for v in hull_a.vertices
-        )
+        nested = not (hull_a.degenerate or hull_b.degenerate) and (
+            all(point_in_convex(hull_a, v) for v in hull_b.vertices)
+            or all(point_in_convex(hull_b, v) for v in hull_a.vertices))
         if nested:
             res = no_bad_branch()
             if res is not None:
                 return res
-        line = _find_separating_line(union, len(a_points))
-        if line is not None:
-            return (tuple(a_points), tuple(b_points), line, SeparationWitness.DISJOINT_HULLS)
+        # a line with A's hull vertices on one closed side and B's on the
+        # other; the hulls then lie on those sides, and such a line can be
+        # turned about the hulls until it runs through two of the vertices.
+        # Pairs are tried in index order, so A's vertices start at the one
+        # nearest B's centroid, often next to the vertex such a line touches
+        va, vb = as_array(hull_a.vertices), as_array(hull_b.vertices)
+        start = int(np.argmin(np.hypot(*(va - vb.mean(axis=0)).T)))
+        verts = hull_a.vertices[start:] + hull_a.vertices[:start] + hull_b.vertices
+        in_a = np.arange(len(verts)) < len(hull_a.vertices)
+        for rows, pairs in iter_line_dissections(verts):
+            hit = np.flatnonzero(np.all(rows == in_a, axis=1))
+            if len(hit):
+                line = _dissection_line(verts, pairs[hit[0]], in_a)
+                return (tuple(a_points), tuple(b_points), line, SeparationWitness.DISJOINT_HULLS)
         res = no_bad_branch()
         if res is not None:
             return res
@@ -626,7 +547,7 @@ def _separate_ordered(plane, a_points, b_points, diam_a, diam_b):
         line = _group_split(plane, union, pieces, records, groups)
         before = norm_perimeter(plane, hull_a) + norm_perimeter(plane, hull_b)
         best = None
-        for a_pts, b_pts in _split_assignments(plane, union, line, diam_a, diam_b):
+        for a_pts, b_pts in _split_assignments(union, line):
             if _valid(plane, a_pts, b_pts, line, diam_a, diam_b):
                 after = _perim_of(plane, a_pts) + _perim_of(plane, b_pts)
                 if best is None or after < best[0]:

@@ -11,7 +11,7 @@ from normclust import (
     polygon_plane,
     two_arc_plane,
 )
-from normclust.norm import _circle_circle, _on_twoarc_arc, _twoarc_sphere_arcs, gauge_scalar
+from normclust.norm import _circle_circle, _on_twoarc_arc, _twoarc_sphere_arcs
 
 TWO_ARC_C = 10.0
 TWO_ARC_R = 5 * math.sqrt(13)

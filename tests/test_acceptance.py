@@ -42,7 +42,6 @@ from normclust import (
     euclidean_plane,
 )
 from normclust.cli import main as cli_main
-from normclust.errors import Undecidable
 from normclust.geometry import Side, hulls_interiors_overlap, side_of
 from normclust.norm import Point, pairwise_distances
 from normclust.oracle import CenterSetOracle

@@ -7,7 +7,6 @@ from normclust import (
     Point,
     ball_hull,
     bh_contains,
-    bh_membership_oracle,
     build_tree,
     delete_point,
     diameter,
@@ -21,7 +20,6 @@ from normclust import (
     two_arc_plane,
 )
 from normclust.errors import NoBallContainsS, NotPresent, TooFarApart, Undecidable
-from normclust.norm import pairwise_distances
 from normclust.oracle import bh_membership_interval
 
 E = euclidean_plane()

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import sys
 from contextlib import redirect_stdout
 
 import pytest

@@ -13,6 +13,7 @@ from normclust import (
     brute_force_k_partition,
     constrained_2cluster,
     euclidean_plane,
+    exhaustive_separable_2cluster,
     feasible_2cluster,
     gauge,
     hr_feasible_3cluster,
@@ -24,6 +25,7 @@ from normclust import (
     min_max_3cluster,
     two_arc_plane,
 )
+from normclust import geometry
 from normclust.errors import BadBounds, DegenerateBasis, TooFewPoints
 from normclust.norm import pairwise_distances
 
@@ -34,6 +36,9 @@ TA = two_arc_plane(10.0, 5 * math.sqrt(13))
 SQ = [(0, 0), (1, 0), (1, 1), (0, 1)]
 MAXDIAM = Objective(Combiner.MAX, Measure.DIAMETER)
 THREE_PAIRS = [(0, 0), (0.1, 0), (10, 0), (10.1, 0), (5, 8), (5.1, 8)]
+# seven points on a line, one far out on it: the best 2-split puts the
+# outlier alone, a prefix of the points along the line
+COLLINEAR = [(i, 0) for i in range(7)] + [(100, 0)]
 
 
 def _partition_ok(D, part, d):
@@ -108,6 +113,23 @@ class TestConstrained2:
 
     def test_square_infeasible(self):
         assert constrained_2cluster(E, SQ, 1.0, 0.9) is None
+
+    def test_collinear_outlier(self, monkeypatch):
+        want = ((0, 1, 2, 3, 4, 5, 6), (7,))
+        assert constrained_2cluster(E, COLLINEAR, 6.0, 0.0).clusters == want
+        assert exhaustive_separable_2cluster(E, COLLINEAR, 6.0, 0.0).clusters == want
+        # the same sweep over dissection blocks of one point pair each
+        monkeypatch.setattr(geometry, "_CHUNK", 16)
+        assert constrained_2cluster(E, COLLINEAR, 6.0, 0.0).clusters == want
+
+    def test_no_pair_longer_than_d1(self):
+        # S2 is the lexicographically lowest point
+        pts = np.random.default_rng(5).uniform(-5, 5, size=(1000, 2))
+        low = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
+        dmax = float(pairwise_distances(E, pts).max())
+        part = constrained_2cluster(E, pts, dmax, 0.0)
+        assert part.clusters == (tuple(i for i in range(1000) if i != low), (low,))
+        assert part.measures[1] == 0.0
 
     def test_bad_bounds(self):
         with pytest.raises(BadBounds):
@@ -185,6 +207,19 @@ class TestKCluster:
             v, _ = k_cluster_minimize(plane, pts, 2, MAXDIAM)
             a, _ = avis_min_max_2cluster(plane, pts)
             assert v == pytest.approx(a, abs=1e-9)
+        # on-line points past the first six; more points than an int64 mask holds
+        for pts in (COLLINEAR, COLLINEAR[::-1], rng.uniform(-10, 10, size=(70, 2))):
+            v, _ = k_cluster_minimize(E, pts, 2, MAXDIAM)
+            a, _ = avis_min_max_2cluster(E, pts)
+            assert v == pytest.approx(a, abs=1e-9)
+
+    def test_collinear_outlier(self):
+        for pts in (COLLINEAR, COLLINEAR[::-1]):
+            for combiner in (Combiner.MAX, Combiner.SUM):
+                obj = Objective(combiner, Measure.DIAMETER)
+                v, _ = k_cluster_minimize(E, pts, 2, obj)
+                w, _ = brute_force_k_partition(E, pts, 2, obj)
+                assert v == pytest.approx(6.0) and w == pytest.approx(6.0)
 
     def test_three_far_pairs(self):
         v, part = k_cluster_minimize(E, THREE_PAIRS, 3, MAXDIAM)
@@ -220,10 +255,12 @@ class TestKCluster:
 
     def test_k4_small(self):
         rng = np.random.default_rng(4)
-        pts = rng.uniform(-10, 10, size=(5, 2))
-        v, _ = k_cluster_minimize(E, pts, 4, MAXDIAM)
-        w, _ = brute_force_k_partition(E, pts, 4, MAXDIAM)
-        assert v == pytest.approx(w, abs=1e-9)
+        pts = rng.uniform(-10, 10, size=(8, 2))
+        for combiner in (Combiner.MAX, Combiner.SUM):
+            obj = Objective(combiner, Measure.DIAMETER)
+            v, _ = k_cluster_minimize(E, pts, 4, obj)
+            w, _ = brute_force_k_partition(E, pts, 4, obj)
+            assert v == pytest.approx(w, abs=1e-9)
 
 
 class TestZones:

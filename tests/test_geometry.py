@@ -20,7 +20,15 @@ from normclust import (
     stabbing_line,
 )
 from normclust.errors import EmptyInput, TooFewPoints
-from normclust.geometry import line_through
+from normclust import geometry
+from normclust.geometry import (
+    dissections_within,
+    iter_line_dissections,
+    line_dissections,
+    line_splits,
+    line_through,
+    subset_diameters,
+)
 from normclust.norm import pairwise_distances
 
 E = euclidean_plane()
@@ -145,6 +153,74 @@ def _stab_oracle(segments):
         if stabs(OrientedLine(e1, Point(1.0, 0.0))):
             return True
     return False
+
+
+class TestLineDissections:
+    def test_every_split_by_a_line(self):
+        rng = np.random.default_rng(17)
+        pts = rng.uniform(-1, 1, size=(9, 2))
+        rows, pairs = line_dissections(pts)
+        # points in general position: n(n-1) splits plus all and none
+        assert len(rows) == 9 * 8 + 2
+        assert len({r.tobytes() for r in rows}) == len(rows)
+        for row, (i, j) in zip(rows, pairs):
+            sides = {side_of(line_through(pts[i], pts[j]), p) for p in pts[row]}
+            others = {side_of(line_through(pts[i], pts[j]), p) for p in pts[~row]}
+            assert (Side.RIGHT not in sides and Side.LEFT not in others) or (
+                Side.LEFT not in sides and Side.RIGHT not in others)
+        found = {r.tobytes() for r in rows}
+        for theta, c in rng.uniform((0, -1.5), (2 * math.pi, 1.5), size=(2000, 2)):
+            cut = pts @ (math.cos(theta), math.sin(theta)) > c
+            assert cut.tobytes() in found
+
+    def test_collinear_with_duplicates(self):
+        rows, _ = line_dissections([(0, 0), (2, 2), (1, 1), (1, 1)])
+        # prefixes and suffixes along the line; the twins may be parted
+        want = {(0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 1, 1),
+                (0, 1, 1, 1), (0, 1, 0, 1), (0, 1, 0, 0)}
+        assert {tuple(map(int, r)) for r in rows} == want
+
+    def test_blocks_give_the_same_rows(self, monkeypatch):
+        # a lattice has many lines with three or more points on them, each
+        # met by pairs in different blocks when a block holds one pair
+        pts = [(x, y) for x in range(4) for y in range(4)]
+        rows, _ = line_dissections(pts)
+        monkeypatch.setattr(geometry, "_CHUNK", 32)
+        blocks = list(iter_line_dissections(pts))
+        assert len(blocks) == 16 * 15 // 2 + 1
+        assert {r.tobytes() for b, _ in blocks for r in b} == {r.tobytes() for r in rows}
+        assert len(line_dissections(pts)[0]) == len(rows)
+
+    def test_line_splits(self):
+        # three points on the line, at positions 2, 0 and 1, and one left of it
+        rows, line = line_splits(np.array([[False, False, False, True]]),
+                                 np.array([[True, True, True, False]]),
+                                 np.array([[2.0, 0.0, 1.0, 5.0]]))
+        assert rows.astype(int).tolist() == [
+            [0, 0, 0, 1], [0, 1, 0, 1], [0, 1, 1, 1], [1, 1, 1, 1],
+            [1, 0, 0, 1], [1, 0, 1, 1]]
+        assert line.tolist() == [0] * 6
+
+    def test_dissections_within(self, monkeypatch):
+        # the fitting rows, in batches of a few rows, against subset_diameters
+        rng = np.random.default_rng(29)
+        pts = rng.uniform(-5, 5, size=(12, 2))
+        D = pairwise_distances(L1, pts)
+        rows, _ = line_dissections(pts)
+        monkeypatch.setattr(geometry, "_CHUNK", 40)
+        for d1, d2 in ((8.0, 6.0), (12.0, 3.0), (20.0, 0.0), (2.0, 1.0)):
+            want = (subset_diameters(D, rows) <= d1) & (subset_diameters(D, ~rows) <= d2)
+            got = [r.tobytes() for b, _ in dissections_within(pts, D, d1, d2) for r in b]
+            assert sorted(set(got)) == sorted(r.tobytes() for r in rows[want])
+
+    def test_subset_diameters(self):
+        rng = np.random.default_rng(19)
+        pts = rng.uniform(-5, 5, size=(7, 2))
+        D = pairwise_distances(L1, pts)
+        rows = rng.random((40, 7)) < 0.4
+        want = [max((D[i, j] for i in np.flatnonzero(r) for j in np.flatnonzero(r)), default=0.0)
+                for r in rows]
+        assert subset_diameters(D, rows).tolist() == want
 
 
 class TestStabbingLine:

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from normclust import (
     EuclideanNorm,
     Point,
-    PolygonNorm,
-    TwoArcNorm,
     birkhoff_orthogonal,
     boundary_point,
     dist,

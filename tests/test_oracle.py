@@ -18,7 +18,7 @@ from normclust import (
     min_max_3cluster,
     two_arc_plane,
 )
-from normclust.errors import BudgetExceeded, Undecidable
+from normclust.errors import BudgetExceeded
 
 E = euclidean_plane()
 MAXDIAM = Objective(Combiner.MAX, Measure.DIAMETER)

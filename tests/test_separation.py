@@ -14,7 +14,6 @@ from normclust import (
     euclidean_plane,
     find_bad_structure,
     gauge,
-    l1_plane,
     perimeter_check,
     separate_clusters,
     side_of,
@@ -22,6 +21,7 @@ from normclust import (
 )
 from normclust.errors import EmptyCluster, NoOverlap
 from normclust.geometry import hulls_interiors_overlap, line_through, signed_offset
+from normclust.separation import _split_assignments
 from conftest import random_clusters
 
 E = euclidean_plane()
@@ -151,11 +151,40 @@ def _check_invariants(plane, A, B, res):
 
 class TestSeparate:
     def test_disjoint(self):
-        res = separate_clusters(E, [(0, 0), (1, 0)], [(0, 3), (1, 3)])
-        assert res.witness is SeparationWitness.DISJOINT_HULLS
-        assert set(res.a_prime) == {Point(0, 0), Point(1, 0)}
-        assert set(res.b_prime) == {Point(0, 3), Point(1, 3)}
-        _check_invariants(E, [(0, 0), (1, 0)], [(0, 3), (1, 3)], res)
+        # a plain disjoint pair; a cluster lying wholly on a line that has
+        # the other cluster on one side, beside it or touching it beyond its
+        # end; all points on one line, with a duplicate
+        for A, B in (([(0, 0), (1, 0)], [(0, 3), (1, 3)]),
+                     ([(2, 0), (3, 0)], [(0, 0), (0, 1), (0, 2), (0, 3)]),
+                     ([(0, 0), (2, 2), (4, 4)], [(-1, -1), (-3, 0), (-4, 1)]),
+                     ([(3, 6), (3, 6), (-3, 0)], [(6, 9), (5, 8)])):
+            res = separate_clusters(E, A, B)
+            assert res.witness is SeparationWitness.DISJOINT_HULLS
+            assert set(res.a_prime) == {Point(*p) for p in A}
+            assert set(res.b_prime) == {Point(*p) for p in B}
+            _check_invariants(E, A, B, res)
+
+    def test_disjoint_large(self):
+        # 300 points against 300: uniform squares, and circles with every
+        # point on its hull
+        rng = np.random.default_rng(23)
+        theta = rng.uniform(0, 2 * math.pi, 300)
+        circle = np.c_[np.cos(theta), np.sin(theta)]
+        square = rng.uniform(0, 1, (600, 2))
+        for A, B in ((square[:300], square[300:] + (3, 0.5)), (circle, circle[::-1] + (3, 0))):
+            A, B = A.tolist(), B.tolist()
+            res = separate_clusters(E, A, B)
+            assert res.witness is SeparationWitness.DISJOINT_HULLS
+            _check_invariants(E, A, B, res)
+
+    def test_split_assignments_keep_every_point(self):
+        # twelve points on the line: each split places all of them
+        union = tuple(Point(float(i), 0.0) for i in range(12)) + (Point(5.0, 1.0), Point(5.0, -1.0))
+        splits = list(_split_assignments(union, line_through((0, 0), (1, 0))))
+        assert len(splits) == 2 * 12
+        for a_pts, b_pts in splits:
+            assert sorted(a_pts + b_pts) == sorted(union)
+            assert Point(5.0, 1.0) in a_pts and Point(5.0, -1.0) in b_pts
 
     def test_interlocked_bad_pair(self):
         res = separate_clusters(E, BAD_A, BAD_B)
