@@ -2,13 +2,16 @@
 
 Feasibility of a two-way split at threshold d is decided on the graph of
 "long" pairs (distance > d): a split exists exactly when that graph is
-bipartite, and any proper 2-coloring is a witness.  The 3-clustering
-pipeline follows the zone decomposition around a leftmost point with the
-residual assignment solved as a 2-SAT instance.  An optimal k-clustering
-with pairwise linearly separable clusters always exists, so k-clustering
-peels off one cluster at a time, each an intersection of line dissections
-(``geometry.line_dissections``), and the bounded 2-clustering falls back on
-the same dissections.
+bipartite, and any proper 2-coloring is a witness.  The min-max 2-clustering
+2-colors a maximum spanning tree instead (Asano, Bhattacharya, Keil and Yao,
+"Clustering algorithms based on minimum and maximum spanning trees", SoCG
+1988), and the split under two different diameter bounds is a 2-SAT
+instance on the point pairs.  The 3-clustering pipeline follows the zone
+decomposition around a leftmost point with the residual assignment solved
+as a 2-SAT instance.  An optimal k-clustering with pairwise linearly
+separable clusters always exists, so k-clustering peels off one cluster at a
+time, each an intersection of line dissections
+(``geometry.line_dissections``).
 """
 
 from __future__ import annotations
@@ -31,23 +34,15 @@ from .errors import (
     NormClustError,
     TooFewPoints,
 )
-from .geometry import (
-    OnRule,
-    dissections_within,
-    line_dissections,
-    split_by_line,
-    stabbing_line,
-    subset_diameters,
-)
+from .geometry import line_dissections, subset_diameters
 from .norm import (
     EuclideanNorm,
     NormedPlane,
     Point,
     PolygonNorm,
-    Segment,
     TwoArcNorm,
-    as_array,
     birkhoff_orthogonal,
+    finite_points,
     gauge,
     pairwise_distances,
 )
@@ -168,7 +163,7 @@ def feasible_2cluster(plane: NormedPlane, points, d: float) -> Optional[Partitio
     2-colorable; a valid split can always be realized by a line as well, so
     absence here is definitive.
     """
-    pts = as_array([tuple(p) for p in points])
+    pts = finite_points(points)
     D = pairwise_distances(plane, pts)
     return _feasible_2cluster_from_matrix(D, d)
 
@@ -190,46 +185,56 @@ def _feasible_2cluster_from_matrix(D: np.ndarray, d: float) -> Optional[Partitio
 def avis_min_max_2cluster(plane: NormedPlane, points) -> tuple[float, Partition]:
     """Minimize the maximum of the two cluster diameters.
 
-    Binary search over the sorted pairwise distances (plus zero), deciding
-    each threshold with feasible_2cluster.
+    Colors the points alternately along a maximum spanning tree (Asano,
+    Bhattacharya, Keil and Yao, SoCG 1988); d* is the largest distance
+    inside one color class.  This is exact: the tree path between the ends
+    of a pair longer than d uses only pairs at least that long (the cycle
+    property), so whenever the pairs longer than d form a bipartite graph,
+    the tree's coloring is a proper coloring of it.
     """
-    pts = as_array([tuple(p) for p in points])
-    if len(pts) < 2:
+    pts = finite_points(points)
+    n = len(pts)
+    if n < 2:
         raise TooFewPoints("2-clustering needs at least two points")
     D = pairwise_distances(plane, pts)
-    iu, ju = np.triu_indices(len(pts), k=1)
-    values = np.unique(D[iu, ju])
-    values = np.concatenate([[0.0], values])
-    lo, hi = 0, len(values) - 1
-    best = _feasible_2cluster_from_matrix(D, float(values[hi]))
-    assert best is not None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        part = _feasible_2cluster_from_matrix(D, float(values[mid]))
-        if part is not None:
-            best, hi = part, mid
-        else:
-            lo = mid + 1
-    return float(values[hi]), best
+    # dense Prim: best[v] is the longest pair from the tree to v outside it
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    best = D[0].copy()
+    best[0] = -1.0
+    link = np.zeros(n, dtype=np.intp)
+    color = np.zeros(n, dtype=bool)
+    for _ in range(n - 1):
+        v = int(best.argmax())
+        outside[v] = False
+        best[v] = -1.0
+        color[v] = not color[link[v]]
+        row = D[v]
+        longer = outside & (row > best)
+        best[longer] = row[longer]
+        link[longer] = v
+    part = _partition_from_masks(D, [np.flatnonzero(~color).tolist(),
+                                     np.flatnonzero(color).tolist()])
+    return max(part.measures), part
 
 
 def constrained_2cluster(plane: NormedPlane, points, d1: float, d2: float
                          ) -> Optional[Partition]:
     """Split S into (S1, S2) with diam(S1) <= d1 and diam(S2) <= d2, or None.
 
-    With no pair longer than d1, S2 is one extreme point.  Otherwise tries
-    the stabbing-line recipe on the long-pair segments for d1 first, then
-    every line dissection in both roles, which is complete because a valid
-    split always admits a separable witness.
+    With no pair longer than d1, S2 is the lexicographically lowest point.
+    Otherwise the split is a 2-SAT instance on the pairs, exact because the
+    bounds are pairwise: with x_i meaning point i is in S1, a pair longer
+    than d2 adds the clause (x_i or x_j) and a pair longer than d1 also adds
+    (not x_i or not x_j).
     """
     if d2 > d1 or d2 < 0 or d1 < 0:
         raise BadBounds("need d1 >= d2 >= 0")
-    pts = [Point(float(p[0]), float(p[1])) for p in points]
+    pts = finite_points(points)
     n = len(pts)
     if n == 0:
         raise EmptyInput("no points")
-    arr = as_array([tuple(p) for p in pts])
-    D = pairwise_distances(plane, arr)
+    D = pairwise_distances(plane, pts)
 
     def result(side1, side2):
         return Partition(
@@ -242,30 +247,20 @@ def constrained_2cluster(plane: NormedPlane, points, d1: float, d2: float
         return result(range(n), [])
     if whole <= d1:
         # no pair is longer than d1: cut off one extreme point as S2
-        low = min(range(n), key=pts.__getitem__)
+        low = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
         return result([i for i in range(n) if i != low], [low])
 
-    # the single-stabbing-line recipe
-    long_pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if D[i, j] > d1]
-    segs = [Segment(pts[i], pts[j]) for i, j in long_pairs]
-    line = stabbing_line(segs)
-    if line is None:
+    sat = _TwoSat(n)
+    iu, ju = np.triu_indices(n, k=1)
+    far = D[iu, ju]
+    for i, j in zip(iu[far > d2].tolist(), ju[far > d2].tolist()):
+        sat.add_clause(2 * i, 2 * j)
+    for i, j in zip(iu[far > d1].tolist(), ju[far > d1].tolist()):
+        sat.add_clause(2 * i + 1, 2 * j + 1)
+    model = sat.solve()
+    if model is None:
         return None
-    for rule in (OnRule.TO_LEFT, OnRule.TO_RIGHT):
-        left, right = split_by_line(pts, line, rule)
-        li = [i for i in range(n) if pts[i] in set(left)]
-        ri = [i for i in range(n) if i not in li]
-        for s1, s2 in ((li, ri), (ri, li)):
-            if _mask_diam(D, s1) <= d1 and _mask_diam(D, s2) <= d2:
-                return result(s1, s2)
-
-    # exhaustive sweep; the complement of every dissection is one too, so
-    # trying each row as S1 covers both roles
-    hit = next(dissections_within(arr, D, d1, d2), None)
-    if hit is None:
-        return None
-    s1 = hit[0][0]
-    return result(np.flatnonzero(s1).tolist(), np.flatnonzero(~s1).tolist())
+    return result([i for i in range(n) if model[i]], [i for i in range(n) if not model[i]])
 
 
 # --------------------------------------------------------------------------
@@ -349,7 +344,7 @@ def _twoarc_triple_candidates(desc: TwoArcNorm, tri: np.ndarray) -> list[tuple[n
 
 def min_enclosing_ball(plane: NormedPlane, points) -> tuple[Point, float]:
     """Smallest radius r and a center c with S inside B(c, r)."""
-    pts = as_array([tuple(p) for p in points])
+    pts = finite_points(points)
     if len(pts) == 0:
         raise EmptyInput("no points")
     if len(pts) == 1:
@@ -433,7 +428,7 @@ def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
     the duration of the call.  Ties go to the first region in dissection
     order.
     """
-    pts = as_array([tuple(p) for p in points])
+    pts = finite_points(points)
     n = len(pts)
     if n < k:
         raise TooFewPoints(f"need at least k={k} points")
@@ -629,7 +624,7 @@ def hr_zones(plane: NormedPlane, points, a, a_prime) -> Zones:
     """North/South/East decomposition by the baseline (a, a') and the
     Birkhoff-orthogonal direction; a must have strictly minimal x-coordinate
     and basis coordinates must be distinct (rotate beforehand)."""
-    pts = as_array([tuple(p) for p in points])
+    pts = finite_points(points)
     aa = np.asarray([float(a[0]), float(a[1])])
     pp = np.asarray([float(a_prime[0]), float(a_prime[1])])
     if np.allclose(aa, pp):
@@ -663,7 +658,7 @@ def hr_feasible_3cluster(plane: NormedPlane, points, d: float, *, seed: int = 0,
     South) zone is forced into A, or the residual membership problem is
     written as two-choice constraints and solved by implication-graph SCC.
     """
-    pts = as_array([tuple(p) for p in points])
+    pts = finite_points(points)
     n = len(pts)
     if n < 3:
         raise TooFewPoints("3-clustering needs at least three points")
@@ -860,7 +855,7 @@ def min_max_3cluster(plane: NormedPlane, points, *, seed: int = 0,
                      audit: Optional[ZoneAudit] = None) -> tuple[float, Partition]:
     """Minimize the largest of the three cluster diameters: binary search on
     the sorted pairwise distances with the feasibility test."""
-    pts = as_array([tuple(p) for p in points])
+    pts = finite_points(points)
     if len(pts) < 3:
         raise TooFewPoints("3-clustering needs at least three points")
     D = pairwise_distances(plane, pts)

@@ -33,6 +33,10 @@ class TooFewPoints(NormClustError):
     pass
 
 
+class NonFinitePoint(NormClustError):
+    """A point coordinate is NaN or infinite."""
+
+
 class EmptyCluster(NormClustError):
     pass
 

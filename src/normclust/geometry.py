@@ -20,6 +20,7 @@ from .norm import (
     Point,
     Segment,
     as_array,
+    check_finite,
     gauge,
     pairwise_distances,
 )
@@ -153,7 +154,9 @@ def antipodal_pairs(poly: ConvexPolygon) -> Iterable[tuple[Point, Point]]:
 
 def diameter(plane: NormedPlane, points) -> tuple[float, tuple[Point, Point]]:
     """Normed diameter with an attaining pair, via rotating calipers."""
-    hull = convex_hull(points)
+    pts = list(points)
+    check_finite(pts)  # not finite_points: separation calls this on small sets in its loops
+    hull = convex_hull(pts)
     best = -1.0
     best_pair = (hull.vertices[0], hull.vertices[0])
     for p, q in antipodal_pairs(hull):

@@ -7,6 +7,7 @@ distance queries go through the Minkowski gauge of the ball.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Union
@@ -15,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DegenerateBody,
+    NonFinitePoint,
     NotConvex,
     NotSymmetric,
     OriginNotInterior,
@@ -46,6 +48,19 @@ def as_array(points) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.shape[-1] != 2:
         raise ValueError("expected 2d coordinates")
+    return arr
+
+
+def check_finite(points) -> None:
+    """Raise NonFinitePoint if a coordinate of a point is NaN or infinite."""
+    if not all(map(math.isfinite, itertools.chain.from_iterable(points))):
+        raise NonFinitePoint("point coordinates must be finite")
+
+
+def finite_points(points) -> np.ndarray:
+    """A point sequence as a float (n, 2) array, n >= 0, after check_finite."""
+    arr = as_array([tuple(p) for p in points] or np.empty((0, 2)))
+    check_finite(arr.tolist())
     return arr
 
 

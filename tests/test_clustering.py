@@ -12,6 +12,7 @@ from normclust import (
     avis_min_max_2cluster,
     brute_force_k_partition,
     constrained_2cluster,
+    diameter,
     euclidean_plane,
     exhaustive_separable_2cluster,
     feasible_2cluster,
@@ -26,7 +27,7 @@ from normclust import (
     two_arc_plane,
 )
 from normclust import geometry
-from normclust.errors import BadBounds, DegenerateBasis, TooFewPoints
+from normclust.errors import BadBounds, DegenerateBasis, NonFinitePoint, TooFewPoints
 from normclust.norm import pairwise_distances
 
 E = euclidean_plane()
@@ -46,6 +47,33 @@ def _partition_ok(D, part, d):
         ids = list(c)
         if len(ids) > 1:
             assert float(D[np.ix_(ids, ids)].max()) <= d + 1e-9
+
+
+def _split_exists(D, d1, d2):
+    """Whether one of all 2^n labellings has diam(S1) <= d1, diam(S2) <= d2."""
+    n = len(D)
+    in1 = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(float)
+    in2 = 1 - in1
+    bad1 = ((in1 @ (D > d1)) * in1).sum(axis=1)
+    bad2 = ((in2 @ (D > d2)) * in2).sum(axis=1)
+    return bool(((bad1 == 0) & (bad2 == 0)).any())
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda pts: feasible_2cluster(E, pts, 1.0), id="feasible_2cluster"),
+    pytest.param(lambda pts: avis_min_max_2cluster(E, pts), id="avis_min_max_2cluster"),
+    pytest.param(lambda pts: constrained_2cluster(E, pts, 2.0, 1.0), id="constrained_2cluster"),
+    pytest.param(lambda pts: min_enclosing_ball(E, pts), id="min_enclosing_ball"),
+    pytest.param(lambda pts: k_cluster_minimize(E, pts, 2, MAXDIAM), id="k_cluster_minimize"),
+    pytest.param(lambda pts: hr_zones(E, pts, (-1, 0), (5, 0)), id="hr_zones"),
+    pytest.param(lambda pts: hr_feasible_3cluster(E, pts, 1.0), id="hr_feasible_3cluster"),
+    pytest.param(lambda pts: min_max_3cluster(E, pts), id="min_max_3cluster"),
+    pytest.param(lambda pts: diameter(E, pts), id="diameter"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_rejected(call, bad):
+    with pytest.raises(NonFinitePoint):
+        call([(0, 0), (1, 1), (bad, 2), (3, 0)])
 
 
 class TestFeasible2:
@@ -102,6 +130,20 @@ class TestAvis:
                 assert got == pytest.approx(want, abs=1e-9)
                 assert max(part.measures) == pytest.approx(got, abs=1e-9)
 
+    def test_feasible_at_d_star_only(self, norm_suite):
+        # d* is attained and feasible, the next smaller distance is not
+        rng = np.random.default_rng(83)
+        some = rng.uniform(-10, 10, size=(20, 2))
+        run = [(float(x), 2.0) for x in range(-9, 10, 3)]
+        degenerate = np.vstack([some, some[:5], run, run[:2]])
+        for _, plane in norm_suite:
+            for pts in (rng.uniform(-10, 10, size=(300, 2)), degenerate):
+                d, part = avis_min_max_2cluster(plane, pts)
+                assert max(part.measures) == d
+                assert feasible_2cluster(plane, pts, d) is not None
+                D = pairwise_distances(plane, pts)
+                assert feasible_2cluster(plane, pts, float(D[D < d].max())) is None
+
 
 class TestConstrained2:
     def test_square_singleton_split(self):
@@ -139,16 +181,29 @@ class TestConstrained2:
         rng = np.random.default_rng(47)
         for _, plane in norm_suite:
             for _ in range(10):
-                n = int(rng.integers(2, 9))
+                n = int(rng.integers(2, 13))
                 pts = rng.uniform(-5, 5, size=(n, 2))
                 D = pairwise_distances(plane, pts)
-                dmax = float(D.max())
-                d1, d2 = 0.8 * dmax, 0.45 * dmax
+                d1 = float(rng.uniform(0.4, 1.0)) * float(D.max())
+                d2 = float(rng.uniform(0.0, 1.0)) * d1
                 part = constrained_2cluster(plane, pts, d1, d2)
+                assert (part is not None) == _split_exists(D, d1, d2)
                 if part is not None:
                     s1, s2 = part.clusters
+                    assert sorted(s1 + s2) == list(range(n))
                     assert part.measures[0] <= d1 + 1e-9
                     assert part.measures[1] <= d2 + 1e-9
+
+    def test_large_tight_bounds(self, norm_suite):
+        rng = np.random.default_rng(89)
+        for _, plane in norm_suite:
+            pts = rng.uniform(-10, 10, size=(300, 2))
+            d, _ = avis_min_max_2cluster(plane, pts)
+            D = pairwise_distances(plane, pts)
+            part = constrained_2cluster(plane, pts, d, d)
+            assert part is not None and max(part.measures) <= d
+            below = float(D[D < d].max())
+            assert constrained_2cluster(plane, pts, below, below) is None
 
 
 def _grid_meb_oracle(plane, pts, iters=8):
