@@ -16,13 +16,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, NoBallContainsS, NormClustError, NotPresent, TooFarApart
+from .errors import (
+    EmptyInput,
+    NoBallContainsS,
+    NonFinitePoint,
+    NormClustError,
+    NotPresent,
+    TooFarApart,
+)
 from .geometry import convex_hull
 from .norm import (
     EuclideanNorm,
     NormedPlane,
     Point,
     boundary_point,
+    check_finite,
     gauge,
     gauge_scalar,
     sphere_sphere_intersection,
@@ -228,6 +236,7 @@ def _bh_from_candidates(plane: NormedPlane, candidates: Sequence[Point], d: floa
 def ball_hull(plane: NormedPlane, points, d: float) -> BallHull:
     """Boundary representation of bh(points, d)."""
     pts = [Point(float(p[0]), float(p[1])) for p in points]
+    check_finite(pts)
     if not pts:
         raise EmptyInput("ball hull of an empty set")
     if d <= 0:
@@ -315,6 +324,7 @@ def build_tree(plane: NormedPlane, points, d: float) -> BallHullTree:
     """Complete binary tree over x-sorted points; each node holds the ball
     hull of the live leaves beneath it."""
     pts = sorted(Point(float(p[0]), float(p[1])) for p in points)
+    check_finite(pts)
     if not pts:
         raise EmptyInput("tree of an empty set")
     if d <= 0:
@@ -332,6 +342,10 @@ def query_far_point(tree: BallHullTree, u) -> Optional[Point]:
     the search descends into it.
     """
     ux, uy = float(u[0]), float(u[1])
+    if not (math.isfinite(ux) and math.isfinite(uy)):
+        # not check_finite: a query costs a few microseconds, the generic
+        # check would add a third
+        raise NonFinitePoint("point coordinates must be finite")
 
     def visit(node: int) -> Optional[Point]:
         h = tree._hulls[node]

@@ -44,6 +44,7 @@ from .norm import (
     birkhoff_orthogonal,
     finite_points,
     gauge,
+    gauge_scalar,
     pairwise_distances,
 )
 
@@ -277,92 +278,163 @@ def _euclid_circumcenter(a, b, c):
     return np.array([ux, uy])
 
 
+# sign patterns (g0, g1, g2): which of its two circles each point of a triple
+# lies on, in the order of itertools.product((1.0, -1.0), repeat=3)
+_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+
+
+def _twoarc_fit(s, g0, g1, g2, h, R, r):
+    """Center (cx, cy) of the radius-r ball whose circles picked by the signs
+    pass through s[0], s[1], s[2], and the residual of s[0]'s circle
+    equation; NaN where the 2x2 system in the center is singular.
+
+    Elementwise, so floats and broadcasting arrays get the same arithmetic
+    (the grid scan and the root polish must agree on every sign)."""
+    (x0, y0), (x1, y1), (x2, y2) = s
+    q0 = x0 * x0 + y0 * y0
+    # rows (0, j) of the system: a_j cx + b_j cy = e_j
+    a1, a2 = -2 * (x0 - x1), -2 * (x0 - x2)
+    b1 = -2 * (y0 - y1) - 2 * r * h * (g0 - g1)
+    b2 = -2 * (y0 - y2) - 2 * r * h * (g0 - g2)
+    e1 = -(q0 - (x1 * x1 + y1 * y1)) - 2 * r * h * (g0 * y0 - g1 * y1)
+    e2 = -(q0 - (x2 * x2 + y2 * y2)) - 2 * r * h * (g0 * y0 - g2 * y2)
+    det = a1 * b2 - b1 * a2
+    amax = np.maximum(np.maximum(abs(a1), abs(a2)), np.maximum(abs(b1), abs(b2)))
+    singular = abs(det) < 1e-12 * (1 + amax) ** 2
+    with np.errstate(all="ignore"):  # the singular entries are masked
+        cx = np.where(singular, np.nan, np.divide(e1 * b2 - b1 * e2, det))
+        cy = np.where(singular, np.nan, np.divide(a1 * e2 - e1 * a2, det))
+    dx, dy = x0 - cx, y0 - cy
+    res = dx * dx + dy * dy + 2 * g0 * r * h * dy + r * r * h * h - r * r * R * R
+    return cx, cy, res
+
+
 def _twoarc_triple_candidates(desc: TwoArcNorm, tri: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """Centers/radii with all three points on the sphere, one binding circle
-    combination at a time; solved as a one-parameter root find in r."""
+    combination at a time; solved as a one-parameter root find in r.
+
+    The triple is moved to tri[0] and scaled to unit extent first (norms are
+    translation invariant and homogeneous), so the tolerances are relative.
+    Each residual is scanned on a 96-point grid of r for all eight sign
+    patterns at once, and every sign change is polished by ``brentq``."""
     h, R = desc.center_height, desc.radius
-    out = []
-    g_max = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            v = tri[i] - tri[j]
-            hy = h * abs(v[1])
-            a = R * R - h * h
-            g = (hy + math.sqrt(hy * hy + a * float(v @ v))) / a
-            g_max = max(g_max, g)
-    if g_max == 0.0:
+    origin = tri[0]
+    scale = float(np.abs(tri - origin).max())
+    if scale == 0.0:
         return [(tri[0].copy(), 0.0)]
+    u = (tri - origin) / scale
+    # the largest gauge distance within the triple
+    v = u[[0, 0, 1]] - u[[1, 2, 2]]
+    hy, a = h * np.abs(v[:, 1]), R * R - h * h
+    g_max = float(((hy + np.sqrt(hy * hy + a * (v * v).sum(axis=1))) / a).max())
+    s = u.tolist()
     lo, hi = g_max / 2 * (1 - 1e-9), 1.2 * g_max + 1e-9
-
-    for sigmas in itertools.product((1.0, -1.0), repeat=3):
-        def solve_c(r):
-            rows, rhs = [], []
-            for (i, j) in ((0, 1), (0, 2)):
-                si, sj = tri[i], tri[j]
-                gi, gj = sigmas[i], sigmas[j]
-                rows.append([
-                    -2 * (si[0] - sj[0]),
-                    -2 * (si[1] - sj[1]) - 2 * r * h * (gi - gj),
-                ])
-                rhs.append(
-                    -(si @ si - sj @ sj) - 2 * r * h * (gi * si[1] - gj * sj[1])
-                )
-            A = np.array(rows)
-            if abs(np.linalg.det(A)) < 1e-12 * (1 + np.abs(A).max()) ** 2:
-                return None
-            return np.linalg.solve(A, np.array(rhs))
-
-        def residual(r):
-            c = solve_c(r)
-            if c is None:
-                return np.nan
-            s0 = tri[0]
-            return float(
-                (s0 - c) @ (s0 - c)
-                + 2 * sigmas[0] * r * h * (s0[1] - c[1])
-                + r * r * h * h
-                - r * r * R * R
-            )
-
-        grid = np.linspace(lo, hi, 96)
-        vals = [residual(r) for r in grid]
-        for k in range(len(grid) - 1):
-            v0, v1 = vals[k], vals[k + 1]
-            if not (np.isfinite(v0) and np.isfinite(v1)):
-                continue
-            if v0 == 0.0:
-                r_star = float(grid[k])
-            elif v0 * v1 < 0:
-                r_star = float(brentq(residual, grid[k], grid[k + 1], xtol=1e-14))
-            else:
-                continue
-            c = solve_c(r_star)
-            if c is not None:
-                out.append((c, r_star))
+    grid = np.linspace(lo, hi, 96)
+    g0, g1, g2 = (_SIGNS[:, t, None] for t in range(3))
+    vals = _twoarc_fit(s, g0, g1, g2, h, R, grid)[2]
+    v0, v1 = vals[:, :-1], vals[:, 1:]
+    finite = np.isfinite(v0) & np.isfinite(v1)
+    out = []
+    # (sign pattern, grid step) in row-major order: the order of a scan
+    for p, k in np.argwhere(finite & ((v0 == 0.0) | (v0 * v1 < 0))).tolist():
+        signs = _SIGNS[p].tolist()
+        if vals[p, k] == 0.0:
+            r_star = float(grid[k])
+        else:
+            r_star = float(brentq(lambda r: float(_twoarc_fit(s, *signs, h, R, r)[2]),
+                                  grid[k], grid[k + 1], xtol=1e-14))
+        cx, cy, _ = _twoarc_fit(s, *signs, h, R, r_star)
+        if np.isfinite(cx):
+            out.append((origin + scale * np.array([float(cx), float(cy)]), scale * r_star))
     return out
 
 
+def _pair_ball(plane: NormedPlane, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
+    return (p + q) / 2, gauge_scalar(plane, float(p[0] - q[0]), float(p[1] - q[1])) / 2
+
+
+def _smallest_cover(plane: NormedPlane, Q: np.ndarray, balls) -> Optional[tuple[np.ndarray, float]]:
+    """The smallest of the balls (c, r) that covers the points Q, or None."""
+    best = None
+    for c, r in balls:
+        if (best is None or r < best[1]) and float(gauge(plane, Q - c).max()) <= r * (1 + 1e-9):
+            best = (c, r)
+    return best
+
+
+def _welzl_ball(plane: NormedPlane, pts: np.ndarray) -> tuple[np.ndarray, float]:
+    """Welzl's minimal ball ("Smallest enclosing disks (balls and
+    ellipsoids)", 1991) for a strictly convex norm, where the ball is unique
+    and a point outside the ball of the points before it lies on the sphere
+    of the ball of all of them.
+
+    Three nested loops over the points in one fixed pseudo-random order
+    (expected linear time, deterministic output): a point outside the
+    current ball goes on the boundary of the next one.  The ball through two
+    boundary points is their midpoint ball; through three, the Euclidean
+    circumcircle or the smallest two-arc candidate that covers the points
+    seen so far, else the smallest covering pair ball of the three.
+
+    The loops run on the points moved to pts[0], so that rounding scales
+    with the spread of the points rather than with their offset."""
+    origin = pts[0]
+    P = (pts - origin)[np.random.default_rng(0).permutation(len(pts))]
+    desc = plane.descriptor
+
+    def first_outside(c, r, lo, hi) -> Optional[int]:
+        if lo >= hi:
+            return None
+        out = gauge(plane, P[lo:hi] - c) > r * (1 + 1e-12)
+        k = int(out.argmax())
+        return lo + k if out[k] else None
+
+    def triple_ball(i, j, k):
+        if isinstance(desc, EuclideanNorm):
+            c = _euclid_circumcenter(P[i], P[j], P[k])
+            found = [] if c is None else [(c, float(gauge(plane, P[i] - c)))]
+        else:
+            found = _twoarc_triple_candidates(desc, P[[i, j, k]])
+        Q = np.vstack([P[:k + 1], P[[i, j]]])
+        ball = _smallest_cover(plane, Q, found)
+        if ball is None:  # a numerically degenerate triple
+            pairs = [_pair_ball(plane, P[a], P[b]) for a, b in ((i, j), (i, k), (j, k))]
+            ball = _smallest_cover(plane, Q, pairs) or min(pairs, key=operator.itemgetter(1))
+        return ball
+
+    c, r = P[0], 0.0
+    i = first_outside(c, r, 1, len(P))
+    while i is not None:
+        c, r = P[i], 0.0
+        j = first_outside(c, r, 0, i)
+        while j is not None:
+            c, r = _pair_ball(plane, P[i], P[j])
+            k = first_outside(c, r, 0, j)
+            while k is not None:
+                c, r = triple_ball(i, j, k)
+                k = first_outside(c, r, k + 1, j)
+            j = first_outside(c, r, j + 1, i)
+        i = first_outside(c, r, i + 1, len(P))
+    c = origin + c
+    return c, float(gauge(plane, pts - c).max())
+
+
 def min_enclosing_ball(plane: NormedPlane, points) -> tuple[Point, float]:
-    """Smallest radius r and a center c with S inside B(c, r)."""
+    """Smallest radius r and a center c with S inside B(c, r): an LP over the
+    facet inequalities for a polygon norm, Welzl's algorithm for the
+    strictly convex norms.  r is the largest gauge reach from c."""
     pts = finite_points(points)
     if len(pts) == 0:
         raise EmptyInput("no points")
     if len(pts) == 1:
         return Point(float(pts[0][0]), float(pts[0][1])), 0.0
-    desc = plane.descriptor
 
-    if isinstance(desc, PolygonNorm):
-        # LP over facet inequalities: minimize r s.t. n_f . (s - c) <= r b_f
+    if isinstance(plane.descriptor, PolygonNorm):
+        # minimize r s.t. n_f . (s - c) <= r b_f, rows point-major
         N, b = plane._normals, plane._offsets
-        rows, rhs = [], []
-        for s in pts:
-            for f in range(len(N)):
-                rows.append([-N[f, 0], -N[f, 1], -b[f]])
-                rhs.append(-float(N[f] @ s))
         res = linprog(
             c=[0.0, 0.0, 1.0],
-            A_ub=np.array(rows),
-            b_ub=np.array(rhs),
+            A_ub=np.tile(np.column_stack([-N, -b]), (len(pts), 1)),
+            b_ub=-(pts[:, None, 0] * N[:, 0] + pts[:, None, 1] * N[:, 1]).ravel(),
             bounds=[(None, None), (None, None), (0, None)],
             method="highs",
         )
@@ -371,36 +443,8 @@ def min_enclosing_ball(plane: NormedPlane, points) -> tuple[Point, float]:
         cx, cy, r = res.x
         return Point(float(cx), float(cy)), float(r)
 
-    # strictly convex norms: pair and triple candidates, containment-checked
-    candidates: list[tuple[np.ndarray, float]] = []
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mid = (pts[i] + pts[j]) / 2
-            g = gauge(plane, pts[i] - pts[j]) / 2
-            candidates.append((mid, float(g)))
-    if isinstance(desc, EuclideanNorm):
-        for i, j, k in itertools.combinations(range(n), 3):
-            c = _euclid_circumcenter(pts[i], pts[j], pts[k])
-            if c is not None:
-                candidates.append((c, float(np.linalg.norm(pts[i] - c))))
-    else:
-        for i, j, k in itertools.combinations(range(n), 3):
-            candidates.extend(_twoarc_triple_candidates(desc, pts[[i, j, k]]))
-
-    best = None
-    for c, r in candidates:
-        if r < 0:
-            continue
-        reach = float(np.max(gauge(plane, pts - c)))
-        if reach <= r * (1 + 1e-9) + 1e-12:
-            if best is None or r < best[1]:
-                best = (c, max(r, reach))
-    if best is None:
-        # numeric safety net: shrink around the best reach seen
-        c = pts.mean(axis=0)
-        best = (c, float(np.max(gauge(plane, pts - c))))
-    return Point(float(best[0][0]), float(best[0][1])), float(best[1])
+    c, r = _welzl_ball(plane, pts)
+    return Point(float(c[0]), float(c[1])), r
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .norm import (
     Segment,
     as_array,
     check_finite,
+    finite_points,
     gauge,
     pairwise_distances,
 )
@@ -410,7 +411,7 @@ def dissections_within(points, D: np.ndarray, d1: float, d2: float
 
 def sorted_pairwise_distances(plane: NormedPlane, points) -> list[tuple[float, tuple[int, int]]]:
     """All n(n-1)/2 distances ascending; ties broken by index pair."""
-    pts = as_array(points)
+    pts = finite_points(points)
     n = len(pts)
     if n < 2:
         raise TooFewPoints("need at least two points")

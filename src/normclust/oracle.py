@@ -1,11 +1,13 @@
 """Independent brute-force references for validating the algorithmic modules.
 
 These deliberately avoid the library's geometric machinery: partition
-enumeration works straight off the pairwise distance matrix, and ball-hull
-membership goes through inner/outer polygonal approximations of the center
-set.  The only shared primitives are the gauge itself and (for the radius
-measure) the enclosing-ball solver, which is validated separately against a
-grid search.
+enumeration works straight off the pairwise distance matrix, enclosing balls
+come from a sweep over every basis, and ball-hull membership goes through
+inner/outer polygonal approximations of the center set.  The only shared
+primitives are the gauge itself and the two basis solvers of the
+strictly convex enclosing balls (the Euclidean circumcenter and the two-arc
+three-point root find), which are validated separately against a grid
+search.
 """
 
 from __future__ import annotations
@@ -21,13 +23,20 @@ from .errors import BudgetExceeded, NoBallContainsS, Undecidable
 from .norm import (
     EuclideanNorm,
     NormedPlane,
+    Point,
     PolygonNorm,
     _circle_circle,
     as_array,
     gauge,
     pairwise_distances,
 )
-from .clustering import Measure, Objective, Partition, min_enclosing_ball
+from .clustering import (
+    Measure,
+    Objective,
+    Partition,
+    _euclid_circumcenter,
+    _twoarc_triple_candidates,
+)
 
 
 @dataclass(frozen=True)
@@ -84,7 +93,7 @@ def brute_force_k_partition(plane: NormedPlane, points, k: int,
             m = int(m)
             if m not in radius:
                 ids = [i for i in range(n) if m >> i & 1]
-                radius[m] = min_enclosing_ball(plane, pts[ids])[1] if ids else 0.0
+                radius[m] = brute_min_enclosing_ball(plane, pts[ids])[1] if ids else 0.0
         lut = np.zeros(1 << n, dtype=float)
         for m, r in radius.items():
             lut[m] = r
@@ -107,9 +116,50 @@ def brute_force_k_partition(plane: NormedPlane, points, k: int,
         if objective.measure is Measure.DIAMETER:
             meas.append(max((D[i, j] for i in g for j in g), default=0.0))
         else:
-            meas.append(min_enclosing_ball(plane, pts[list(g)])[1] if g else 0.0)
+            meas.append(brute_min_enclosing_ball(plane, pts[list(g)])[1] if g else 0.0)
     part = Partition(tuple(groups), tuple(float(v) for v in meas))
     return float(values[best]), part
+
+
+# --------------------------------------------------------------------------
+# enclosing balls over every basis
+
+
+def brute_min_enclosing_ball(plane: NormedPlane, points) -> tuple[Point, float]:
+    """Smallest enclosing ball over every basis: the center of least gauge
+    reach to the farthest point among all basis centers, which include the
+    optimal one.
+
+    Polygon norm: the vertices of the feasible region of the LP in (c, r),
+    i.e. every three facet constraints n_f . c + r b_f >= max_s n_f . s held
+    with equality.  Strictly convex norms: every pair midpoint and every
+    center with three points on its sphere, O(n^3) candidates.
+    """
+    pts = as_array([tuple(p) for p in points])
+    n = len(pts)
+    desc = plane.descriptor
+    centers = [pts[0]]  # the answer for a single point
+    if isinstance(desc, PolygonNorm):
+        M = np.column_stack([plane._normals, plane._offsets])
+        far = (pts @ plane._normals.T).max(axis=0)
+        idx = np.array(list(itertools.combinations(range(len(M)), 3)))
+        bases, rhs = M[idx], far[idx]
+        ok = np.abs(np.linalg.det(bases)) > 1e-12 * np.prod(np.linalg.norm(bases, axis=2), axis=1)
+        centers.extend(np.linalg.solve(bases[ok], rhs[ok][..., None])[:, :2, 0])
+    else:
+        for i, j in itertools.combinations(range(n), 2):
+            centers.append((pts[i] + pts[j]) / 2)
+        for i, j, k in itertools.combinations(range(n), 3):
+            if isinstance(desc, EuclideanNorm):
+                c = _euclid_circumcenter(pts[i], pts[j], pts[k])
+                if c is not None:
+                    centers.append(c)
+            else:
+                centers.extend(c for c, _ in _twoarc_triple_candidates(desc, pts[[i, j, k]]))
+    C = np.array(centers)
+    reach = gauge(plane, pts[None, :, :] - C[:, None, :]).max(axis=1)
+    best = int(np.argmin(reach))
+    return Point(float(C[best, 0]), float(C[best, 1])), float(reach[best])
 
 
 # --------------------------------------------------------------------------

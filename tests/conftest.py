@@ -6,6 +6,7 @@ import pytest
 from normclust import (
     convex_hull,
     euclidean_plane,
+    gauge,
     l1_plane,
     linf_plane,
     polygon_plane,
@@ -31,6 +32,27 @@ def random_polygon_plane(seed: int, half_vertices: int = 4):
                 return polygon_plane([tuple(v) for v in hull.vertices])
             except Exception:
                 pass
+
+
+def grid_meb_oracle(plane, pts, iters=8):
+    """Dense grid search refined around the best center."""
+    pts = np.asarray(pts, float)
+    lo = pts.min(0) - 0.1
+    hi = pts.max(0) + 0.1
+    best_c, best_r = None, np.inf
+    for _ in range(iters):
+        xs = np.linspace(lo[0], hi[0], 41)
+        ys = np.linspace(lo[1], hi[1], 41)
+        XX, YY = np.meshgrid(xs, ys)
+        centers = np.stack([XX.ravel(), YY.ravel()], axis=1)
+        diffs = pts[None, :, :] - centers[:, None, :]
+        R = gauge(plane, diffs.reshape(-1, 2)).reshape(len(centers), len(pts)).max(axis=1)
+        k = int(np.argmin(R))
+        if R[k] < best_r:
+            best_r, best_c = float(R[k]), centers[k]
+        span = (hi - lo) / 8
+        lo, hi = best_c - span, best_c + span
+    return best_c, best_r
 
 
 @pytest.fixture(scope="session")

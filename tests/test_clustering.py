@@ -1,8 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import grid_meb_oracle
 from normclust import (
     Combiner,
     ZoneAudit,
@@ -10,7 +13,9 @@ from normclust import (
     Objective,
     Point,
     avis_min_max_2cluster,
+    ball_hull,
     brute_force_k_partition,
+    build_tree,
     constrained_2cluster,
     diameter,
     euclidean_plane,
@@ -24,11 +29,13 @@ from normclust import (
     linf_plane,
     min_enclosing_ball,
     min_max_3cluster,
+    query_far_point,
     two_arc_plane,
 )
 from normclust import geometry
 from normclust.errors import BadBounds, DegenerateBasis, NonFinitePoint, TooFewPoints
 from normclust.norm import pairwise_distances
+from normclust.oracle import brute_min_enclosing_ball
 
 E = euclidean_plane()
 L1 = l1_plane()
@@ -69,6 +76,12 @@ def _split_exists(D, d1, d2):
     pytest.param(lambda pts: hr_feasible_3cluster(E, pts, 1.0), id="hr_feasible_3cluster"),
     pytest.param(lambda pts: min_max_3cluster(E, pts), id="min_max_3cluster"),
     pytest.param(lambda pts: diameter(E, pts), id="diameter"),
+    pytest.param(lambda pts: geometry.sorted_pairwise_distances(E, pts),
+                 id="sorted_pairwise_distances"),
+    pytest.param(lambda pts: ball_hull(E, pts, 5.0), id="ball_hull"),
+    pytest.param(lambda pts: build_tree(E, pts, 5.0), id="build_tree"),
+    pytest.param(lambda pts: query_far_point(build_tree(E, SQ, 5.0), pts[2]),
+                 id="query_far_point"),
 ])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_points_rejected(call, bad):
@@ -206,27 +219,6 @@ class TestConstrained2:
             assert constrained_2cluster(plane, pts, below, below) is None
 
 
-def _grid_meb_oracle(plane, pts, iters=8):
-    """Dense grid search refined around the best center."""
-    pts = np.asarray(pts, float)
-    lo = pts.min(0) - 0.1
-    hi = pts.max(0) + 0.1
-    best_c, best_r = None, np.inf
-    for _ in range(iters):
-        xs = np.linspace(lo[0], hi[0], 41)
-        ys = np.linspace(lo[1], hi[1], 41)
-        XX, YY = np.meshgrid(xs, ys)
-        centers = np.stack([XX.ravel(), YY.ravel()], axis=1)
-        diffs = pts[None, :, :] - centers[:, None, :]
-        R = gauge(plane, diffs.reshape(-1, 2)).reshape(len(centers), len(pts)).max(axis=1)
-        k = int(np.argmin(R))
-        if R[k] < best_r:
-            best_r, best_c = float(R[k]), centers[k]
-        span = (hi - lo) / 8
-        lo, hi = best_c - span, best_c + span
-    return best_c, best_r
-
-
 class TestMinEnclosingBall:
     def test_pair(self):
         c, r = min_enclosing_ball(E, [(0, 0), (2, 0)])
@@ -249,9 +241,73 @@ class TestMinEnclosingBall:
                 c, r = min_enclosing_ball(plane, pts)
                 # returned ball must contain the points
                 assert float(np.max(gauge(plane, pts - np.array(c)))) <= r * (1 + 1e-7) + 1e-9
-                _, r_oracle = _grid_meb_oracle(plane, pts)
+                _, r_oracle = grid_meb_oracle(plane, pts)
                 assert r <= r_oracle + 1e-4
                 assert r >= r_oracle - 1e-4
+
+
+# on a 1e-9 grid: a configuration spans at least 1e-9 before scaling (the
+# two-arc gauge squares its argument, which underflows below about 1e-154)
+_coord = st.floats(-10, 10, allow_nan=False).map(lambda x: round(x, 9))
+_point = st.tuples(_coord, _coord)
+
+
+@st.composite
+def _meb_points(draw):
+    """1-8 points: uniform, with duplicates, a collinear run, or the corners
+    of a square or a regular hexagon (one of them perhaps a little outside)
+    with up to two more points, at scale 1e-6, 1 or 1e6."""
+    kind = draw(st.sampled_from(["uniform", "duplicates", "collinear", "square", "hexagon"]))
+    if kind == "uniform":
+        pts = draw(st.lists(_point, min_size=1, max_size=8))
+    elif kind == "duplicates":
+        some = draw(st.lists(_point, min_size=1, max_size=4))
+        pts = some + draw(st.lists(st.sampled_from(some), min_size=1, max_size=8 - len(some)))
+    elif kind == "collinear":
+        (ax, ay), (dx, dy) = draw(_point), draw(_point)
+        steps = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=8))
+        pts = [(ax + t * dx, ay + t * dy) for t in steps]
+    else:
+        m = 4 if kind == "square" else 6
+        (cx, cy), rad = draw(_point), draw(st.floats(0.1, 10))
+        phase = draw(st.floats(0, math.pi))
+        # one corner may sit just outside the circle of the others
+        bulge = [draw(st.sampled_from([0.0, 1e-10, 1e-8, 1e-6]))] + [0.0] * (m - 1)
+        pts = [(cx + rad * (1 + bulge[i]) * math.cos(phase + 2 * math.pi * i / m),
+                cy + rad * (1 + bulge[i]) * math.sin(phase + 2 * math.pi * i / m))
+               for i in range(m)]
+        pts += draw(st.lists(_point, max_size=8 - m))
+    return np.array(pts) * draw(st.sampled_from([1e-6, 1.0, 1e6]))
+
+
+class TestMinEnclosingBallProperties:
+    @pytest.mark.parametrize("plane", [E, TA], ids=["euclidean", "two_arc"])
+    @settings(max_examples=150, deadline=None)
+    @given(pts=_meb_points())
+    # near-duplicates far from the origin relative to their spread
+    @example(pts=np.array([[0, 2e-6], [0, 2e-6], [0, 2.0000002e-6]]))
+    def test_invariants(self, plane, pts):
+        # a center is rounded to the input's magnitude, so radii carry an
+        # absolute error of a few ulps of the largest coordinate
+        ulps = 64 * np.finfo(float).eps * float(np.abs(pts).max())
+        c, r = min_enclosing_ball(plane, pts)
+        assert float(gauge(plane, pts - np.array(c)).max()) <= r * (1 + 1e-9)
+        assert r >= float(pairwise_distances(plane, pts).max()) / 2 * (1 - 1e-12) - ulps
+        _, r_brute = brute_min_enclosing_ball(plane, pts)
+        assert abs(r - r_brute) <= 1e-9 * r_brute + ulps
+        _, r_reversed = min_enclosing_ball(plane, pts[::-1])
+        assert abs(r - r_reversed) <= 1e-12 * r + ulps
+
+    @pytest.mark.parametrize("plane, n", [(TA, 40), (E, 2000)], ids=["two_arc", "euclidean"])
+    def test_large(self, plane, n):
+        pts = np.random.default_rng(97).uniform(-10, 10, size=(n, 2))
+        t0 = time.perf_counter()
+        c, r = min_enclosing_ball(plane, pts)
+        elapsed = time.perf_counter() - t0
+        print(f"min_enclosing_ball {plane.descriptor.kind} n={n}: {elapsed:.3f} s (target 1 s)")
+        assert float(gauge(plane, pts - np.array(c)).max()) <= r * (1 + 1e-9)
+        assert r >= float(pairwise_distances(plane, pts).max()) / 2 * (1 - 1e-12)
+        assert elapsed < 30
 
 
 class TestKCluster:

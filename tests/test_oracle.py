@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import grid_meb_oracle
 from normclust import (
     Combiner,
     Measure,
@@ -14,11 +15,13 @@ from normclust import (
     constrained_2cluster,
     euclidean_plane,
     exhaustive_separable_2cluster,
+    gauge,
     l1_plane,
     min_max_3cluster,
     two_arc_plane,
 )
 from normclust.errors import BudgetExceeded
+from normclust.oracle import brute_min_enclosing_ball
 
 E = euclidean_plane()
 MAXDIAM = Objective(Combiner.MAX, Measure.DIAMETER)
@@ -63,6 +66,18 @@ class TestBruteForce:
         out1 = brute_force_k_partition(E, pts, 3, MAXDIAM)
         out2 = brute_force_k_partition(E, pts, 3, MAXDIAM)
         assert out1 == out2
+
+
+class TestBruteMinEnclosingBall:
+    def test_matches_grid_oracle(self, norm_suite):
+        rng = np.random.default_rng(37)
+        for _, plane in norm_suite:
+            for n in (1, 2, 3, 5, 8):
+                pts = rng.uniform(-3, 3, size=(n, 2))
+                c, r = brute_min_enclosing_ball(plane, pts)
+                assert float(np.max(gauge(plane, pts - np.array(c)))) <= r
+                _, r_grid = grid_meb_oracle(plane, pts)
+                assert r == pytest.approx(r_grid, abs=1e-4)
 
 
 class TestMembershipOracle:
