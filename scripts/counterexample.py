@@ -29,7 +29,7 @@ def build_configuration():
                 if _on_twoarc_arc(z, np.asarray(a), aa, 1e-9) and _on_twoarc_arc(
                     z, np.asarray(b), bb, 1e-9
                 ):
-                    if not any(np.linalg.norm(z - w) < 1e-9 for w in found):
+                    if not any(math.dist(z, w) < 1e-9 for w in found):
                         found.append(z)
     p = tuple(float(v) for v in min(found, key=lambda z: z[0]))
     q = tuple(float(v) for v in max(found, key=lambda z: z[0]))

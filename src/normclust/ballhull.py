@@ -10,6 +10,7 @@ deletions by rebuilding hulls along the root path.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -165,8 +166,18 @@ def _sphere_point(plane, center: Point, d: float, theta: float) -> Point:
 # hull construction (incremental arc-clipping)
 
 
-def _bh_from_candidates(plane: NormedPlane, candidates: Sequence[Point], d: float) -> BallHull:
-    """Build bh(candidates, d) from a candidate superset of its vertices."""
+def _bh_from_candidates(
+    plane: NormedPlane,
+    candidates: Sequence[Point],
+    d: float,
+    extremes: dict[tuple[Point, Point], Optional[tuple[Point, ...]]],
+) -> BallHull:
+    """Build bh(candidates, d) from a candidate superset of its vertices.
+
+    ``extremes`` maps an ordered point pair to its pair extremes at radius d
+    (None when the pair is farther apart than 2d); it is read and filled, so
+    one table can serve every hull of one radius.
+    """
     hull = convex_hull(candidates)
     verts = list(hull.vertices)
     hull_verts = tuple(verts)
@@ -174,19 +185,19 @@ def _bh_from_candidates(plane: NormedPlane, candidates: Sequence[Point], d: floa
     if len(verts) == 1:
         return BallHull((verts[0],), (), d, ())
 
-    # arc-clipping: drop any vertex inside the pair-hull of its neighbours
-    extremes_cache: dict[tuple[Point, Point], Optional[list[Point]]] = {}
-
     def pair_extremes(u, w):
         key = (u, w) if u <= w else (w, u)
-        if key not in extremes_cache:
-            g = gauge(plane, (w.x - u.x, w.y - u.y))
-            if g > 2 * d * (1 + 1e-12):
-                extremes_cache[key] = None
+        if key not in extremes:
+            u, w = key
+            if gauge_scalar(plane, w.x - u.x, w.y - u.y) > 2 * d * (1 + 1e-12):
+                extremes[key] = None
             else:
-                extremes_cache[key] = _pair_extremes(plane, key[0], key[1], d)
-        return extremes_cache[key]
+                # a tuple of points holds no container the garbage collector
+                # must keep scanning while the table lives
+                extremes[key] = tuple(_pair_extremes(plane, u, w, d))
+        return extremes[key]
 
+    # arc-clipping: drop any vertex inside the pair-hull of its neighbours
     lim = d * (1 + 1e-9) + 1e-12
     changed = True
     while changed and len(verts) >= 3:
@@ -241,7 +252,7 @@ def ball_hull(plane: NormedPlane, points, d: float) -> BallHull:
         raise EmptyInput("ball hull of an empty set")
     if d <= 0:
         raise NormClustError("radius must be positive")
-    return _bh_from_candidates(plane, pts, d)
+    return _bh_from_candidates(plane, pts, d, {})
 
 
 def bh_contains(plane: NormedPlane, hull: BallHull, x, tol: float = 1e-9) -> bool:
@@ -281,6 +292,7 @@ class BallHullTree:
     alive: list[bool]
     _size: int = field(init=False)
     _hulls: list = field(init=False)  # heap-indexed: node i children 2i+1, 2i+2
+    _extremes: dict = field(init=False, default_factory=dict)  # pair extremes at radius d
 
     def __post_init__(self):
         n = max(1, len(self.points))
@@ -310,7 +322,7 @@ class BallHullTree:
         else:
             try:
                 self._hulls[node] = _bh_from_candidates(
-                    self.plane, list(left.vertices) + list(right.vertices), self.d
+                    self.plane, list(left.vertices) + list(right.vertices), self.d, self._extremes
                 )
             except NoBallContainsS:
                 self._hulls[node] = OVERFULL
@@ -368,14 +380,16 @@ def query_far_point(tree: BallHullTree, u) -> Optional[Point]:
 
 
 def delete_point(tree: BallHullTree, p) -> None:
-    """Mark a live leaf dead and rebuild the hulls along its root path."""
+    """Mark a live leaf dead and rebuild the hulls along its root path.
+
+    Of equal leaves, the first live one goes.
+    """
     target = Point(float(p[0]), float(p[1]))
-    idx = None
-    for i, q in enumerate(tree.points):
-        if tree.alive[i] and q == target:
-            idx = i
-            break
-    if idx is None:
+    pts = tree.points
+    idx = bisect.bisect_left(pts, target)
+    while idx < len(pts) and pts[idx] == target and not tree.alive[idx]:
+        idx += 1
+    if idx == len(pts) or pts[idx] != target:
         raise NotPresent(f"{target} is not a live leaf")
     tree.alive[idx] = False
     node = tree._size - 1 + idx

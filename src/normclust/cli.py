@@ -343,17 +343,23 @@ def _cmd_ballhull(args) -> int:
     t0 = time.monotonic()
     plane = load_norm(args.norm, args.tol)
     pts = load_points(args.points)
+    if args.delete is not None and not 0 <= args.delete < len(pts):
+        raise NormClustError(f"--delete {args.delete}: no point with that index (0..{len(pts) - 1})")
     tree = bh.build_tree(plane, pts, args.d)
     deleted = None
     if args.delete is not None:
         deleted = pts[args.delete]
         bh.delete_point(tree, deleted)
-    hull = tree.root
+    # an OVERFULL root (no radius-d ball holds the points) has no boundary
+    overfull = tree.root is bh.OVERFULL
+    hull = None if overfull else tree.root
     result: dict = {
         "d": args.d,
         "vertices": [[v.x, v.y] for v in hull.vertices] if hull else [],
         "arc_centers": [[a.center.x, a.center.y] for a in hull.arcs] if hull else [],
     }
+    if overfull:
+        result["overfull"] = True
     if deleted is not None:
         result["deleted"] = [deleted.x, deleted.y]
     if args.query is not None:

@@ -102,10 +102,13 @@ NormDescriptor = Union[EuclideanNorm, PolygonNorm, TwoArcNorm]
 class NormedPlane:
     descriptor: NormDescriptor
     tolerance: float = DEFAULT_TOL
-    # polygon-only caches (facet normals / offsets of the reduced polygon)
+    # polygon-only caches of the reduced polygon: facet normals and offsets as
+    # arrays, and as float (nx, ny, b) triples and (x, y) vertices for the
+    # scalar kernels; edge i runs from vertex i to vertex i + 1
     _normals: np.ndarray | None = field(default=None, repr=False, compare=False)
     _offsets: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _verts: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _facets: tuple | None = field(default=None, repr=False, compare=False)
+    _verts: tuple | None = field(default=None, repr=False, compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +187,8 @@ def validate_norm(descriptor: NormDescriptor, tolerance: float = DEFAULT_TOL) ->
             tolerance,
             _normals=normals,
             _offsets=offsets,
-            _verts=reduced,
+            _facets=tuple(zip(*normals.T.tolist(), offsets.tolist())),
+            _verts=tuple(map(tuple, reduced.tolist())),
         )
         _spot_check(plane)
         return plane
@@ -246,12 +250,46 @@ def gauge(plane: NormedPlane, v):
         out = np.max((pts @ plane._normals.T) / plane._offsets, axis=1)
         out = np.maximum(out, 0.0)
     else:
+        s = np.einsum("ij,ij->i", pts, pts)
+        scale = None
+        idx = _out_of_range(s)
+        if idx is not None and pts[idx].any():  # not only zero vectors
+            m = np.abs(pts[idx]).max(axis=1)
+            fix = (m > 0) & (m < np.inf)
+            idx, m = idx[fix], m[fix]
+            pts, s, scale = pts.copy(), s.copy(), np.ones(len(s))
+            pts[idx] /= m[:, None]
+            s[idx] = np.einsum("ij,ij->i", pts[idx], pts[idx])
+            scale[idx] = m
         h, r = desc.center_height, desc.radius
         a = r * r - h * h
         hy = h * np.abs(pts[:, 1])
-        out = (hy + np.sqrt(hy * hy + a * np.einsum("ij,ij->i", pts, pts))) / a
+        out = (hy + np.sqrt(hy * hy + a * s)) / a
+        if scale is not None:
+            out *= scale
     out = out.reshape(arr.shape[:-1])
     return float(out) if single else out
+
+
+# Sums of squares outside (_SQ_LO, _SQ_HI) lose digits or overflow in the
+# two-arc gauge; those vectors are scaled to max(|vx|, |vy|) = 1 first.
+_SQ_LO, _SQ_HI = 1e-280, 1e280
+
+
+def _out_of_range(s: np.ndarray) -> np.ndarray | None:
+    """Indices of the sums of squares outside (_SQ_LO, _SQ_HI), None if none.
+
+    One vector, the common call, takes no array reduction; a distance matrix,
+    whose diagonal is 0, takes one pass per side that needs it.
+    """
+    if len(s) <= 1:
+        return None if not len(s) or _SQ_LO < s[0] < _SQ_HI else np.arange(1)
+    low, high = not s.min() > _SQ_LO, not s.max() < _SQ_HI  # NaN sets both
+    if not (low or high):
+        return None
+    if low and high:
+        return np.flatnonzero((s <= _SQ_LO) | (s >= _SQ_HI))
+    return np.flatnonzero(s <= _SQ_LO if low else s >= _SQ_HI)
 
 
 def gauge_scalar(plane: NormedPlane, vx: float, vy: float) -> float:
@@ -260,17 +298,21 @@ def gauge_scalar(plane: NormedPlane, vx: float, vy: float) -> float:
     if isinstance(desc, EuclideanNorm):
         return math.hypot(vx, vy)
     if isinstance(desc, PolygonNorm):
-        N, b = plane._normals, plane._offsets
         best = 0.0
-        for f in range(len(b)):
-            t = (N[f, 0] * vx + N[f, 1] * vy) / b[f]
+        for nx, ny, b in plane._facets:
+            t = (nx * vx + ny * vy) / b
             if t > best:
                 best = t
         return best
+    s = vx * vx + vy * vy
+    if not _SQ_LO < s < _SQ_HI:
+        m = max(abs(vx), abs(vy))
+        if 0.0 < m < math.inf:
+            return m * gauge_scalar(plane, vx / m, vy / m)
     h, r = desc.center_height, desc.radius
     a = r * r - h * h
     hy = h * abs(vy)
-    return (hy + math.sqrt(hy * hy + a * (vx * vx + vy * vy))) / a
+    return (hy + math.sqrt(hy * hy + a * s)) / a
 
 
 def dist(plane: NormedPlane, p, q):
@@ -281,8 +323,20 @@ def dist(plane: NormedPlane, p, q):
 def pairwise_distances(plane: NormedPlane, points) -> np.ndarray:
     """Full (n, n) matrix of gauge distances."""
     arr = as_array(points)
-    diff = arr[:, None, :] - arr[None, :, :]
-    return gauge(plane, diff.reshape(-1, 2)).reshape(len(arr), len(arr))
+    if not isinstance(plane.descriptor, PolygonNorm):
+        diff = arr[:, None, :] - arr[None, :, :]
+        return gauge(plane, diff.reshape(-1, 2)).reshape(len(arr), len(arr))
+    # one facet at a time, so no (n^2, facets) product is formed
+    dx = arr[:, None, 0] - arr[None, :, 0]
+    dy = arr[:, None, 1] - arr[None, :, 1]
+    out = np.zeros_like(dx)
+    t = np.empty_like(dx)
+    for nx, ny, b in plane._facets:
+        np.multiply(dx, nx, out=t)
+        t += ny * dy
+        t /= b
+        np.maximum(out, t, out=out)
+    return out
 
 
 def boundary_point(plane: NormedPlane, direction) -> Point:
@@ -385,22 +439,24 @@ class SphereIntersection:
 
 
 def _circle_circle(c1, r1, c2, r2, eps):
-    """Intersection points of two Euclidean circles."""
-    c1, c2 = np.asarray(c1, float), np.asarray(c2, float)
-    d = float(np.linalg.norm(c2 - c1))
-    if d <= eps:
+    """Intersection points of two Euclidean circles, as (x, y) pairs.
+
+    Two points at most 2 sqrt(eps * r1) apart merge into their midpoint,
+    which then lies within about eps / 2 of both circles.
+    """
+    x1, y1 = c1
+    dx, dy = c2[0] - x1, c2[1] - y1
+    dd = math.hypot(dx, dy)
+    if dd <= eps or dd > r1 + r2 + eps or dd < abs(r1 - r2) - eps:
         return []
-    if d > r1 + r2 + eps or d < abs(r1 - r2) - eps:
-        return []
-    a = (d * d + r1 * r1 - r2 * r2) / (2 * d)
+    a = (dd * dd + r1 * r1 - r2 * r2) / (2 * dd)
     h2 = r1 * r1 - a * a
-    u = (c2 - c1) / d
-    base = c1 + a * u
-    if h2 <= eps * max(1.0, r1 * r1):
-        return [base]
-    h = math.sqrt(max(h2, 0.0))
-    n = _rot90(u)
-    return [base + h * n, base - h * n]
+    ux, uy = dx / dd, dy / dd
+    bx, by = x1 + a * ux, y1 + a * uy
+    if h2 <= eps * r1:
+        return [(bx, by)]
+    h = math.sqrt(h2)
+    return [(bx - h * uy, by + h * ux), (bx + h * uy, by - h * ux)]
 
 
 def _twoarc_sphere_arcs(desc: TwoArcNorm, center, d):
@@ -410,168 +466,152 @@ def _twoarc_sphere_arcs(desc: TwoArcNorm, center, d):
     h, r = desc.center_height, desc.radius
     cx, cy = float(center[0]), float(center[1])
     return [
-        (np.array([cx, cy - d * h]), d * r, True),   # upper arc
-        (np.array([cx, cy + d * h]), d * r, False),  # lower arc
+        ((cx, cy - d * h), d * r, True),   # upper arc
+        ((cx, cy + d * h), d * r, False),  # lower arc
     ]
 
 
 def _on_twoarc_arc(z, center, arc, eps):
-    c, r, upper = arc
-    if abs(np.linalg.norm(z - c) - r) > eps:
+    (cx, cy), r, upper = arc
+    if not (z[1] >= center[1] - eps if upper else z[1] <= center[1] + eps):
         return False
-    return z[1] >= center[1] - eps if upper else z[1] <= center[1] + eps
+    return abs(math.hypot(z[0] - cx, z[1] - cy) - r) <= eps
 
 
-def _merge_components(prims: list[tuple[np.ndarray, np.ndarray]], eps) -> list[Segment]:
-    """Union-find over primitive pieces, then reduce each component to its
-    extreme points."""
-    n = len(prims)
-    parent = list(range(n))
+def _polygon_components(plane: NormedPlane, u, d: float, eps: float) -> list:
+    """Ends of the components of S(0, d) cap S(u, d) for a polygon norm.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    Edge i of S(0, d) lies where n_i . z = d b_i, so its points are
+    -n_i . u / |n_i| outside the halfplane of edge i of S(u, d), and
+    symmetrically for S(u, d): only edges of S(0, d) with n_i . u above
+    -band |n_i|, and edges of S(u, d) with it below band |n_i|, are tested,
+    where band = 4 eps bounds how far from an edge of the other sphere a hit
+    can lie (no pruning when an edge is shorter than eps).
+    """
+    ux, uy = u
+    verts, facets = plane._verts, plane._facets
+    m = len(verts)
+    norms = [math.hypot(nx, ny) for nx, ny, _ in facets]
+    band = 4 * eps if d * min(norms) > eps else math.inf
+    mine, theirs = [], []
+    for i, (nx, ny, _) in enumerate(facets):
+        sigma = nx * ux + ny * uy
+        slack = band * norms[i]
+        (x1, y1), (x2, y2) = verts[i], verts[i + 1 - m]
+        ax, ay = d * x1, d * y1
+        ex, ey = d * x2 - ax, d * y2 - ay
+        if sigma >= -slack:
+            mine.append((ax, ay, ex, ey, d * norms[i]))
+        if sigma <= slack:
+            theirs.append((ux + ax, uy + ay, ex, ey, d * norms[i]))
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+    hits = []  # closed segment intersections, (end, end) for a point
+    for ax, ay, dx1, dy1, l1 in mine:
+        te = eps / max(l1, 1e-30)
+        for bx, by, dx2, dy2, l2 in theirs:
+            rx, ry = bx - ax, by - ay
+            den = dx1 * dy2 - dy1 * dx2
+            if abs(den) > eps * max(l1 * l2, 1e-30):
+                t = (rx * dy2 - ry * dx2) / den
+                s = (rx * dy1 - ry * dx1) / den
+                se = eps / max(l2, 1e-30)
+                if -te <= t <= 1 + te and -se <= s <= 1 + se:
+                    t = min(max(t, 0.0), 1.0)
+                    z = (ax + t * dx1, ay + t * dy1)
+                    hits.append((z, z))
+            elif abs(dx1 * ry - dy1 * rx) > eps * l1:
+                continue  # parallel, not collinear
+            elif l1 <= eps:  # degenerate edge
+                if math.hypot(rx, ry) <= eps or l2 > eps and 0 <= -(rx * dx2 + ry * dy2) / (l2 * l2) <= 1:
+                    hits.append(((ax, ay), (ax, ay)))
+            else:  # collinear: the overlap of the two edges
+                t1 = (rx * dx1 + ry * dy1) / (l1 * l1)
+                t2 = ((rx + dx2) * dx1 + (ry + dy2) * dy1) / (l1 * l1)
+                lo, hi = max(0.0, min(t1, t2)), min(1.0, max(t1, t2))
+                if lo <= hi + eps / l1:
+                    hits.append(((ax + lo * dx1, ay + lo * dy1), (ax + hi * dx1, ay + hi * dy1)))
+    return _join_hits(hits, u, eps)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            pts_i = prims[i]
-            pts_j = prims[j]
-            close = any(
-                np.linalg.norm(a - b) <= eps for a in pts_i for b in pts_j
-            )
-            if close:
-                union(i, j)
-    groups: dict[int, list[np.ndarray]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).extend(prims[i])
-    comps = []
-    for pts in groups.values():
-        arr = np.array(pts)
-        span = arr.max(axis=0) - arr.min(axis=0)
-        if np.linalg.norm(span) <= eps:
-            m = arr.mean(axis=0)
-            p = Point(float(m[0]), float(m[1]))
-            comps.append(Segment(p, p))
-        else:
-            axis = 0 if span[0] >= span[1] else 1
-            lo = arr[np.argmin(arr[:, axis])]
-            hi = arr[np.argmax(arr[:, axis])]
-            comps.append(Segment(Point(float(lo[0]), float(lo[1])), Point(float(hi[0]), float(hi[1]))))
-    comps.sort(key=lambda s: (min(s.a, s.b), max(s.a, s.b)))
-    return comps
+
+def _join_hits(hits: list, u, eps: float) -> list:
+    """Group hits (pairs of segment ends) of S(0, d) cap S(u, d) into its
+    components, each given by its two ends.
+
+    The point reflection z -> u - z swaps the two spheres, so it maps the
+    intersection onto itself, and the hits are taken together with their
+    reflections.  A common point z of the spheres has gauge(z) = gauge(z - u),
+    so it lies on the line through 0 and u only at a tangency in u / 2; every
+    other component lies on one side of that line, and its reflection on the
+    other: at most one component per side.  The hits form one component when
+    one of them lies within 2 eps of the line or a segment hit crosses it.
+    """
+    if not hits:
+        return []
+    ux, uy = u
+    cx, cy = ux / 2, uy / 2
+    near = 2 * eps * math.hypot(ux, uy)
+    left = []  # the hits left of the line, and the reflections of the others
+    for a, b in hits:
+        sa = ux * (a[1] - cy) - uy * (a[0] - cx)
+        sb = sa if a is b else ux * (b[1] - cy) - uy * (b[0] - cx)
+        if abs(sa) <= near or abs(sb) <= near or (sa > 0) != (sb > 0):
+            pts = [z for hit in hits for z in hit]
+            return [_component(pts + [(ux - x, uy - y) for x, y in pts], eps)]
+        if sa < 0:
+            a, b = (ux - a[0], uy - a[1]), (ux - b[0], uy - b[1])
+        left += (a,) if a == b else (a, b)
+    a, b = _component(left, eps)
+    return [(a, b), ((ux - a[0], uy - a[1]), (ux - b[0], uy - b[1]))]
+
+
+def _component(pts: list, eps: float) -> tuple:
+    """A connected group of hits as its two extreme points along the axis of
+    larger spread, or as its mean (both ends) when it spans at most eps."""
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    sx, sy = max(xs) - min(xs), max(ys) - min(ys)
+    if math.hypot(sx, sy) <= eps:
+        mean = (sum(xs) / len(xs), sum(ys) / len(ys))
+        return mean, mean
+    k = 0 if sx >= sy else 1
+    return min(pts, key=lambda z: z[k]), max(pts, key=lambda z: z[k])
 
 
 def sphere_sphere_intersection(plane: NormedPlane, p, q, d: float) -> SphereIntersection:
-    """Components of S(p, d) cap S(q, d); empty if the points are too far."""
-    pa, qa = as_array(p), as_array(q)
-    desc = plane.descriptor
-    scale = max(1.0, d, float(np.abs(pa).max()), float(np.abs(qa).max()))
-    eps = 1e3 * plane.tolerance * scale
+    """Components of S(p, d) cap S(q, d); empty if the points are too far.
 
-    if isinstance(desc, EuclideanNorm):
-        pts = _circle_circle(pa, d, qa, d, eps)
-        comps = [
-            Segment(Point(float(z[0]), float(z[1])), Point(float(z[0]), float(z[1])))
-            for z in pts
-        ]
-        comps.sort(key=lambda s: s.a)
-        return SphereIntersection(tuple(comps))
-
-    if isinstance(desc, TwoArcNorm):
-        arcs_p = _twoarc_sphere_arcs(desc, pa, d)
-        arcs_q = _twoarc_sphere_arcs(desc, qa, d)
-        found: list[np.ndarray] = []
-        for ap in arcs_p:
-            for aq in arcs_q:
-                for z in _circle_circle(ap[0], ap[1], aq[0], aq[1], eps):
-                    if _on_twoarc_arc(z, pa, ap, eps) and _on_twoarc_arc(z, qa, aq, eps):
-                        if not any(np.linalg.norm(z - w) <= eps for w in found):
-                            found.append(z)
-        comps = [
-            Segment(Point(float(z[0]), float(z[1])), Point(float(z[0]), float(z[1])))
-            for z in found
-        ]
-        comps.sort(key=lambda s: s.a)
-        return SphereIntersection(tuple(comps))
-
-    # polygon: both spheres are convex polygon boundaries
-    shape = plane._verts
-    q1 = pa + d * shape
-    q2 = qa + d * shape
-    prims: list[tuple[np.ndarray, np.ndarray]] = []
-    m1, m2 = len(q1), len(q2)
-    for i in range(m1):
-        a1, a2 = q1[i], q1[(i + 1) % m1]
-        for j in range(m2):
-            b1, b2 = q2[j], q2[(j + 1) % m2]
-            hit = _seg_seg_intersection(a1, a2, b1, b2, eps)
-            if hit is not None:
-                prims.append(hit)
-    if not prims:
+    The work is done on S(0, d / s) and S((q - p) / s, d / s), with s the
+    least power of two above d (exact, and no square leaves the float range),
+    and moved back.  The predicates share one band,
+    eps = 1e3 * tolerance * max(d, |p|, |q|) (coordinates in the max norm).
+    Coincident centres give no components: the two spheres are one, not at
+    most two segments.  So does a radius d <= 0.
+    """
+    px, py = float(p[0]), float(p[1])
+    qx, qy = float(q[0]), float(q[1])
+    if not d > 0 or (px == qx and py == qy):
         return SphereIntersection(())
-    comps = _merge_components(prims, 4 * eps)
-    while len(comps) > 2:
-        # float dust: merge the two closest components
-        best, bi, bj = None, 0, 1
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                gap = min(
-                    np.linalg.norm(np.asarray(u) - np.asarray(v))
-                    for u in (comps[i].a, comps[i].b)
-                    for v in (comps[j].a, comps[j].b)
-                )
-                if best is None or gap < best:
-                    best, bi, bj = gap, i, j
-        merged = _merge_components(
-            [
-                (np.asarray(comps[bi].a), np.asarray(comps[bi].b)),
-                (np.asarray(comps[bj].a), np.asarray(comps[bj].b)),
-            ],
-            np.inf,
-        )
-        comps = [c for k, c in enumerate(comps) if k not in (bi, bj)] + merged
-        comps.sort(key=lambda s: (min(s.a, s.b), max(s.a, s.b)))
-    return SphereIntersection(tuple(comps))
-
-
-def _seg_seg_intersection(a1, a2, b1, b2, eps):
-    """Closed segment intersection, returned as a tuple of 1 or 2 endpoints."""
-    d1 = a2 - a1
-    d2 = b2 - b1
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    r = b1 - a1
-    len1 = np.linalg.norm(d1)
-    len2 = np.linalg.norm(d2)
-    if abs(den) > eps * max(len1 * len2, 1e-30):
-        t = (r[0] * d2[1] - r[1] * d2[0]) / den
-        u = (r[0] * d1[1] - r[1] * d1[0]) / den
-        te = eps / max(len1, 1e-30)
-        ue = eps / max(len2, 1e-30)
-        if -te <= t <= 1 + te and -ue <= u <= 1 + ue:
-            z = a1 + np.clip(t, 0.0, 1.0) * d1
-            return (z, z.copy())
-        return None
-    # parallel: collinear overlap?
-    if abs(d1[0] * r[1] - d1[1] * r[0]) > eps * max(len1, 1.0):
-        return None
-    if len1 <= eps:  # degenerate edge
-        if np.linalg.norm(a1 - b1) <= eps or len2 > eps and 0 <= np.dot(a1 - b1, d2) / (len2 * len2) <= 1:
-            return (a1, a1.copy())
-        return None
-    s1 = 0.0
-    s2 = 1.0
-    t1 = np.dot(b1 - a1, d1) / (len1 * len1)
-    t2 = np.dot(b2 - a1, d1) / (len1 * len1)
-    lo = max(min(s1, s2), min(t1, t2))
-    hi = min(max(s1, s2), max(t1, t2))
-    if lo > hi + eps / len1:
-        return None
-    lo, hi = max(lo, 0.0), min(hi, 1.0)
-    return (a1 + lo * d1, a1 + hi * d1)
+    desc = plane.descriptor
+    s = math.ldexp(1.0, math.frexp(d)[1])
+    eps = 1e3 * plane.tolerance * max(d, abs(px), abs(py), abs(qx), abs(qy)) / s
+    u, r = ((qx - px) / s, (qy - py) / s), d / s
+    if isinstance(desc, EuclideanNorm):
+        ends = [(z, z) for z in _circle_circle((0.0, 0.0), r, u, r, eps)]
+    elif isinstance(desc, PolygonNorm):
+        ends = _polygon_components(plane, u, r, eps)
+    else:
+        # the (lower, lower) arc hits are the reflections of the (upper,
+        # upper) ones, which _join_hits adds
+        up0, lo0 = _twoarc_sphere_arcs(desc, (0.0, 0.0), r)
+        upu, lou = _twoarc_sphere_arcs(desc, u, r)
+        hits = []
+        for ap, aq in ((up0, upu), (up0, lou), (lo0, upu)):
+            for z in _circle_circle(ap[0], ap[1], aq[0], aq[1], eps):
+                if _on_twoarc_arc(z, (0.0, 0.0), ap, eps) and _on_twoarc_arc(z, u, aq, eps):
+                    hits.append((z, z))
+        ends = _join_hits(hits, u, eps)
+    moved = [
+        (Point(px + s * a[0], py + s * a[1]), Point(px + s * b[0], py + s * b[1])) for a, b in ends
+    ]
+    if len(moved) > 1:
+        moved.sort(key=lambda ab: (min(ab), max(ab)))
+    return SphereIntersection(tuple(Segment(a, b) for a, b in moved))

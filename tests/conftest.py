@@ -95,7 +95,7 @@ def twoarc_counterexample():
                 if _on_twoarc_arc(z, np.asarray(a), aa, 1e-9) and _on_twoarc_arc(
                     z, np.asarray(b), bb, 1e-9
                 ):
-                    if not any(np.linalg.norm(z - w) < 1e-9 for w in found):
+                    if not any(math.dist(z, w) < 1e-9 for w in found):
                         found.append(z)
     assert len(found) == 2
     p = tuple(min(found, key=lambda z: z[0]))

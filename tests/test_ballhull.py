@@ -199,6 +199,25 @@ class TestTree:
         with pytest.raises(NotPresent):
             delete_point(t, (10, 0))
 
+    @pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+    def test_delete_every_duplicate(self, plane):
+        pts = [(1, 1), (3, 0), (1, 1), (0, 2), (1, 1), (3, 0), (2, 2)]
+        t = build_tree(plane, pts, 5.0)
+        for k in range(3):
+            delete_point(t, (1, 1))
+            live = [q for q, a in zip(t.points, t.alive) if a]
+            assert live.count(Point(1, 1)) == 2 - k
+            assert len(live) == len(pts) - 1 - k
+        with pytest.raises(NotPresent):
+            delete_point(t, (1, 1))
+        assert Point(1, 1) not in t.root.vertices
+        delete_point(t, (3, 0))
+        assert query_far_point(t, (-100, -100)) in {Point(3, 0), Point(0, 2), Point(2, 2)}
+        delete_point(t, (3, 0))
+        with pytest.raises(NotPresent):
+            delete_point(t, (3, 0))
+        assert set(t.root.vertices) == {Point(0, 2), Point(2, 2)}
+
     def test_replay_against_linear_scan(self, norm_suite):
         rng = np.random.default_rng(33)
         for _, plane in norm_suite[:3]:

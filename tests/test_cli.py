@@ -113,6 +113,31 @@ class TestSubcommands:
         assert doc["result"]["deleted"] == [1.0, 1.0]
         assert len(doc["result"]["vertices"]) == 3
 
+    def test_ballhull_overfull_root(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("0,0\n10,0\n0,10\n")
+        rc, out = run_cli(["ballhull", "--points", str(path), "--d", "1", "--query", "0,0", "--json"])
+        assert rc == 0
+        result = json.loads(out)["result"]
+        assert result["overfull"] is True
+        assert result["vertices"] == [] and result["arc_centers"] == []
+        assert result["far_point"] is not None
+        rc, out = run_cli(["ballhull", "--points", str(path), "--d", "1"])
+        assert rc == 0 and "overfull: True" in out
+
+    def test_ballhull_hull_has_no_overfull_key(self, square_csv):
+        rc, out = run_cli(["ballhull", "--points", square_csv, "--d", "1.5", "--json"])
+        assert rc == 0
+        assert "overfull" not in json.loads(out)["result"]
+
+    @pytest.mark.parametrize("index", ["7", "4", "-1"])
+    def test_ballhull_bad_delete_index_exit_2(self, square_csv, capsys, index):
+        rc = main(["ballhull", "--points", square_csv, "--d", "1.5", "--delete", index, "--json"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--delete {index}" in captured.err
+
     def test_mineball(self, square_csv):
         rc, out = run_cli(["mineball", "--points", square_csv, "--norm", "linf", "--json"])
         assert rc == 0

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import random_polygon_plane
+from hypothesis import assume, example, given, settings, strategies as st
 
 from normclust import (
     EuclideanNorm,
@@ -19,6 +20,7 @@ from normclust import (
     two_arc_plane,
     validate_norm,
 )
+from normclust.norm import gauge_scalar, pairwise_distances
 from normclust.errors import (
     DegenerateBody,
     NotConvex,
@@ -80,6 +82,29 @@ class TestGauge:
         for plane in PLANES:
             assert dist(plane, (2, 3), (2, 3)) == 0.0
             assert dist(plane, (0, 0), (3, 4)) == pytest.approx(dist(plane, (3, 4), (0, 0)))
+
+    @pytest.mark.parametrize("v, want", [
+        ((1e-170, 0.0), 1e-170 / 15),
+        ((0.0, 1.96e-163), 1.96e-163 / (5 * math.sqrt(13) - 10)),
+        ((1e160, 0.0), 1e160 / 15),
+        ((0.0, -1e160), 1e160 / (5 * math.sqrt(13) - 10)),
+    ])
+    def test_two_arc_extreme_scales(self, v, want):
+        # (x, 0) has gauge x / sqrt(R^2 - c^2), (0, y) has |y| / (R - c)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert gauge(TA, v) == pytest.approx(want, rel=1e-12)
+            assert gauge_scalar(TA, *v) == pytest.approx(want, rel=1e-12)
+            out = gauge(TA, [v, (3.0, 4.0), (0.0, 0.0), (-v[0], -v[1])])
+        assert out[[0, 3]] == pytest.approx([want, want], rel=1e-12)
+        assert out[1] == pytest.approx(gauge_scalar(TA, 3.0, 4.0), rel=1e-15) and out[2] == 0.0
+
+    def test_pairwise_matches_gauge(self, norm_suite):
+        rng = np.random.default_rng(41)
+        pts = rng.uniform(-10, 10, size=(50, 2))
+        pts = np.vstack([pts, pts[:5], 1e6 + rng.uniform(0, 1e-3, size=(10, 2))])
+        for _, plane in norm_suite:
+            want = gauge(plane, pts[:, None, :] - pts[None, :, :])
+            np.testing.assert_allclose(pairwise_distances(plane, pts), want, rtol=1e-12, atol=0)
 
     def test_two_arc_counterexample_pair(self):
         # the anchor pair of the counterexample is farther apart than 1.1
@@ -204,3 +229,108 @@ class TestSphereSphere:
                     for z in (seg.a, seg.b):
                         assert abs(dist(plane, p, z) - d) <= 1e-6 * (1 + d)
                         assert abs(dist(plane, q, z) - d) <= 1e-6 * (1 + d)
+
+
+# --------------------------------------------------------------------------
+# sphere/sphere intersection against a dense sampling of S(p, d)
+
+SPHERE_PLANES = {
+    "euclidean": E,
+    "l1": L1,
+    "linf": LI,
+    "poly_a": random_polygon_plane(101, 4),
+    "poly_b": random_polygon_plane(202, 5),
+    "poly_c": random_polygon_plane(303, 6),
+    "two_arc": TA,
+}
+
+
+def _unit_sphere_samples(plane, per_piece=1500):
+    """Points of the unit sphere in cyclic order, from the descriptor alone:
+    each polygon edge, each of the two arcs, or the circle, sampled evenly."""
+    desc = plane.descriptor
+    if desc.kind == "polygon":
+        v = np.array(desc.vertices, dtype=float)
+        t = np.linspace(0, 1, per_piece, endpoint=False)[:, None]
+        return np.concatenate([a + t * (b - a) for a, b in zip(v, np.roll(v, -1, axis=0))])
+    if desc.kind == "euclidean":
+        th = np.linspace(0, 2 * math.pi, 4 * per_piece, endpoint=False)
+        return np.stack([np.cos(th), np.sin(th)], axis=1)
+    c, r = desc.center_height, desc.radius
+    a0 = math.atan2(c, math.sqrt(r * r - c * c))
+    th = np.linspace(a0, math.pi - a0, 2 * per_piece, endpoint=False)
+    upper = np.stack([r * np.cos(th), r * np.sin(th) - c], axis=1)
+    return np.concatenate([upper, -upper])
+
+
+@st.composite
+def _sphere_pairs(draw):
+    """(kind, p, q, d factor, scale); d = gauge(q - p) / 2 * factor."""
+    kind = draw(st.sampled_from(["uniform", "lattice", "near_tangent", "equal"]))
+    coord = st.floats(-10, 10, allow_nan=False)
+    if kind == "lattice":
+        p, q = (draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))) for _ in range(2))
+        factor = draw(st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0, 0.75]))
+    elif kind == "near_tangent":
+        p, q = draw(st.tuples(coord, coord)), draw(st.tuples(coord, coord))
+        factor = 1 + draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-4, -1e-4, 1e-2]))
+    else:
+        p = draw(st.tuples(coord, coord))
+        q = p if kind == "equal" else draw(st.tuples(coord, coord))
+        factor = draw(st.floats(1.0, 3.0))
+    return kind, p, q, factor, draw(st.sampled_from([1e-6, 1.0, 1e6]))
+
+
+class TestSphereSphereProperties:
+    @pytest.mark.parametrize("name", list(SPHERE_PLANES))
+    @settings(max_examples=200, deadline=None)
+    @given(case=_sphere_pairs())
+    # tangent along the line pq: one segment crossing it (Linf), one point (L1)
+    @example(case=("lattice", (0, 0), (2, 0), 1.0, 1.0))
+    @example(case=("lattice", (0, 0), (2, 2), 1.0, 1.0))
+    # two-arc: lens corners almost touching, arcs within the band along a stretch
+    @example(case=("near_tangent", (7.844953508461005, 7.673278963442982),
+                   (2.2269143068423105, 7.67795893352843), 1.0, 1.0))
+    # poly_b: antiparallel edges within the band of each other
+    @example(case=("near_tangent", (9.390249167324125, 7.834305767303675),
+                   (2.985978742302071, 1.1921932236003119), 1.000001, 1.0))
+    def test_against_sampling(self, name, case):
+        plane = SPHERE_PLANES[name]
+        kind, p, q, factor, scale = case
+        p, q = np.array(p, float) * scale, np.array(q, float) * scale
+        # subnormal offsets carry too few digits to set up a tangent radius
+        assume(kind == "equal" or float(np.abs(q - p).max()) >= 1e-300)
+        d = float(gauge(plane, q - p)) / 2 * factor if kind != "equal" else factor * scale
+        si = sphere_sphere_intersection(plane, p, q, d)
+        if kind == "equal":
+            assert si.empty
+            return
+        ends = np.array([z for seg in si.components for z in (seg.a, seg.b)], float).reshape(-1, 2)
+        # the kernel's band in Euclidean length, and the largest gauge of a
+        # Euclidean unit vector, which turns lengths into gauge differences
+        eps = 1e3 * plane.tolerance * max(d, float(np.abs(p).max()), float(np.abs(q).max()))
+        unit = _unit_sphere_samples(plane)
+        lip = float((1 / np.hypot(unit[:, 0], unit[:, 1])).max())
+        on = 10 * eps * lip
+
+        assert len(si.components) <= 2
+        for z in ends:
+            assert abs(float(gauge(plane, z - p)) - d) <= on
+            assert abs(float(gauge(plane, z - q)) - d) <= on
+        for z in ends:  # point reflection through (p + q) / 2 swaps the components
+            assert np.hypot(*(ends - (p + q - z)).T).min() <= 10 * eps
+
+        sphere = p + d * unit
+        f = gauge(plane, sphere - q) - d
+        spacing = float(np.hypot(*(sphere - np.roll(sphere, 1, axis=0)).T).max())
+        band = 100 * eps * lip
+        signs = np.sign(f[np.abs(f) > band])
+        changes = int(np.count_nonzero(signs != np.roll(signs, 1))) if len(signs) else 0
+        assert changes in (0, 2)
+        if changes == 2:
+            # S(p, d) dips into the ball around q: one component at each end
+            assert len(si.components) == 2
+        elif f.min() > band + spacing * lip:
+            assert si.empty
+        if kind == "near_tangent" and factor == 1.0 and d > band:
+            assert len(si.components) == 1
