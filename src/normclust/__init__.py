@@ -23,15 +23,12 @@ from .norm import (
 )
 from .geometry import (
     ConvexPolygon,
-    OnRule,
     OrientedLine,
     Side,
     convex_hull,
     diameter,
     norm_perimeter,
     side_of,
-    sorted_pairwise_distances,
-    split_by_line,
     stabbing_line,
 )
 from .separation import (
@@ -61,7 +58,6 @@ from .ballhull import (
 )
 from .clustering import (
     Combiner,
-    HRState,
     Measure,
     Objective,
     Partition,

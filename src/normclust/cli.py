@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ballhull as bh
 from . import clustering as cl
-from .errors import NormClustError
+from .errors import NormClustError, VerificationFailed
 from .geometry import OrientedLine, convex_hull, diameter
 from .norm import (
     EuclideanNorm,
@@ -222,22 +222,18 @@ def emit_svg(scene: Scene, path: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments and the loaded plane and
+# returns (params, result, exit code); main builds and emits the report
 
 
-def _cmd_diameter(args) -> int:
-    t0 = time.monotonic()
-    plane = load_norm(args.norm, args.tol)
+def _cmd_diameter(args, plane):
     pts = load_points(args.points)
     value, (p, q) = diameter(plane, pts)
     result = {"diameter": value, "pair": [[p.x, p.y], [q.x, q.y]]}
-    _emit(_report("diameter", plane, {"points": len(pts)}, result, args, t0), args)
-    return 0
+    return {"points": len(pts)}, result, 0
 
 
-def _cmd_separate(args) -> int:
-    t0 = time.monotonic()
-    plane = load_norm(args.norm, args.tol)
+def _cmd_separate(args, plane):
     a = load_points(args.a)
     b = load_points(args.b)
     res = separate_clusters(plane, a, b)
@@ -265,15 +261,12 @@ def _cmd_separate(args) -> int:
         },
     }
     if args.verify and not all(result["invariants"].values()):
-        print("verification failed", file=sys.stderr)
-        return 2
-    _emit(_report("separate", plane, {"n_a": len(a), "n_b": len(b)}, result, args, t0), args)
-    return 0
+        failed = [k for k, ok in result["invariants"].items() if not ok]
+        raise VerificationFailed(f"separate: {', '.join(failed)} failed")
+    return {"n_a": len(a), "n_b": len(b)}, result, 0
 
 
-def _cmd_cluster2(args) -> int:
-    t0 = time.monotonic()
-    plane = load_norm(args.norm, args.tol)
+def _cmd_cluster2(args, plane):
     pts = load_points(args.points)
     d_star, part = cl.avis_min_max_2cluster(plane, pts)
     if args.verify:
@@ -282,50 +275,34 @@ def _cmd_cluster2(args) -> int:
             ids = list(c)
             dd = float(D[np.ix_(ids, ids)].max()) if len(ids) > 1 else 0.0
             if dd > d_star + 1e-9:
-                print("verification failed", file=sys.stderr)
-                return 2
+                raise VerificationFailed(f"cluster2: a cluster of diameter {dd} exceeds d* = {d_star}")
     result = {"d_star": d_star, "partition": _partition_doc(part)}
-    _emit(_report("cluster2", plane, {"points": len(pts)}, result, args, t0), args)
-    return 0
+    return {"points": len(pts)}, result, 0
 
 
-def _cmd_cluster2c(args) -> int:
-    t0 = time.monotonic()
-    plane = load_norm(args.norm, args.tol)
+def _cmd_cluster2c(args, plane):
     pts = load_points(args.points)
     part = cl.constrained_2cluster(plane, pts, args.d1, args.d2)
     params = {"points": len(pts), "d1": args.d1, "d2": args.d2}
     if part is None:
-        result = {"feasible": False}
-        _emit(_report("cluster2c", plane, params, result, args, t0), args)
-        return 1
-    result = {"feasible": True, "partition": _partition_doc(part)}
-    _emit(_report("cluster2c", plane, params, result, args, t0), args)
-    return 0
+        return params, {"feasible": False}, 1
+    return params, {"feasible": True, "partition": _partition_doc(part)}, 0
 
 
-def _cmd_cluster3(args) -> int:
-    t0 = time.monotonic()
-    plane = load_norm(args.norm, args.tol)
+def _cmd_cluster3(args, plane):
     pts = load_points(args.points)
     if args.d is not None:
         part = cl.hr_feasible_3cluster(plane, pts, args.d, seed=args.seed)
         params = {"points": len(pts), "d": args.d, "seed": args.seed}
         if part is None:
-            _emit(_report("cluster3", plane, params, {"feasible": False}, args, t0), args)
-            return 1
-        result = {"feasible": True, "partition": _partition_doc(part)}
-        _emit(_report("cluster3", plane, params, result, args, t0), args)
-        return 0
+            return params, {"feasible": False}, 1
+        return params, {"feasible": True, "partition": _partition_doc(part)}, 0
     d_star, part = cl.min_max_3cluster(plane, pts, seed=args.seed)
     result = {"d_star": d_star, "partition": _partition_doc(part)}
-    _emit(_report("cluster3", plane, {"points": len(pts), "seed": args.seed}, result, args, t0), args)
-    return 0
+    return {"points": len(pts), "seed": args.seed}, result, 0
 
 
-def _cmd_clusterk(args) -> int:
-    t0 = time.monotonic()
-    plane = load_norm(args.norm, args.tol)
+def _cmd_clusterk(args, plane):
     pts = load_points(args.points)
     objective = cl.Objective(cl.Combiner(args.objective), cl.Measure(args.measure))
     value, part = cl.k_cluster_minimize(plane, pts, args.k, objective)
@@ -335,13 +312,10 @@ def _cmd_clusterk(args) -> int:
         "measure": args.measure,
         "partition": _partition_doc(part),
     }
-    _emit(_report("clusterk", plane, {"points": len(pts), "k": args.k}, result, args, t0), args)
-    return 0
+    return {"points": len(pts), "k": args.k}, result, 0
 
 
-def _cmd_ballhull(args) -> int:
-    t0 = time.monotonic()
-    plane = load_norm(args.norm, args.tol)
+def _cmd_ballhull(args, plane):
     pts = load_points(args.points)
     if args.delete is not None and not 0 <= args.delete < len(pts):
         raise NormClustError(f"--delete {args.delete}: no point with that index (0..{len(pts) - 1})")
@@ -367,23 +341,16 @@ def _cmd_ballhull(args) -> int:
         far = bh.query_far_point(tree, (qx, qy))
         result["query"] = [qx, qy]
         result["far_point"] = None if far is None else [far.x, far.y]
-    _emit(_report("ballhull", plane, {"points": len(pts)}, result, args, t0), args)
-    return 0
+    return {"points": len(pts)}, result, 0
 
 
-def _cmd_mineball(args) -> int:
-    t0 = time.monotonic()
-    plane = load_norm(args.norm, args.tol)
+def _cmd_mineball(args, plane):
     pts = load_points(args.points)
     center, radius = cl.min_enclosing_ball(plane, pts)
-    result = {"center": [center.x, center.y], "radius": radius}
-    _emit(_report("mineball", plane, {"points": len(pts)}, result, args, t0), args)
-    return 0
+    return {"points": len(pts)}, {"center": [center.x, center.y], "radius": radius}, 0
 
 
-def _cmd_plot(args) -> int:
-    t0 = time.monotonic()
-    plane = load_norm(args.norm, args.tol)
+def _cmd_plot(args, plane):
     pts = load_points(args.points)
     scene = Scene()
     scene.points.append(("points", pts))
@@ -411,8 +378,7 @@ def _cmd_plot(args) -> int:
     emit_svg(scene, args.out)
     result = {"out": args.out, "elements": len(scene.points) + len(scene.hulls)
               + len(scene.arcs) + len(scene.lines) + len(scene.spheres)}
-    _emit(_report("plot", plane, {"points": len(pts)}, result, args, t0), args)
-    return 0
+    return {"points": len(pts)}, result, 0
 
 
 def _sphere_sample(plane: NormedPlane, center: Point, r: float, theta: float) -> Point:
@@ -499,10 +465,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        t0 = time.monotonic()
+        plane = load_norm(args.norm, args.tol)
+        params, result, code = args.func(args, plane)
+        _emit(_report(args.command, plane, params, result, args, t0), args)
+        return code
     except (NormClustError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, VerificationFailed) else 2
 
 
 if __name__ == "__main__":

@@ -91,19 +91,7 @@ class Zones:
     north: tuple[int, ...]
     south: tuple[int, ...]
     east: tuple[int, ...]
-    baseline: tuple[Point, Point]
     seed: tuple[int, ...]  # points on the segment aa', pre-assigned to A
-
-
-@dataclass(frozen=True)
-class HRState:
-    forced_a: tuple[int, ...]
-    forced_b: tuple[int, ...]
-    forced_c: tuple[int, ...]
-    ab_cand: tuple[int, ...]
-    ca_cand: tuple[int, ...]
-    bc_cand: tuple[int, ...]
-    threshold: float
 
 
 @dataclass
@@ -684,13 +672,7 @@ def hr_zones(plane: NormedPlane, points, a, a_prime) -> Zones:
     scale = float(np.abs(coords).max())
     seed, north, south, east = _zone_split(coords, ia, ip, scale)
     seed = tuple(u for u in seed if u < len(pts))
-    return Zones(
-        tuple(north),
-        tuple(south),
-        tuple(east),
-        (Point(*map(float, aa)), Point(*map(float, pp))),
-        seed,
-    )
+    return Zones(tuple(north), tuple(south), tuple(east), seed)
 
 
 def hr_feasible_3cluster(plane: NormedPlane, points, d: float, *, seed: int = 0,
@@ -825,11 +807,8 @@ def hr_feasible_3cluster(plane: NormedPlane, points, d: float, *, seed: int = 0,
         ab_cand = [u for u in north if u not in b0]
         ca_cand = [u for u in south if u not in c0]
         bc_cand = [u for u in east if u not in b0 and u not in c0]
-        state = HRState(
-            tuple(a0), tuple(sorted(b0)), tuple(sorted(c0)),
-            tuple(ab_cand), tuple(ca_cand), tuple(bc_cand), d,
-        )
-        assignment = _solve_case3(DW, d, state)
+        assignment = _solve_case3(DW, d, a0, sorted(b0), sorted(c0),
+                                  ab_cand, ca_cand, bc_cand)
         if assignment is not None:
             A, B, C = assignment
             if max(_mask_diam(DW, A), _mask_diam(DW, B), _mask_diam(DW, C)) <= d:
@@ -837,22 +816,25 @@ def hr_feasible_3cluster(plane: NormedPlane, points, d: float, *, seed: int = 0,
     return None
 
 
-def _solve_case3(DW: np.ndarray, d: float, state: HRState):
-    """Resolve the two-choice candidates with 2-SAT; returns (A, B, C) index
-    lists or None."""
+def _solve_case3(DW: np.ndarray, d: float, forced_a, forced_b, forced_c,
+                 ab_cand, ca_cand, bc_cand):
+    """Resolve the two-choice candidates with 2-SAT: each of ab_cand goes to
+    A or B, each of ca_cand to C or A, each of bc_cand to B or C, next to
+    the forced points of each cluster.  Returns (A, B, C) index lists or
+    None."""
     options: dict[int, tuple[str, str]] = {}
-    for u in state.ab_cand:
+    for u in ab_cand:
         options[u] = ("A", "B")
-    for u in state.ca_cand:
+    for u in ca_cand:
         options[u] = ("C", "A")
-    for u in state.bc_cand:
+    for u in bc_cand:
         options[u] = ("B", "C")
     forced: dict[int, str] = {}
-    for u in state.forced_a:
+    for u in forced_a:
         forced[u] = "A"
-    for u in state.forced_b:
+    for u in forced_b:
         forced[u] = "B"
-    for u in state.forced_c:
+    for u in forced_c:
         forced[u] = "C"
 
     cand = sorted(options)
@@ -888,7 +870,7 @@ def _solve_case3(DW: np.ndarray, d: float, state: HRState):
     model = sat.solve()
     if model is None:
         return None
-    out = {"A": list(state.forced_a), "B": list(state.forced_b), "C": list(state.forced_c)}
+    out = {"A": list(forced_a), "B": list(forced_b), "C": list(forced_c)}
     for u in cand:
         choice = options[u][0] if model[var[u]] else options[u][1]
         out[choice].append(u)

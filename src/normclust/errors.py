@@ -71,3 +71,7 @@ class BudgetExceeded(NormClustError):
 
 class Undecidable(NormClustError):
     """Oracle refinement exhausted its budget inside the tolerance band."""
+
+
+class VerificationFailed(NormClustError):
+    """A result failed the CLI's --verify re-check."""

@@ -1,5 +1,6 @@
-"""Planar primitives: hulls, normed diameters and perimeters, lines and
-stabbing lines.
+"""Planar primitives: hulls, normed diameters and perimeters, lines,
+stabbing lines, and line dissections (every split of a point set by a line)
+with their subset diameters.
 
 The convex hull is norm-independent; diameter and perimeter are measured in
 the plane's own gauge.
@@ -13,7 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, TooFewPoints
+from .errors import EmptyInput
 from .norm import (
     DEFAULT_TOL,
     NormedPlane,
@@ -21,9 +22,8 @@ from .norm import (
     Segment,
     as_array,
     check_finite,
-    finite_points,
     gauge,
-    pairwise_distances,
+    gauge_scalar,
 )
 
 
@@ -55,11 +55,6 @@ class Side(enum.Enum):
 class OrientedLine:
     anchor: Point
     direction: Point  # nonzero; "left" is the positive-determinant side
-
-
-class OnRule(enum.Enum):
-    TO_LEFT = "to_left"
-    TO_RIGHT = "to_right"
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +156,7 @@ def diameter(plane: NormedPlane, points) -> tuple[float, tuple[Point, Point]]:
     best = -1.0
     best_pair = (hull.vertices[0], hull.vertices[0])
     for p, q in antipodal_pairs(hull):
-        g = gauge(plane, (q.x - p.x, q.y - p.y))
+        g = gauge_scalar(plane, q.x - p.x, q.y - p.y)
         if g > best:
             best, best_pair = g, (p, q)
     return best, best_pair
@@ -203,19 +198,6 @@ def side_of(line: OrientedLine, p, tol: float = DEFAULT_TOL) -> Side:
     if det < -band:
         return Side.RIGHT
     return Side.ON
-
-
-def split_by_line(points, line: OrientedLine, on_rule: OnRule = OnRule.TO_LEFT,
-                  tol: float = DEFAULT_TOL):
-    """Partition points into (left, right); On-points follow ``on_rule``."""
-    left, right = [], []
-    for p in points:
-        s = side_of(line, p, tol)
-        if s is Side.LEFT or (s is Side.ON and on_rule is OnRule.TO_LEFT):
-            left.append(Point(float(p[0]), float(p[1])))
-        else:
-            right.append(Point(float(p[0]), float(p[1])))
-    return left, right
 
 
 def _segment_stabbed(line: OrientedLine, seg: Segment, tol: float) -> bool:
@@ -409,19 +391,6 @@ def dissections_within(points, D: np.ndarray, d1: float, d2: float
                 yield part[fit], at[fit]
 
 
-def sorted_pairwise_distances(plane: NormedPlane, points) -> list[tuple[float, tuple[int, int]]]:
-    """All n(n-1)/2 distances ascending; ties broken by index pair."""
-    pts = finite_points(points)
-    n = len(pts)
-    if n < 2:
-        raise TooFewPoints("need at least two points")
-    D = pairwise_distances(plane, pts)
-    iu, ju = np.triu_indices(n, k=1)
-    vals = D[iu, ju]
-    order = np.lexsort((ju, iu, vals))
-    return [(float(vals[k]), (int(iu[k]), int(ju[k]))) for k in order]
-
-
 # --------------------------------------------------------------------------
 # convex polygon helpers (norm-independent)
 
@@ -446,53 +415,3 @@ def point_in_convex(poly: ConvexPolygon, p, tol: float = DEFAULT_TOL) -> bool:
         if (b.x - a.x) * (p[1] - a.y) - (b.y - a.y) * (p[0] - a.x) < -band:
             return False
     return True
-
-
-def convex_clip(subject: Sequence[Point], clip: ConvexPolygon) -> list[Point]:
-    """Sutherland-Hodgman clip of a convex subject by a convex polygon."""
-    out = [np.array([p[0], p[1]], float) for p in subject]
-    verts = clip.vertices
-    if len(verts) < 3:
-        return []
-    for i in range(len(verts)):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
-        ex, ey = b.x - a.x, b.y - a.y
-        inp = out
-        out = []
-        if not inp:
-            break
-        prev = inp[-1]
-        prev_in = ex * (prev[1] - a.y) - ey * (prev[0] - a.x) >= 0
-        for cur in inp:
-            cur_in = ex * (cur[1] - a.y) - ey * (cur[0] - a.x) >= 0
-            if cur_in != prev_in:
-                d = cur - prev
-                den = ex * d[1] - ey * d[0]
-                if abs(den) > 1e-30:
-                    t = (ey * (prev[0] - a.x) - ex * (prev[1] - a.y)) / den
-                    out.append(prev + t * d)
-            if cur_in:
-                out.append(cur)
-            prev, prev_in = cur, cur_in
-    return [Point(float(p[0]), float(p[1])) for p in out]
-
-
-def polygon_area(points: Sequence) -> float:
-    if len(points) < 3:
-        return 0.0
-    arr = as_array([tuple(p) for p in points])
-    x, y = arr[:, 0], arr[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
-def hulls_interiors_overlap(hull_a: ConvexPolygon, hull_b: ConvexPolygon,
-                            tol: float = DEFAULT_TOL) -> bool:
-    """True when conv(A) and conv(B) share interior points."""
-    if hull_a.degenerate or hull_b.degenerate:
-        return False
-    inter = convex_clip(hull_a.vertices, hull_b)
-    scale = max(
-        1.0,
-        max(max(abs(v.x), abs(v.y)) for v in hull_a.vertices + hull_b.vertices),
-    )
-    return polygon_area(inter) > tol * scale * scale

@@ -422,10 +422,6 @@ class SphereIntersection:
     components: tuple[Segment, ...]
 
     @property
-    def extreme_points(self) -> tuple[tuple[Point, Point], ...]:
-        return tuple((seg.a, seg.b) for seg in self.components)
-
-    @property
     def empty(self) -> bool:
         return not self.components
 

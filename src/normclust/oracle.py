@@ -1,13 +1,15 @@
-"""Independent brute-force references for validating the algorithmic modules.
+"""Independent brute-force references and checks for validating the
+algorithmic modules.
 
 These deliberately avoid the library's geometric machinery: partition
 enumeration works straight off the pairwise distance matrix, enclosing balls
-come from a sweep over every basis, and ball-hull membership goes through
-inner/outer polygonal approximations of the center set.  The only shared
-primitives are the gauge itself and the two basis solvers of the
-strictly convex enclosing balls (the Euclidean circumcenter and the two-arc
-three-point root find), which are validated separately against a grid
-search.
+come from a sweep over every basis, ball-hull membership goes through
+inner/outer polygonal approximations of the center set, and whether two
+hulls' interiors overlap comes from the area of their clipped intersection.
+The only shared primitives are the gauge itself and the two basis solvers of
+the strictly convex enclosing balls (the Euclidean circumcenter and the
+two-arc three-point root find), which are validated separately against a
+grid search.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, NoBallContainsS, Undecidable
+from .geometry import ConvexPolygon
 from .norm import (
+    DEFAULT_TOL,
     EuclideanNorm,
     NormedPlane,
     Point,
@@ -345,12 +349,7 @@ def bh_membership_oracle(plane: NormedPlane, points, d: float, x,
     Raises Undecidable when the refinement cannot place the query outside the
     requested tolerance band around the boundary.
     """
-    lo, hi = bh_membership_interval(plane, points, d, x)
-    if hi <= d + band:
-        return True
-    if lo > d - band:
-        return False
-    raise Undecidable(f"membership bounds [{lo}, {hi}] straddle d = {d}")
+    return CenterSetOracle(plane, points, d).member(x, band)
 
 
 # --------------------------------------------------------------------------
@@ -424,3 +423,57 @@ def exhaustive_separable_2cluster(plane: NormedPlane, points, d1: float, d2: flo
         if out is not None:
             return out
     return None
+
+
+# --------------------------------------------------------------------------
+# overlap of hull interiors, by clipping
+
+
+def _convex_clip(subject: Sequence[Point], clip: ConvexPolygon) -> list[Point]:
+    """Sutherland-Hodgman clip of a convex subject by a convex polygon."""
+    out = [np.array([p[0], p[1]], float) for p in subject]
+    verts = clip.vertices
+    if len(verts) < 3:
+        return []
+    for i in range(len(verts)):
+        a, b = verts[i], verts[(i + 1) % len(verts)]
+        ex, ey = b.x - a.x, b.y - a.y
+        inp = out
+        out = []
+        if not inp:
+            break
+        prev = inp[-1]
+        prev_in = ex * (prev[1] - a.y) - ey * (prev[0] - a.x) >= 0
+        for cur in inp:
+            cur_in = ex * (cur[1] - a.y) - ey * (cur[0] - a.x) >= 0
+            if cur_in != prev_in:
+                d = cur - prev
+                den = ex * d[1] - ey * d[0]
+                if abs(den) > 1e-30:
+                    t = (ey * (prev[0] - a.x) - ex * (prev[1] - a.y)) / den
+                    out.append(prev + t * d)
+            if cur_in:
+                out.append(cur)
+            prev, prev_in = cur, cur_in
+    return [Point(float(p[0]), float(p[1])) for p in out]
+
+
+def _polygon_area(points: Sequence) -> float:
+    if len(points) < 3:
+        return 0.0
+    arr = as_array([tuple(p) for p in points])
+    x, y = arr[:, 0], arr[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def hulls_interiors_overlap(hull_a: ConvexPolygon, hull_b: ConvexPolygon,
+                            tol: float = DEFAULT_TOL) -> bool:
+    """True when conv(A) and conv(B) share interior points."""
+    if hull_a.degenerate or hull_b.degenerate:
+        return False
+    inter = _convex_clip(hull_a.vertices, hull_b)
+    scale = max(
+        1.0,
+        max(max(abs(v.x), abs(v.y)) for v in hull_a.vertices + hull_b.vertices),
+    )
+    return _polygon_area(inter) > tol * scale * scale

@@ -56,26 +56,22 @@ class _Crossing:
 
 @dataclass(frozen=True)
 class CrossingSequence:
-    """Boundary crossing points of conv(A) and conv(B), clockwise."""
+    """Boundary crossings of conv(A) and conv(B)."""
 
-    points: tuple[Point, ...]
     records: tuple[_Crossing, ...]  # counterclockwise along the A hull
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.records)
 
 
 @dataclass(frozen=True)
 class Piece:
-    """One boundary piece; crossing indices refer to the clockwise crossing
-    cycle that starts at the first A piece's entry crossing."""
+    """One boundary piece, between the crossings at its clockwise entry and
+    exit."""
 
     owner: str  # "A" or "B"
     index: int  # 0-based within its owner, clockwise
     polygon: ConvexPolygon
-    entry_crossing: int  # clockwise crossing index before the piece
-    exit_crossing: int   # clockwise crossing index after the piece
-    cycle: tuple[Point, ...]  # raw boundary cycle, incl. crossing points
     entry_point: Point
     exit_point: Point
 
@@ -126,12 +122,13 @@ def _edge_cross(a1: Point, a2: Point, b1: Point, b2: Point, eps: float):
 
 def boundary_crossings(conv_a: ConvexPolygon, conv_b: ConvexPolygon,
                        tol: float = 1e-9) -> CrossingSequence:
-    """All transversal boundary intersection points, clockwise.
+    """All transversal boundary intersection points, counterclockwise along
+    the A hull.
 
     Empty when the hulls are disjoint or nested.
     """
     if conv_a.degenerate or conv_b.degenerate:
-        return CrossingSequence((), ())
+        return CrossingSequence(())
     va, vb = conv_a.vertices, conv_b.vertices
     scale = max(1.0, max(max(abs(p.x), abs(p.y)) for p in va + vb))
     eps = tol * scale * scale
@@ -155,8 +152,7 @@ def boundary_crossings(conv_a: ConvexPolygon, conv_b: ConvexPolygon,
         ):
             continue
         dedup.append(r)
-    cw_points = tuple(r.point for r in reversed(dedup))
-    return CrossingSequence(cw_points, tuple(dedup))
+    return CrossingSequence(tuple(dedup))
 
 
 # --------------------------------------------------------------------------
@@ -283,15 +279,12 @@ def decompose_pieces(a_points, b_points, crossings: CrossingSequence) -> list[Pi
 
     out: list[Piece] = []
     counts = {"A": 0, "B": 0}
-    for j, (owner, cycle, c1, c2) in enumerate(pieces_cw):
+    for owner, cycle, c1, c2 in pieces_cw:
         out.append(
             Piece(
                 owner=owner,
                 index=counts[owner],
                 polygon=convex_hull(cycle),
-                entry_crossing=j,
-                exit_crossing=(j + 1) % m,
-                cycle=cycle,
                 entry_point=c2.point,  # clockwise entry = CCW-end crossing
                 exit_point=c1.point,
             )
@@ -593,11 +586,6 @@ def perimeter_check(plane: NormedPlane, a_points, b_points,
                     result: SeparationResult) -> tuple[float, float]:
     """(before, after) hull-perimeter sums; after <= before, strictly when the
     hull interiors meet."""
-    def perim(pts):
-        if len(pts) == 0:
-            return 0.0
-        return norm_perimeter(plane, convex_hull(pts))
-
-    before = perim(list(a_points)) + perim(list(b_points))
-    after = perim(list(result.a_prime)) + perim(list(result.b_prime))
+    before = _perim_of(plane, list(a_points)) + _perim_of(plane, list(b_points))
+    after = _perim_of(plane, result.a_prime) + _perim_of(plane, result.b_prime)
     return before, after

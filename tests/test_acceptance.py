@@ -42,9 +42,9 @@ from normclust import (
     euclidean_plane,
 )
 from normclust.cli import main as cli_main
-from normclust.geometry import Side, hulls_interiors_overlap, side_of
+from normclust.geometry import Side, side_of
 from normclust.norm import Point, pairwise_distances
-from normclust.oracle import CenterSetOracle
+from normclust.oracle import CenterSetOracle, hulls_interiors_overlap
 
 MAXDIAM = Objective(Combiner.MAX, Measure.DIAMETER)
 

@@ -5,7 +5,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from normclust import cli
+from normclust import clustering as cl
 from normclust.cli import main
+from normclust.separation import SeparationResult
 
 
 def run_cli(argv):
@@ -146,6 +149,62 @@ class TestSubcommands:
     def test_verify_flag(self, square_csv):
         rc, _ = run_cli(["cluster2", "--points", square_csv, "--verify", "--json"])
         assert rc == 0
+
+
+@pytest.mark.parametrize("command", [
+    "diameter", "separate", "cluster2", "cluster2c", "cluster3", "clusterk",
+    "ballhull", "mineball", "plot",
+])
+def test_every_subcommand_reports_through_one_path(command, square_csv, tmp_path):
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text("0.5,0.5\n1.5,0.5\n1.5,1.5\n0.5,1.5\n")
+    argv = [command] + {
+        "separate": ["--a", square_csv, "--b", str(shifted)],
+        "cluster2c": ["--points", square_csv, "--d1", "1.5", "--d2", "1.5"],
+        "clusterk": ["--points", square_csv, "--k", "2"],
+        "ballhull": ["--points", square_csv, "--d", "1.5"],
+        "plot": ["--points", square_csv, "--out", str(tmp_path / "out.svg")],
+    }.get(command, ["--points", square_csv])
+    rc, out = run_cli(argv + ["--json"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["algorithm"] == command
+    assert doc["schema"] == 1
+    assert doc["wall_time_ms"] is None
+    rc, out = run_cli(argv)
+    assert rc == 0
+    assert out.startswith(f"[{command}]\n")
+    assert "\n  wall_time_ms: " in out
+
+
+class TestVerifyFailure:
+    def test_separate_exit_3(self, square_csv, monkeypatch, capsys):
+        real = cli.separate_clusters
+
+        def drops_a_point(plane, a, b):
+            res = real(plane, a, b)
+            return SeparationResult(res.a_prime[1:], res.b_prime, res.line, res.witness)
+
+        monkeypatch.setattr(cli, "separate_clusters", drops_a_point)
+        argv = ["separate", "--a", square_csv, "--b", square_csv, "--json"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--verify"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "union_preserved" in captured.err
+
+    def test_cluster2_exit_3(self, square_csv, monkeypatch, capsys):
+        real = cl.avis_min_max_2cluster
+        monkeypatch.setattr(cl, "avis_min_max_2cluster",
+                            lambda plane, pts: (0.5, real(plane, pts)[1]))
+        argv = ["cluster2", "--points", square_csv, "--json"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--verify"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cluster2" in captured.err
 
 
 class TestDeterminism:

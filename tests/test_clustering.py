@@ -76,8 +76,6 @@ def _split_exists(D, d1, d2):
     pytest.param(lambda pts: hr_feasible_3cluster(E, pts, 1.0), id="hr_feasible_3cluster"),
     pytest.param(lambda pts: min_max_3cluster(E, pts), id="min_max_3cluster"),
     pytest.param(lambda pts: diameter(E, pts), id="diameter"),
-    pytest.param(lambda pts: geometry.sorted_pairwise_distances(E, pts),
-                 id="sorted_pairwise_distances"),
     pytest.param(lambda pts: ball_hull(E, pts, 5.0), id="ball_hull"),
     pytest.param(lambda pts: build_tree(E, pts, 5.0), id="build_tree"),
     pytest.param(lambda pts: query_far_point(build_tree(E, SQ, 5.0), pts[2]),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from normclust import (
-    OnRule,
     Point,
     Segment,
     Side,
@@ -15,11 +14,9 @@ from normclust import (
     l1_plane,
     norm_perimeter,
     side_of,
-    sorted_pairwise_distances,
-    split_by_line,
     stabbing_line,
 )
-from normclust.errors import EmptyInput, TooFewPoints
+from normclust.errors import EmptyInput
 from normclust import geometry
 from normclust.geometry import (
     dissections_within,
@@ -75,9 +72,10 @@ class TestDiameter:
 
     def test_matches_all_pairs(self, norm_suite):
         rng = np.random.default_rng(9)
+        # duplicates and a collinear run, with an interior duplicate on it
+        degenerate = np.array([(0, 0), (0, 0), (1, 2), (2, 4), (3, 6), (2, 4), (5, -1), (5, -1)], float)
         for _, plane in norm_suite:
-            for n in (2, 3, 12, 60, 200):
-                pts = rng.uniform(-10, 10, size=(n, 2))
+            for pts in [rng.uniform(-10, 10, size=(n, 2)) for n in (2, 3, 12, 60, 200)] + [degenerate]:
                 D = pairwise_distances(plane, pts)
                 assert diameter(plane, pts)[0] == pytest.approx(float(D.max()), abs=1e-9)
 
@@ -116,14 +114,6 @@ class TestLines:
         assert side_of(x_axis, (0, 1)) is Side.LEFT
         assert side_of(x_axis, (5, 0)) is Side.ON
         assert side_of(x_axis, (0, -1)) is Side.RIGHT
-
-    def test_split_by_line(self):
-        x_axis = line_through((0, 0), (1, 0))
-        left, right = split_by_line([(0, 1), (0, -1)], x_axis)
-        assert left == [Point(0, 1)] and right == [Point(0, -1)]
-        left, right = split_by_line([(3, 0)], x_axis, OnRule.TO_LEFT)
-        assert left == [Point(3, 0)]
-        assert split_by_line([], x_axis) == ([], [])
 
 
 def _stab_oracle(segments):
@@ -264,31 +254,3 @@ class TestStabbingLine:
                     assert sa is Side.ON or sb is Side.ON or sa is not sb
             else:
                 assert not _stab_oracle(segs)
-
-
-class TestSortedPairwise:
-    def test_collinear(self):
-        out = sorted_pairwise_distances(E, [(0, 0), (1, 0), (3, 0)])
-        assert [v for v, _ in out] == pytest.approx([1.0, 2.0, 3.0])
-        assert [ij for _, ij in out] == [(0, 1), (1, 2), (0, 2)]
-
-    def test_two_points(self):
-        out = sorted_pairwise_distances(L1, [(0, 0), (2, 3)])
-        assert out == [(5.0, (0, 1))]
-
-    def test_too_few(self):
-        with pytest.raises(TooFewPoints):
-            sorted_pairwise_distances(E, [(0, 0)])
-
-    def test_matches_recount(self, norm_suite):
-        rng = np.random.default_rng(23)
-        pts = rng.uniform(-10, 10, size=(10, 2))
-        for _, plane in norm_suite:
-            out = sorted_pairwise_distances(plane, pts)
-            naive = sorted(
-                (float(gauge(plane, pts[j] - pts[i])), (i, j))
-                for i in range(10)
-                for j in range(i + 1, 10)
-            )
-            assert len(out) == 45
-            assert [v for v, _ in out] == pytest.approx([v for v, _ in naive])

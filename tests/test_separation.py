@@ -20,7 +20,8 @@ from normclust import (
     two_arc_plane,
 )
 from normclust.errors import EmptyCluster, NoOverlap
-from normclust.geometry import hulls_interiors_overlap, line_through, signed_offset
+from normclust.geometry import line_through, signed_offset
+from normclust.oracle import hulls_interiors_overlap
 from normclust.separation import _split_assignments
 from conftest import random_clusters
 
