@@ -4,6 +4,7 @@ JSON reports, and SVG scene output."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -292,12 +293,12 @@ def _cmd_cluster2c(args, plane):
 def _cmd_cluster3(args, plane):
     pts = load_points(args.points)
     if args.d is not None:
-        part = cl.hr_feasible_3cluster(plane, pts, args.d, seed=args.seed)
+        part = cl.hr_feasible_3cluster(plane, pts, args.d)
         params = {"points": len(pts), "d": args.d, "seed": args.seed}
         if part is None:
             return params, {"feasible": False}, 1
         return params, {"feasible": True, "partition": _partition_doc(part)}, 0
-    d_star, part = cl.min_max_3cluster(plane, pts, seed=args.seed)
+    d_star, part = cl.min_max_3cluster(plane, pts)
     result = {"d_star": d_star, "partition": _partition_doc(part)}
     return {"points": len(pts), "seed": args.seed}, result, 0
 
@@ -401,7 +402,11 @@ def _add_common(p: argparse.ArgumentParser, *, points: bool = True) -> None:
                    help="re-check the reported measures before printing")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process, which is not a cache of results: the parser
+    # holds only the fixed option table, no input-dependent state, and each
+    # parse_args call returns a fresh namespace.
     ap = argparse.ArgumentParser(prog="normclust",
                                  description="geometric clustering in normed planes")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -119,26 +119,69 @@ def _partition_from_masks(D: np.ndarray, groups: Sequence[Sequence[int]]) -> Par
     return Partition(clusters, measures)
 
 
-def _two_color(adj: np.ndarray) -> Optional[np.ndarray]:
-    """Proper 2-coloring of the graph given by a boolean adjacency matrix."""
-    n = len(adj)
-    color = np.full(n, -1, dtype=int)
-    for seed in range(n):
-        if color[seed] != -1:
-            continue
-        color[seed] = 0
-        frontier = [seed]
+# Point sets as Python ints used as bitsets (bit u set: point u is in the
+# set); the pairs longer than a threshold d as one bitset per point, far[u].
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _bit_rows(mask: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a bitset."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _reach(far: list[int], mask: int) -> int:
+    """The points far from some point of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= far[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _wide(far: list[int], mask: int) -> bool:
+    """Whether mask holds a far pair."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if far[low.bit_length() - 1] & mask:
+            return True
+        rest ^= low
+    return False
+
+
+def _two_colour(far: list[int], rest: int) -> Optional[tuple[int, int]]:
+    """A proper 2-colouring (B, C) of the graph of far pairs on the points of
+    rest, or None.  Breadth first from the lowest uncoloured point of each
+    component, which goes to B; the colouring of a connected bipartite graph
+    is unique up to swapping, so this one is canonical."""
+    b = c = 0
+    todo = rest
+    while todo:
+        frontier = todo & -todo
+        todo ^= frontier
+        b |= frontier
+        on_b = True
         while frontier:
-            nxt = []
-            for v in frontier:
-                for w in np.nonzero(adj[v])[0]:
-                    if color[w] == -1:
-                        color[w] = 1 - color[v]
-                        nxt.append(int(w))
-                    elif color[w] == color[v]:
-                        return None
-            frontier = nxt
-    return color
+            nbrs = _reach(far, frontier) & rest
+            if nbrs & (b if on_b else c):
+                return None
+            frontier = nbrs & todo
+            todo ^= frontier
+            if on_b:
+                c |= frontier
+            else:
+                b |= frontier
+            on_b = not on_b
+    return b, c
 
 
 # --------------------------------------------------------------------------
@@ -154,39 +197,18 @@ def feasible_2cluster(plane: NormedPlane, points, d: float) -> Optional[Partitio
     """
     pts = finite_points(points)
     D = pairwise_distances(plane, pts)
-    return _feasible_2cluster_from_matrix(D, d)
-
-
-def _feasible_2cluster_from_matrix(D: np.ndarray, d: float) -> Optional[Partition]:
-    n = len(D)
-    if n == 0:
-        return Partition(((), ()), (0.0, 0.0))
-    adj = D > d
-    np.fill_diagonal(adj, False)
-    color = _two_color(adj)
-    if color is None:
+    far = _bit_rows(D > d)
+    colour = _two_colour(far, (1 << len(D)) - 1)
+    if colour is None:
         return None
-    g0 = [i for i in range(n) if color[i] == 0]
-    g1 = [i for i in range(n) if color[i] == 1]
-    return _partition_from_masks(D, [g0, g1])
+    return _partition_from_masks(D, [list(_bits(g)) for g in colour])
 
 
-def avis_min_max_2cluster(plane: NormedPlane, points) -> tuple[float, Partition]:
-    """Minimize the maximum of the two cluster diameters.
-
-    Colors the points alternately along a maximum spanning tree (Asano,
-    Bhattacharya, Keil and Yao, SoCG 1988); d* is the largest distance
-    inside one color class.  This is exact: the tree path between the ends
-    of a pair longer than d uses only pairs at least that long (the cycle
-    property), so whenever the pairs longer than d form a bipartite graph,
-    the tree's coloring is a proper coloring of it.
-    """
-    pts = finite_points(points)
-    n = len(pts)
-    if n < 2:
-        raise TooFewPoints("2-clustering needs at least two points")
-    D = pairwise_distances(plane, pts)
-    # dense Prim: best[v] is the longest pair from the tree to v outside it
+def _spanning_tree_colouring(D: np.ndarray) -> np.ndarray:
+    """The points coloured alternately along a maximum spanning tree of D,
+    as a boolean array (dense Prim)."""
+    n = len(D)
+    # best[v] is the longest pair from the tree to v outside it
     outside = np.ones(n, dtype=bool)
     outside[0] = False
     best = D[0].copy()
@@ -202,6 +224,24 @@ def avis_min_max_2cluster(plane: NormedPlane, points) -> tuple[float, Partition]
         longer = outside & (row > best)
         best[longer] = row[longer]
         link[longer] = v
+    return color
+
+
+def avis_min_max_2cluster(plane: NormedPlane, points) -> tuple[float, Partition]:
+    """Minimize the maximum of the two cluster diameters.
+
+    Colors the points alternately along a maximum spanning tree (Asano,
+    Bhattacharya, Keil and Yao, SoCG 1988); d* is the largest distance
+    inside one color class.  This is exact: the tree path between the ends
+    of a pair longer than d uses only pairs at least that long (the cycle
+    property), so whenever the pairs longer than d form a bipartite graph,
+    the tree's coloring is a proper coloring of it.
+    """
+    pts = finite_points(points)
+    if len(pts) < 2:
+        raise TooFewPoints("2-clustering needs at least two points")
+    D = pairwise_distances(plane, pts)
+    color = _spanning_tree_colouring(D)
     part = _partition_from_masks(D, [np.flatnonzero(~color).tolist(),
                                      np.flatnonzero(color).tolist()])
     return max(part.measures), part
@@ -439,14 +479,6 @@ def min_enclosing_ball(plane: NormedPlane, points) -> tuple[Point, float]:
 # k-clustering by peeling off one separable cluster at a time
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
                        ) -> tuple[float, Partition]:
     """Minimize the max, sum or sum of squares of per-cluster diameters or
@@ -467,8 +499,7 @@ def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
     if not 2 <= k <= 4:
         raise NormClustError("k must be between 2 and 4")
     rows, _ = line_dissections(pts)
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    cuts = [int.from_bytes(r.tobytes(), "little") for r in packed]
+    cuts = _bit_rows(rows)
 
     if objective.measure is Measure.DIAMETER:
         D = pairwise_distances(plane, pts)
@@ -597,304 +628,279 @@ class _TwoSat:
         return out
 
 
-def _hr_basis(plane: NormedPlane, pts: np.ndarray, seed: int):
-    """A basis (xhat, yhat) with xhat Birkhoff orthogonal to yhat and all
-    basis coordinates pairwise distinct; the rotation angle is seeded."""
-    rng = np.random.default_rng(seed)
-    scale = max(1.0, float(np.abs(pts).max()))
-    uniq = np.unique(pts, axis=0)
-    for attempt in range(128):
-        theta = 0.0 if attempt == 0 else float(rng.uniform(0, math.pi))
-        xhat = np.array([math.cos(theta), math.sin(theta)])
-        yhat = np.asarray(birkhoff_orthogonal(plane, xhat), dtype=float)
-        M = np.column_stack([xhat, yhat])
-        try:
-            coords = np.linalg.solve(M, uniq.T).T
-        except np.linalg.LinAlgError:
-            continue
-        ok = True
-        for axis in (0, 1):
-            vals = np.sort(coords[:, axis])
-            if len(vals) > 1 and np.min(np.diff(vals)) <= 1e-7 * scale:
-                ok = False
-                break
-        if ok:
-            full = np.linalg.solve(M, pts.T).T
-            return xhat, yhat, full, theta
-    raise DegenerateBasis("could not find a basis with distinct coordinates")
+def _birkhoff_coords(plane: NormedPlane, pts: np.ndarray) -> np.ndarray:
+    """Coordinates of pts in the basis xhat = (1, 0), yhat, where xhat is
+    Birkhoff orthogonal to yhat."""
+    yhat = np.asarray(birkhoff_orthogonal(plane, (1.0, 0.0)), dtype=float)
+    return np.linalg.solve(np.column_stack([(1.0, 0.0), yhat]), pts.T).T
 
 
-def _zone_split(coords: np.ndarray, ia: int, ip: int, scale: float):
-    """Indices of (seed-on-segment, north, south, east) for baseline a, a'
-    given basis coordinates."""
-    a = coords[ia]
-    ap = coords[ip]
-    band = 1e-9 * max(1.0, scale)
-    north, south, east, seed = [], [], [], []
-    dx = a - ap
-    for u in range(len(coords)):
-        if u == ia or u == ip:
-            seed.append(u)
-            continue
-        rel = coords[u] - ap
-        # rel = alpha * (a - a') + beta * yhat, expressed in basis coords:
-        # basis x-coordinate of yhat is 0, so alpha comes from the x part
-        alpha = rel[0] / dx[0]
-        beta = rel[1] - alpha * dx[1]
-        if abs(beta) <= band and -band <= alpha <= 1 + band:
-            seed.append(u)
-        elif alpha < 0:
-            east.append(u)
-        elif beta > 0:
-            north.append(u)
-        else:
-            south.append(u)
-    return seed, north, south, east
+def _x_order(C: np.ndarray) -> np.ndarray:
+    """The points in x-order, ties broken by y (see ``_ThreeClustering``)."""
+    return np.lexsort((C[:, 1], C[:, 0]))
+
+
+def _zones(C: np.ndarray, xrank: np.ndarray, ia: int, ips) -> tuple[np.ndarray, ...]:
+    """Boolean (len(ips), len(C)) masks (seed, north, south, east) of the
+    baselines from a = C[ia] to each a' = C[ip], in basis coordinates.
+
+    East is every point after a' in the x-order.  Of the others, those within
+    a band of the line aa' form the seed (a and a' among them: they lie on
+    the segment), those left of the directed line a -> a' the north and the
+    rest the south."""
+    base = C[ips] - C[ia]
+    rel = C - C[ia]
+    cross = base[:, :1] * rel[:, 1] - base[:, 1:] * rel[:, 0]
+    band = 1e-9 * max(1.0, float(np.abs(C).max())) * np.abs(base).max(axis=1, keepdims=True)
+    east = xrank > xrank[ips][:, None]
+    seed = ~east & (np.abs(cross) <= band)
+    north = ~east & ~seed & (cross > 0)
+    return seed, north, ~(east | seed | north), east
+
+
+def _assign_case3(far: list[int], forced: tuple[int, int, int],
+                  north: int, south: int, east: int) -> Optional[list[int]]:
+    """Clusters [A, B, C] holding the forced points of each and every
+    candidate, a north one in A or B, a south one in C or A, an east one in
+    B or C, with no far pair inside a cluster; or None.
+
+    This is 2-SAT (one two-way choice per candidate, one clause per far pair
+    that could share a cluster), solved by unit propagation over bitsets: a
+    point placed in a cluster pushes its far candidates to their other
+    choice.  A tentative choice whose propagation ends without conflict is
+    kept, since every clause it touched is then satisfied; if it conflicts,
+    the other choice is forced, and if that conflicts too there is no
+    assignment (Even, Itai and Shamir, SIAM J. Comput. 5, 1976)."""
+    # (candidates, their other cluster) for the points pushed out of A, B, C
+    leave = (((north, 1), (south, 2)), ((north, 0), (east, 2)), ((south, 0), (east, 1)))
+
+    def place(members, free, queue):
+        members = list(members)
+        while queue:
+            k, pts = queue.pop()
+            if pts & ~free & ~members[k]:
+                return None  # already in the other cluster
+            pts &= free
+            if not pts:
+                continue
+            reach = _reach(far, pts)
+            if reach & (members[k] | pts):
+                return None
+            members[k] |= pts
+            free ^= pts
+            queue += [(z, reach & free & cand) for cand, z in leave[k]]
+        return members, free
+
+    free = north | south | east
+    queue = []
+    for k in range(3):
+        reach = _reach(far, forced[k]) & free
+        queue += [(z, reach & cand) for cand, z in leave[k]]
+    state = place(forced, free, queue)
+    while state is not None and state[1]:
+        members, free = state
+        u = free & -free
+        first, second = (0, 1) if u & north else (2, 0) if u & south else (1, 2)
+        state = place(members, free, [(first, u)]) or place(members, free, [(second, u)])
+    return None if state is None else state[0]
+
+
+class _ThreeClustering:
+    """One 3-clustering instance, built once per call: the distance matrix,
+    coincident points merged into locations, the basis order and the zones
+    of every baseline.  ``probe(d)`` then decides a threshold on bitsets.
+
+    Zone algorithm (Hagauer and Rote, "Three-clustering of points in the
+    plane", Comput. Geom. 8, 1997, with the vertical direction replaced by a
+    Birkhoff orthogonal one): a, the first location in the x-order, is in
+    cluster A; a' is the last location of A in that order, tried in order
+    (a' = a first).  Points on the segment aa' join A at no cost, since by
+    convexity of the norm none of them is farther from a point than both a
+    and a' are.  The north (south) zone lies between a and a' in x, left
+    (right) of the line a -> a'; the east zone after a'.  Either a whole zone
+    joins A, with every point of the other zone close to all of it, and the
+    rest is 2-coloured; or the zones' points outside A are forced into B
+    (north) and C (south), and so is the upper (lower) end of every far
+    pair in the east, and the remaining choices are 2-SAT.
+
+    Ties.  The zones need distinct x-coordinates, and the east rule distinct
+    y-coordinates; L1, L-infinity and lattice inputs have many equal ones.
+    Instead of rotating the basis until none are left, the coordinates are
+    read in the frame turned by an infinitesimal angle -e (Simulation of
+    Simplicity, Edelsbrunner and Muecke, ACM TOG 9, 1990): x' = x + e y and
+    y' = y - e x, so the x-order is lexicographic in (x, y) and the y-order
+    in (y, -x).  That order is exact and total on distinct locations, and
+    the sides of a line are unchanged, since the turn is linear: it keeps
+    every collinear triple collinear, and the points of the line aa' between
+    a and a' are still exactly its seed.  Why the answer is the same: the
+    turned points lie within O(e) of the given ones, so for e below the gap
+    between d and the nearest other pairwise distance, the pairs longer
+    than d, and with them the feasibility of d, are the same for both point
+    sets.  The turned set has no ties, where the zone algorithm applies, and
+    the algorithm reads only the far pairs and the turned order.  The one
+    tolerance left is the seed band of ``_zones`` for rounded coordinates.
+    """
+
+    def __init__(self, plane: NormedPlane, points):
+        pts = finite_points(points)
+        if len(pts) < 3:
+            raise TooFewPoints("3-clustering needs at least three points")
+        self.D = D = pairwise_distances(plane, pts)
+        # one location per distinct point, numbered in the x-order: a is 0,
+        # and the east zone of a' = r is every location above r
+        uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
+        C = _birkhoff_coords(plane, uniq)
+        xorder = _x_order(C)
+        self.m = m = len(uniq)
+        self.members: list[list[int]] = [[] for _ in range(m)]
+        for i, k in enumerate(np.argsort(xorder)[inverse.ravel()].tolist()):
+            self.members[k].append(i)
+        rep = [group[0] for group in self.members]
+        self.W, C = uniq[xorder], C[xorder]
+        self.DW = D[np.ix_(rep, rep)]
+        if m <= 3:
+            return
+        self.zones = list(zip(*(_bit_rows(z) for z in _zones(C, np.arange(m), 0, range(1, m))[:3])))
+        # below[u]: the locations before u in the y-order
+        self.below = [0] * m
+        seen = 0
+        for u in np.lexsort((-C[:, 0], C[:, 1])).tolist():
+            self.below[u] = seen
+            seen |= 1 << u
+
+    def probe(self, d: float, audit: Optional[ZoneAudit] = None) -> Optional[tuple[int, int, int]]:
+        """Three location bitsets (A, B, C) of diameter <= d, or None."""
+        if not d >= 0:
+            return None
+        m = self.m
+        full = (1 << m) - 1
+        far = _bit_rows(self.DW > d)
+        if not any(far):
+            return full, 0, 0
+        if m <= 3:
+            return tuple(1 << u for u in range(m)) + (0,) * (3 - m)
+        bc = _two_colour(far, full ^ 1)
+        if bc is not None:
+            return (1,) + bc
+        # the east locations forced into B (C) for a' = r: u > r with a far
+        # location v > r below (above) it, that is r < key = min(u, max v)
+        key_b, key_c = [0] * (m + 1), [0] * (m + 1)
+        for u in range(1, m):
+            low, high = far[u] & self.below[u], far[u] & ~self.below[u]
+            key_b[max(0, min(u, low.bit_length() - 1))] |= 1 << u
+            key_c[max(0, min(u, high.bit_length() - 1))] |= 1 << u
+        east_b, east_c = [0] * (m + 1), [0] * (m + 1)
+        for r in range(m - 1, 0, -1):
+            east_b[r] = east_b[r + 1] | key_b[r + 1]
+            east_c[r] = east_c[r + 1] | key_c[r + 1]
+        for r, (seed, north, south) in enumerate(self.zones, start=1):
+            if _wide(far, seed):
+                continue
+            if audit is not None:
+                self._audit(far, d, r, (north, south), audit)
+            # cases 1 and 2: a full zone joins A
+            for zone, other in ((north, south), (south, north)):
+                held = seed | zone
+                if _wide(far, held):
+                    continue
+                A = held | (other & ~_reach(far, held))
+                if _wide(far, A):
+                    continue
+                bc = _two_colour(far, full & ~A)
+                if bc is not None:
+                    return (A,) + bc
+            # case 3: the locations that cannot join A are forced into B or C
+            reach = _reach(far, seed)
+            B, C = north & reach | east_b[r], south & reach | east_c[r]
+            if B & C or _wide(far, B) or _wide(far, C):
+                continue
+            east = full >> (r + 1) << (r + 1)
+            groups = _assign_case3(far, (seed, B, C), north & ~B, south & ~C, east & ~(B | C))
+            if groups is not None:
+                return tuple(groups)
+        return None
+
+    def _audit(self, far, d, r, zones, audit: ZoneAudit) -> None:
+        """The zone-diameter property: the locations of a zone within d of
+        both a and a' = r are pairwise within d."""
+        near = ~(far[0] | far[r])
+        for zone in zones:
+            audit.checks += 1
+            inner = zone & near
+            if _wide(far, inner):
+                wide = _mask_diam(self.DW, list(_bits(inner)))
+                if wide > d + 1e-9:
+                    audit.violations.append((tuple(self.W[0]), tuple(self.W[r]), d, wide))
+
+    def partition(self, groups, d: float) -> Partition:
+        """The point partition of location bitsets, checked against d."""
+        part = _partition_from_masks(
+            self.D, [[i for u in _bits(g) for i in self.members[u]] for g in groups])
+        if max(part.measures) > d:
+            raise NormClustError("internal: returned partition violates d")
+        return part
 
 
 def hr_zones(plane: NormedPlane, points, a, a_prime) -> Zones:
-    """North/South/East decomposition by the baseline (a, a') and the
-    Birkhoff-orthogonal direction; a must have strictly minimal x-coordinate
-    and basis coordinates must be distinct (rotate beforehand)."""
+    """North/South/East decomposition of points by the baseline (a, a') and
+    the Birkhoff orthogonal direction, with the tie-break of
+    ``_ThreeClustering``; a must come first in the x-order (ties broken by
+    y) and before a'."""
     pts = finite_points(points)
-    aa = np.asarray([float(a[0]), float(a[1])])
-    pp = np.asarray([float(a_prime[0]), float(a_prime[1])])
-    if np.allclose(aa, pp):
+    ends = finite_points([a, a_prime])
+    if np.allclose(ends[0], ends[1]):
         raise DegenerateBasis("a and a' coincide")
-    xhat = np.array([1.0, 0.0])
-    yhat = np.asarray(birkhoff_orthogonal(plane, xhat), dtype=float)
-    M = np.column_stack([xhat, yhat])
-    allpts = np.vstack([pts, aa[None, :], pp[None, :]])
-    coords = np.linalg.solve(M, allpts.T).T
-    ia, ip = len(pts), len(pts) + 1
-    if coords[ip, 0] <= coords[ia, 0]:
-        raise DegenerateBasis("a must precede a' in basis x-coordinate")
-    scale = float(np.abs(coords).max())
-    seed, north, south, east = _zone_split(coords, ia, ip, scale)
-    seed = tuple(u for u in seed if u < len(pts))
-    return Zones(tuple(north), tuple(south), tuple(east), seed)
-
-
-def hr_feasible_3cluster(plane: NormedPlane, points, d: float, *, seed: int = 0,
-                         audit: Optional[ZoneAudit] = None
-                         ) -> Optional[Partition]:
-    """Partition S into A, B, C with diameters <= d, or None.
-
-    Follows the zone algorithm: for every candidate a' the North (resp.
-    South) zone is forced into A, or the residual membership problem is
-    written as two-choice constraints and solved by implication-graph SCC.
-    """
-    pts = finite_points(points)
+    C = _birkhoff_coords(plane, np.vstack([pts, ends]))
     n = len(pts)
-    if n < 3:
-        raise TooFewPoints("3-clustering needs at least three points")
-    D = pairwise_distances(plane, pts)
-
-    def done(groups) -> Partition:
-        return _partition_from_masks(D, list(groups) + [[]] * (3 - len(groups)))
-
-    if _mask_diam(D, range(n)) <= d:
-        return done([list(range(n))])
-
-    # merge coincident points; constraints are identical for duplicates
-    uniq_map: dict[tuple[float, float], int] = {}
-    rep: list[int] = []
-    members: list[list[int]] = []
-    for i, p in enumerate(pts):
-        key = (float(p[0]), float(p[1]))
-        if key in uniq_map:
-            members[uniq_map[key]].append(i)
-        else:
-            uniq_map[key] = len(rep)
-            rep.append(i)
-            members.append([i])
-    W = pts[rep]
-    DW = D[np.ix_(rep, rep)]
-    m = len(W)
-    if m < 3:
-        # at most two distinct locations: a 2-coloring decides
-        part2 = _feasible_2cluster_from_matrix(DW, d)
-        if part2 is None:
-            return None
-        groups = [sorted(sum((members[u] for u in g), [])) for g in part2.clusters]
-        return done([g for g in groups if g])
-
-    xhat, yhat, coords, _theta = _hr_basis(plane, W, seed)
-    scale = float(np.abs(coords).max())
-    ia = int(np.argmin(coords[:, 0]))
-
-    def expand(groups_w) -> Partition:
-        groups = []
-        for g in groups_w:
-            groups.append(sorted(sum((members[u] for u in g), [])))
-        val = max((_mask_diam(D, g) for g in groups if g), default=0.0)
-        if val > d:
-            raise NormClustError("internal: returned partition violates d")
-        return done(groups)
-
-    def rest_two_cluster(a_set: list[int]) -> Optional[tuple[list[int], list[int]]]:
-        rest = [u for u in range(m) if u not in a_set]
-        if not rest:
-            return [], []
-        sub = DW[np.ix_(rest, rest)]
-        part = _feasible_2cluster_from_matrix(sub, d)
-        if part is None:
-            return None
-        return (
-            [rest[i] for i in part.clusters[0]],
-            [rest[i] for i in part.clusters[1]],
-        )
-
-    # the A = {a} (plus coincident duplicates) case, i.e. a' = a
-    bc = rest_two_cluster([ia])
-    if bc is not None:
-        return expand([[ia], bc[0], bc[1]])
-
-    order = sorted(range(m), key=lambda u: coords[u, 0])
-    for ip in order:
-        if ip == ia or DW[ia, ip] > d:
-            continue
-        seed_idx, north, south, east = _zone_split(coords, ia, ip, scale)
-        a0 = sorted(seed_idx)
-        if _mask_diam(DW, a0) > d:
-            continue
-
-        if audit is not None:
-            cand = [u for u in range(m) if DW[ia, u] <= d and DW[ip, u] <= d]
-            for zone in (north, south):
-                zc = [u for u in zone if u in cand]
-                audit.checks += 1
-                dz = _mask_diam(DW, zc)
-                if dz > d + 1e-9:
-                    audit.violations.append((tuple(W[ia]), tuple(W[ip]), d, dz))
-
-        # Cases 1 and 2: a full zone joins A
-        for zone, other in ((north, south), (south, north)):
-            H = sorted(set(a0) | set(zone))
-            if _mask_diam(DW, H) > d:
-                continue
-            adds = [
-                u for u in other
-                if all(DW[u, x] <= d for x in H)
-            ]
-            A = sorted(set(H) | set(adds))
-            if _mask_diam(DW, A) > d:
-                continue
-            bc = rest_two_cluster(A)
-            if bc is not None:
-                return expand([A, bc[0], bc[1]])
-
-        # Case 3: two-choice assignment
-        in_ball_a0 = [all(DW[u, x] <= d for x in a0) for u in range(m)]
-        b0 = {u for u in north if not in_ball_a0[u]}
-        c0 = {u for u in south if not in_ball_a0[u]}
-        eb, ec = set(), set()
-        for u in east:
-            for v in east:
-                if u != v and DW[u, v] > d:
-                    if coords[u, 1] > coords[v, 1]:
-                        eb.add(u)
-                    else:
-                        ec.add(u)
-        if eb & ec:
-            continue
-        b0 |= eb
-        c0 |= ec
-        if b0 & c0:
-            continue
-        if _mask_diam(DW, sorted(b0)) > d or _mask_diam(DW, sorted(c0)) > d:
-            continue
-        ab_cand = [u for u in north if u not in b0]
-        ca_cand = [u for u in south if u not in c0]
-        bc_cand = [u for u in east if u not in b0 and u not in c0]
-        assignment = _solve_case3(DW, d, a0, sorted(b0), sorted(c0),
-                                  ab_cand, ca_cand, bc_cand)
-        if assignment is not None:
-            A, B, C = assignment
-            if max(_mask_diam(DW, A), _mask_diam(DW, B), _mask_diam(DW, C)) <= d:
-                return expand([A, B, C])
-    return None
+    xrank = np.argsort(_x_order(C))
+    if xrank[n + 1] < xrank[n]:
+        raise DegenerateBasis("a must precede a' in basis x-coordinate")
+    seed, north, south, east = (tuple(np.flatnonzero(z[0, :n]).tolist())
+                                for z in _zones(C, xrank, n, [n + 1]))
+    return Zones(north, south, east, seed)
 
 
-def _solve_case3(DW: np.ndarray, d: float, forced_a, forced_b, forced_c,
-                 ab_cand, ca_cand, bc_cand):
-    """Resolve the two-choice candidates with 2-SAT: each of ab_cand goes to
-    A or B, each of ca_cand to C or A, each of bc_cand to B or C, next to
-    the forced points of each cluster.  Returns (A, B, C) index lists or
-    None."""
-    options: dict[int, tuple[str, str]] = {}
-    for u in ab_cand:
-        options[u] = ("A", "B")
-    for u in ca_cand:
-        options[u] = ("C", "A")
-    for u in bc_cand:
-        options[u] = ("B", "C")
-    forced: dict[int, str] = {}
-    for u in forced_a:
-        forced[u] = "A"
-    for u in forced_b:
-        forced[u] = "B"
-    for u in forced_c:
-        forced[u] = "C"
-
-    cand = sorted(options)
-    var = {u: i for i, u in enumerate(cand)}
-    sat = _TwoSat(len(cand))
-
-    def lit(u: int, cluster: str) -> Optional[int]:
-        first, second = options[u]
-        if cluster == first:
-            return 2 * var[u]
-        if cluster == second:
-            return 2 * var[u] + 1
-        return None
-
-    # forced-forced conflicts
-    items = sorted(forced)
-    for i, u in enumerate(items):
-        for v in items[i + 1:]:
-            if forced[u] == forced[v] and DW[u, v] > d:
-                return None
-    # candidate constraints
-    for i, u in enumerate(cand):
-        for v in cand[i + 1:]:
-            if DW[u, v] > d:
-                for cluster in set(options[u]) & set(options[v]):
-                    lu, lv = lit(u, cluster), lit(v, cluster)
-                    sat.add_clause(lu ^ 1, lv ^ 1)
-        for f, fc in forced.items():
-            if DW[u, f] > d:
-                lu = lit(u, fc)
-                if lu is not None:
-                    sat.add_clause(lu ^ 1, lu ^ 1)
-    model = sat.solve()
-    if model is None:
-        return None
-    out = {"A": list(forced_a), "B": list(forced_b), "C": list(forced_c)}
-    for u in cand:
-        choice = options[u][0] if model[var[u]] else options[u][1]
-        out[choice].append(u)
-    return sorted(out["A"]), sorted(out["B"]), sorted(out["C"])
+def hr_feasible_3cluster(plane: NormedPlane, points, d: float, *,
+                         audit: Optional[ZoneAudit] = None) -> Optional[Partition]:
+    """Partition S into A, B, C with diameters <= d, or None (the zone
+    algorithm of ``_ThreeClustering``)."""
+    inst = _ThreeClustering(plane, points)
+    groups = inst.probe(d, audit)
+    return None if groups is None else inst.partition(groups, d)
 
 
-def min_max_3cluster(plane: NormedPlane, points, *, seed: int = 0,
+def _fourth_farthest_first(D: np.ndarray) -> float:
+    """r4, the distance of the fourth point of a farthest-first traversal to
+    the first three: the four are pairwise at least r4 apart, so any
+    3-clustering has a cluster of diameter >= r4."""
+    near = D[0]
+    for _ in range(2):
+        near = np.minimum(near, D[int(near.argmax())])
+    return float(near.max())
+
+
+def min_max_3cluster(plane: NormedPlane, points, *,
                      audit: Optional[ZoneAudit] = None) -> tuple[float, Partition]:
-    """Minimize the largest of the three cluster diameters: binary search on
-    the sorted pairwise distances with the feasibility test."""
-    pts = finite_points(points)
-    if len(pts) < 3:
-        raise TooFewPoints("3-clustering needs at least three points")
-    D = pairwise_distances(plane, pts)
-    iu, ju = np.triu_indices(len(pts), k=1)
-    values = np.concatenate([[0.0], np.unique(D[iu, ju])])
+    """Minimize the largest of the three cluster diameters: binary search
+    with the feasibility probe over the pairwise distances in [r4, d2],
+    where d2 is the optimal 2-clustering's value (a 3-split with an empty
+    cluster) and r4 a lower bound from a farthest-first traversal."""
+    inst = _ThreeClustering(plane, points)
+    if inst.m <= 3:
+        return 0.0, inst.partition(inst.probe(0.0), 0.0)
+    DW = inst.DW
+    colour = _spanning_tree_colouring(DW)
+    best = tuple(_bit_rows(np.array([~colour, colour]))) + (0,)
+    d2 = max(_mask_diam(DW, np.flatnonzero(colour)), _mask_diam(DW, np.flatnonzero(~colour)))
+    values = np.unique(DW[np.triu_indices(inst.m, k=1)])
+    values = values[(values >= _fourth_farthest_first(DW)) & (values <= d2)]
     lo, hi = 0, len(values) - 1
-    best = hr_feasible_3cluster(plane, pts, float(values[hi]), seed=seed, audit=audit)
-    assert best is not None
     while lo < hi:
         mid = (lo + hi) // 2
-        part = hr_feasible_3cluster(plane, pts, float(values[mid]), seed=seed, audit=audit)
-        if part is not None:
-            best, hi = part, mid
+        groups = inst.probe(float(values[mid]), audit)
+        if groups is not None:
+            best, hi = groups, mid
         else:
             lo = mid + 1
-    return float(values[hi]), best
+    d_star = float(values[hi])
+    return d_star, inst.partition(best, d_star)

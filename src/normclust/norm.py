@@ -323,12 +323,15 @@ def dist(plane: NormedPlane, p, q):
 def pairwise_distances(plane: NormedPlane, points) -> np.ndarray:
     """Full (n, n) matrix of gauge distances."""
     arr = as_array(points)
-    if not isinstance(plane.descriptor, PolygonNorm):
+    desc = plane.descriptor
+    if isinstance(desc, TwoArcNorm):
         diff = arr[:, None, :] - arr[None, :, :]
         return gauge(plane, diff.reshape(-1, 2)).reshape(len(arr), len(arr))
-    # one facet at a time, so no (n^2, facets) product is formed
     dx = arr[:, None, 0] - arr[None, :, 0]
     dy = arr[:, None, 1] - arr[None, :, 1]
+    if isinstance(desc, EuclideanNorm):
+        return np.hypot(dx, dy, out=dx)
+    # one facet at a time, so no (n^2, facets) product is formed
     out = np.zeros_like(dx)
     t = np.empty_like(dx)
     for nx, ny, b in plane._facets:
@@ -578,7 +581,9 @@ def sphere_sphere_intersection(plane: NormedPlane, p, q, d: float) -> SphereInte
     The work is done on S(0, d / s) and S((q - p) / s, d / s), with s the
     least power of two above d (exact, and no square leaves the float range),
     and moved back.  The predicates share one band,
-    eps = 1e3 * tolerance * max(d, |p|, |q|) (coordinates in the max norm).
+    eps = 1e3 * tolerance * max(d, |q - p|) + 4 ulp(max(|p|, |q|)) (all in
+    the max norm): it scales with the spheres, not with their distance from
+    the origin, and the ulps cover the rounding of q - p and of the move back.
     Coincident centres give no components: the two spheres are one, not at
     most two segments.  So does a radius d <= 0.
     """
@@ -588,7 +593,8 @@ def sphere_sphere_intersection(plane: NormedPlane, p, q, d: float) -> SphereInte
         return SphereIntersection(())
     desc = plane.descriptor
     s = math.ldexp(1.0, math.frexp(d)[1])
-    eps = 1e3 * plane.tolerance * max(d, abs(px), abs(py), abs(qx), abs(qy)) / s
+    far = max(abs(px), abs(py), abs(qx), abs(qy))
+    eps = (1e3 * plane.tolerance * max(d, abs(qx - px), abs(qy - py)) + 4 * math.ulp(far)) / s
     u, r = ((qx - px) / s, (qy - py) / s), d / s
     if isinstance(desc, EuclideanNorm):
         ends = [(z, z) for z in _circle_circle((0.0, 0.0), r, u, r, eps)]

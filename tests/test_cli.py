@@ -221,6 +221,30 @@ class TestDeterminism:
             assert rc1 == rc2 == 0
             assert out1 == out2
 
+    def test_repeated_calls_share_no_state(self, tmp_path, square_csv, monkeypatch):
+        # main reuses one parser: each report equals the one a fresh parser
+        # gives, whatever ran before it (--d, --verify and an appended
+        # --sphere in one call, not in the next)
+        real = cl.avis_min_max_2cluster
+        monkeypatch.setattr(cl, "avis_min_max_2cluster",
+                            lambda plane, pts: (0.5, real(plane, pts)[1]))
+        svg = str(tmp_path / "out.svg")
+        cases = [
+            ["cluster3", "--points", square_csv, "--d", "1.0", "--json"],
+            ["cluster3", "--points", square_csv, "--json"],
+            ["cluster2", "--points", square_csv, "--json", "--verify"],
+            ["cluster2", "--points", square_csv, "--json"],
+            ["plot", "--points", square_csv, "--sphere", "0,0,1", "--out", svg, "--json"],
+            ["plot", "--points", square_csv, "--out", svg, "--json"],
+        ]
+        first = []
+        for argv in cases:
+            cli.build_parser.cache_clear()
+            first.append(run_cli(argv))
+        assert [rc for rc, _ in first] == [0, 0, 3, 0, 0, 0]
+        for argv, want in zip(cases + cases[::-1], first + first[::-1]):
+            assert run_cli(argv) == want, argv
+
 
 class TestSvg:
     def test_empty_scene_valid(self, tmp_path):

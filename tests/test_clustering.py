@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import grid_meb_oracle
+from conftest import grid_meb_oracle, random_polygon_plane
 from normclust import (
     Combiner,
     ZoneAudit,
@@ -34,7 +34,7 @@ from normclust import (
 )
 from normclust import geometry
 from normclust.errors import BadBounds, DegenerateBasis, NonFinitePoint, TooFewPoints
-from normclust.norm import pairwise_distances
+from normclust.norm import birkhoff_orthogonal, pairwise_distances
 from normclust.oracle import brute_min_enclosing_ball
 
 E = euclidean_plane()
@@ -401,7 +401,82 @@ class TestZones:
             assert all_idx == list(range(len(body)))
 
 
+# the acceptance norms, for the 3-clustering property test
+PLANES_3 = {
+    "euclidean": E,
+    "l1": L1,
+    "linf": LI,
+    "poly_a": random_polygon_plane(101, 4),
+    "poly_b": random_polygon_plane(202, 5),
+    "poly_c": random_polygon_plane(303, 6),
+    "two_arc": TA,
+}
+
+
+@st.composite
+def _lattice_sets(draw):
+    """(points, along): 3-8 points of a small integer lattice, often with a
+    collinear run and a duplicate; along = (i, t) adds point i moved by t
+    times the Birkhoff direction (vertical for all but the random polygons),
+    or is None."""
+    coord = st.integers(-3, 3)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=8))
+    if draw(st.booleans()):
+        (x, y), (dx, dy) = draw(st.tuples(coord, coord)), draw(
+            st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]))
+        pts = pts[:5] + [(x + k * dx, y + k * dy) for k in range(3)]
+    if draw(st.booleans()):
+        pts[-1] = pts[0]
+    along = draw(st.none() | st.tuples(st.integers(0, 7), st.sampled_from([0.5, 1.0, 2.0])))
+    return pts, along
+
+
 class TestHR3:
+    @pytest.mark.parametrize("name", list(PLANES_3))
+    @settings(max_examples=80, deadline=None)
+    @given(case=_lattice_sets())
+    # ties in both basis coordinates under L1 (the basis rotation never
+    # cleared them)
+    @example(case=([(0, 0), (1, 1), (4, 0), (0, 4)], None))
+    # two distances one ulp apart
+    @example(case=([(-1, 3), (0, 0), (0, -1), (1, 1), (1, 2), (1, 3)], (0, 0.5)))
+    def test_lattice_matches_oracle(self, name, case):
+        plane = PLANES_3[name]
+        pts, along = case
+        pts = np.array(pts, dtype=float)
+        if along is not None:
+            i, t = along
+            yhat = np.array(birkhoff_orthogonal(plane, (1.0, 0.0)))
+            pts = np.vstack([pts, pts[i % len(pts)] + t * yhat])
+        D = pairwise_distances(plane, pts)
+        want, _ = brute_force_k_partition(plane, pts, 3, MAXDIAM)
+        # neither call may raise (DegenerateBasis included)
+        got, part = min_max_3cluster(plane, pts)
+        assert got == pytest.approx(want, abs=1e-9)
+        assert max(part.measures) == got
+        _partition_ok(D, part, got)
+        iu, ju = np.triu_indices(len(pts), k=1)
+        for d in np.concatenate([[0.0], np.unique(D[iu, ju])]):
+            # exact: want is an entry of the same matrix, and moved copies
+            # of a pair can differ from it in the last bit
+            part = hr_feasible_3cluster(plane, pts, float(d))
+            assert (part is not None) == (want <= d), d
+            if part is not None:
+                _partition_ok(D, part, float(d))
+
+    @pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+    def test_large(self, plane):
+        pts = np.random.default_rng(97).uniform(-10, 10, size=(200, 2))
+        t0 = time.perf_counter()
+        d, part = min_max_3cluster(plane, pts)
+        elapsed = time.perf_counter() - t0
+        print(f"min_max_3cluster {plane.descriptor.kind} n=200: {elapsed:.3f} s (target 1 s)")
+        D = pairwise_distances(plane, pts)
+        _partition_ok(D, part, d)
+        assert d <= avis_min_max_2cluster(plane, pts)[0]
+        assert hr_feasible_3cluster(plane, pts, float(D[D < d].max())) is None
+        assert elapsed < 30
+
     def test_three_far_pairs(self):
         part = hr_feasible_3cluster(E, THREE_PAIRS, 0.11)
         assert part is not None

@@ -104,7 +104,11 @@ class TestGauge:
         pts = np.vstack([pts, pts[:5], 1e6 + rng.uniform(0, 1e-3, size=(10, 2))])
         for _, plane in norm_suite:
             want = gauge(plane, pts[:, None, :] - pts[None, :, :])
-            np.testing.assert_allclose(pairwise_distances(plane, pts), want, rtol=1e-12, atol=0)
+            got = pairwise_distances(plane, pts)
+            if plane.descriptor.kind == "euclidean":
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_two_arc_counterexample_pair(self):
         # the anchor pair of the counterexample is farther apart than 1.1
@@ -203,6 +207,19 @@ class TestSphereSphere:
         assert pts[0].x == pytest.approx(1.0) and pts[0].y == pytest.approx(-math.sqrt(3))
         assert pts[1].y == pytest.approx(math.sqrt(3))
 
+    @pytest.mark.parametrize("plane, half_height", [(L1, 0.5), (E, math.sqrt(3) / 2)],
+                             ids=["l1", "euclidean"])
+    def test_small_spheres_far_out(self, plane, half_height):
+        # the band follows the spheres' size, not their distance from 0
+        p, q, d = (1e6, 0.0), (1e6 + 1e-3, 0.0), 1e-3
+        si = sphere_sphere_intersection(plane, p, q, d)
+        assert len(si.components) == 2 and all(seg.degenerate for seg in si.components)
+        ends = sorted((seg.a for seg in si.components), key=lambda z: z.y)
+        mid = (p[0] + q[0]) / 2
+        for z, sign in zip(ends, (-1, 1)):
+            assert z.x == pytest.approx(mid, abs=1e-9)
+            assert z.y == pytest.approx(sign * half_height * d, abs=1e-9)
+
     def test_linf_segments(self):
         si = sphere_sphere_intersection(LI, (0, 0), (1, 0), 1.0)
         assert len(si.components) == 2
@@ -266,9 +283,15 @@ def _unit_sphere_samples(plane, per_piece=1500):
 @st.composite
 def _sphere_pairs(draw):
     """(kind, p, q, d factor, scale); d = gauge(q - p) / 2 * factor."""
-    kind = draw(st.sampled_from(["uniform", "lattice", "near_tangent", "equal"]))
+    kind = draw(st.sampled_from(["uniform", "lattice", "near_tangent", "equal", "far_small"]))
     coord = st.floats(-10, 10, allow_nan=False)
-    if kind == "lattice":
+    if kind == "far_small":
+        # spheres of radius about 1e-3 centred about 1e6 from the origin
+        o = draw(st.tuples(st.sampled_from([1e6, -1e6, 3e7]), st.sampled_from([0.0, 1e6, -2e5])))
+        small = st.floats(-1e-3, 1e-3, allow_nan=False)
+        p, q = ((o[0] + draw(small), o[1] + draw(small)) for _ in range(2))
+        factor = draw(st.floats(1.0, 3.0))
+    elif kind == "lattice":
         p, q = (draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))) for _ in range(2))
         factor = draw(st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0, 0.75]))
     elif kind == "near_tangent":
@@ -308,7 +331,8 @@ class TestSphereSphereProperties:
         ends = np.array([z for seg in si.components for z in (seg.a, seg.b)], float).reshape(-1, 2)
         # the kernel's band in Euclidean length, and the largest gauge of a
         # Euclidean unit vector, which turns lengths into gauge differences
-        eps = 1e3 * plane.tolerance * max(d, float(np.abs(p).max()), float(np.abs(q).max()))
+        eps = (1e3 * plane.tolerance * max(d, float(np.abs(q - p).max()))
+               + 4 * math.ulp(float(np.abs([p, q]).max())))
         unit = _unit_sphere_samples(plane)
         lip = float((1 / np.hypot(unit[:, 0], unit[:, 1])).max())
         on = 10 * eps * lip
