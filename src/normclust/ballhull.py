@@ -3,9 +3,17 @@
 The d-ball hull of S is the intersection of all radius-d balls containing S.
 Its boundary is a cyclic sequence of points of S joined by d-minimal arcs;
 each arc lies on the sphere of a ball whose center is an extreme point of a
-pairwise sphere intersection and which covers all of S.  The tree stores one
-hull per node over x-sorted leaves and supports far-point queries and
-deletions by rebuilding hulls along the root path.
+pairwise sphere intersection and which covers all of S.
+
+The tree of hulls (Hershberger and Suri's structure) sorts the points by x
+and cuts them into buckets of up to 32 consecutive points, one bucket per
+leaf.  Each node holds the hull of the live points beneath it, built from
+the bucket's points at a leaf and from its children's vertices above, or
+OVERFULL when no radius-d ball covers them.  A far-point query descends,
+left first, only into OVERFULL nodes: it answers with the farthest vertex
+of the first hull on its path that has a vertex at distance >= d, or with
+the first such live point, in x order, of an OVERFULL leaf.  A deletion
+rebuilds the victim's leaf and then the hulls along its root path.
 """
 
 from __future__ import annotations
@@ -70,7 +78,7 @@ def _pair_extremes(plane, p: Point, q: Point, d: float) -> list[Point]:
     if isinstance(plane.descriptor, EuclideanNorm):
         dx, dy = q.x - p.x, q.y - p.y
         dd = math.hypot(dx, dy)
-        if dd <= 1e-15 or dd > 2 * d:
+        if dd <= 1e-15 * d or dd > 2 * d:
             return []
         h2 = d * d - dd * dd / 4
         mx, my = p.x + dx / 2, p.y + dy / 2
@@ -87,8 +95,7 @@ def _signed_depth(p: Point, q: Point, z: Point) -> float:
     return (q.x - p.x) * (z.y - p.y) - (q.y - p.y) * (z.x - p.x)
 
 
-def _covers(plane, center: Point, pts: Sequence[Point], d: float) -> bool:
-    lim = d * (1 + 1e-9) + 1e-12
+def _covers(plane, center: Point, pts: Sequence[Point], lim: float) -> bool:
     for p in pts:
         if gauge_scalar(plane, p.x - center.x, p.y - center.y) > lim:
             return False
@@ -104,7 +111,7 @@ def minimal_arcs(plane: NormedPlane, p, q, d: float) -> list[Arc]:
     p = Point(float(p[0]), float(p[1]))
     q = Point(float(q[0]), float(q[1]))
     g = gauge(plane, (q.x - p.x, q.y - p.y))
-    if g > 2 * d * (1 + 1e-12) + 1e-12:
+    if g > 2 * d * (1 + 1e-12):
         raise TooFarApart(f"gauge distance {g} exceeds 2d = {2 * d}")
     extremes = _pair_extremes(plane, p, q, d)
     if not extremes:
@@ -127,7 +134,7 @@ def _arc_is_chord(plane, arc: Arc, samples: int = 5) -> bool:
     if span == 0:
         return False
     for z in pts:
-        if abs(dx * (z.y - a.y) - dy * (z.x - a.x)) > 1e-9 * max(1.0, span) ** 2:
+        if abs(dx * (z.y - a.y) - dy * (z.x - a.x)) > 1e-9 * span ** 2:
             return False
     return True
 
@@ -140,13 +147,14 @@ def sample_arc(plane: NormedPlane, arc: Arc, n: int = 16) -> list[Point]:
     ta = math.atan2(va[1], va[0])
     tb = math.atan2(vb[1], vb[0])
     # choose the sweep whose midpoint lies on the arc's side of the chord
+    flat = 1e-9 * ((arc.b.x - arc.a.x) ** 2 + (arc.b.y - arc.a.y) ** 2)
     for sweep in ((tb - ta) % (2 * math.pi), (tb - ta) % (2 * math.pi) - 2 * math.pi):
         if abs(sweep) < 1e-15:
             sweep = 2 * math.pi if sweep >= 0 else -2 * math.pi
         tm = ta + sweep / 2
         zm = _sphere_point(plane, arc.center, arc.radius, tm)
         s = _signed_depth(arc.a, arc.b, zm)
-        if arc.side == 0 or (s > 0) == (arc.side > 0) or abs(s) <= 1e-9:
+        if arc.side == 0 or (s > 0) == (arc.side > 0) or abs(s) <= flat:
             break
     out = []
     for k in range(n):
@@ -197,8 +205,13 @@ def _bh_from_candidates(
                 extremes[key] = tuple(_pair_extremes(plane, u, w, d))
         return extremes[key]
 
+    # A gauge at most d, with a band relative to d for the pair extremes and
+    # one for the rounding of coordinates far from the origin in each
+    # difference; both scale with the input.
+    spread = 8 * max(max(abs(v.x), abs(v.y)) for v in verts) * 2.0 ** -52
+    lim = d * (1 + 1e-9) + gauge_scalar(plane, spread, spread)
+
     # arc-clipping: drop any vertex inside the pair-hull of its neighbours
-    lim = d * (1 + 1e-9) + 1e-12
     changed = True
     while changed and len(verts) >= 3:
         changed = False
@@ -233,7 +246,7 @@ def _bh_from_candidates(
         ext = pair_extremes(p, q)
         if ext is None:
             raise NoBallContainsS("adjacent hull vertices farther apart than 2d")
-        covering = [e for e in ext if _covers(plane, e, hull_verts, d)]
+        covering = [e for e in ext if _covers(plane, e, hull_verts, lim)]
         if not covering:
             raise NoBallContainsS("no radius-d ball covers the set through an arc")
         deepest = max(covering, key=lambda z: (_signed_depth(p, q, z), (-z.x, -z.y)))
@@ -284,48 +297,63 @@ class _Overfull:
 OVERFULL = _Overfull()
 
 
+# Points per leaf.  A bucket's hull is built once from its points, where
+# single-point leaves would build it again at each of the five lowest levels.
+# Six trees shaped like the balltree benchmark's (1,000 uniform points;
+# Euclidean, L1 and two-arc; d = 0.7 and 0.3 diam), built in one process
+# with the variants interleaved, 2-vCPU Xeon: 394-471 ms per six builds with
+# one point per leaf, 187-191 ms with buckets of 8, 111-143 ms with 16 and
+# 92-95 ms with 32.  Query and deletion medians stayed within 10% of the
+# single-point tree's at every size.
+_BUCKET = 32
+
+
 @dataclass
 class BallHullTree:
     plane: NormedPlane
     d: float
-    points: list[Point]        # leaves, sorted by (x, y)
+    points: list[Point]        # sorted by (x, y); leaf b holds points[b*_BUCKET:(b+1)*_BUCKET]
     alive: list[bool]
-    _size: int = field(init=False)
+    _size: int = field(init=False)    # leaf slots, a power of two
     _hulls: list = field(init=False)  # heap-indexed: node i children 2i+1, 2i+2
     _extremes: dict = field(init=False, default_factory=dict)  # pair extremes at radius d
 
     def __post_init__(self):
-        n = max(1, len(self.points))
+        n = max(1, -(-len(self.points) // _BUCKET))
         size = 1
         while size < n:
             size *= 2
         self._size = size
         self._hulls = [None] * (2 * size - 1)
-        for i in range(size):
-            node = size - 1 + i
-            if i < len(self.points) and self.alive[i]:
-                self._hulls[node] = BallHull((self.points[i],), (), self.d, ())
-        for node in range(size - 2, -1, -1):
+        for node in range(2 * size - 2, -1, -1):
             self._rebuild(node)
 
+    def _bucket(self, leaf: int) -> range:
+        """Indices into ``points`` of the bucket at leaf slot ``leaf``."""
+        return range(leaf * _BUCKET, min((leaf + 1) * _BUCKET, len(self.points)))
+
     def _rebuild(self, node: int) -> None:
-        left = self._hulls[2 * node + 1]
-        right = self._hulls[2 * node + 2]
-        if left is None and right is None:
-            self._hulls[node] = None
-        elif left is None:
-            self._hulls[node] = right
-        elif right is None:
-            self._hulls[node] = left
-        elif left is OVERFULL or right is OVERFULL:
-            self._hulls[node] = OVERFULL
+        """A leaf's hull from its live points, an inner node's from its
+        children's vertices; OVERFULL when no radius-d ball covers them."""
+        if node >= self._size - 1:
+            candidates = [self.points[i] for i in self._bucket(node - self._size + 1) if self.alive[i]]
         else:
-            try:
-                self._hulls[node] = _bh_from_candidates(
-                    self.plane, list(left.vertices) + list(right.vertices), self.d, self._extremes
-                )
-            except NoBallContainsS:
+            left = self._hulls[2 * node + 1]
+            right = self._hulls[2 * node + 2]
+            if left is OVERFULL or right is OVERFULL:
                 self._hulls[node] = OVERFULL
+                return
+            if left is None or right is None:
+                self._hulls[node] = right if left is None else left
+                return
+            candidates = list(left.vertices) + list(right.vertices)
+        if not candidates:
+            self._hulls[node] = None
+            return
+        try:
+            self._hulls[node] = _bh_from_candidates(self.plane, candidates, self.d, self._extremes)
+        except NoBallContainsS:
+            self._hulls[node] = OVERFULL
 
     @property
     def root(self):
@@ -333,8 +361,8 @@ class BallHullTree:
 
 
 def build_tree(plane: NormedPlane, points, d: float) -> BallHullTree:
-    """Complete binary tree over x-sorted points; each node holds the ball
-    hull of the live leaves beneath it."""
+    """Complete binary tree over buckets of x-sorted points; each node holds
+    the ball hull of the live points beneath it, or OVERFULL."""
     pts = sorted(Point(float(p[0]), float(p[1])) for p in points)
     check_finite(pts)
     if not pts:
@@ -351,7 +379,12 @@ def query_far_point(tree: BallHullTree, u) -> Optional[Point]:
     than d, the whole hull (hence every live point beneath) lies in the open
     ball around u, since a ball containing the vertices contains all their
     minimal arcs.  A node with no covering ball always holds a far point, so
-    the search descends into it.
+    the search descends into it, left child first; an OVERFULL leaf is
+    scanned.
+
+    The answer is the farthest vertex of the leftmost hull on the search
+    path that has a vertex at distance >= d or, when an OVERFULL leaf comes
+    first, that bucket's first far live point in (x, y) order.
     """
     ux, uy = float(u[0]), float(u[1])
     if not (math.isfinite(ux) and math.isfinite(uy)):
@@ -359,30 +392,42 @@ def query_far_point(tree: BallHullTree, u) -> Optional[Point]:
         # check would add a third
         raise NonFinitePoint("point coordinates must be finite")
 
-    def visit(node: int) -> Optional[Point]:
-        h = tree._hulls[node]
-        if h is None:
-            return None
-        if h is OVERFULL:
+    return _far_point(tree, 0, ux, uy)
+
+
+def _far_point(tree: BallHullTree, node: int, ux: float, uy: float) -> Optional[Point]:
+    """query_far_point below ``node`` (a module function: a closure made per
+    query costs a tenth of a query)."""
+    h = tree._hulls[node]
+    if h is None:
+        return None
+    if h is OVERFULL:
+        if node >= tree._size - 1:
+            # no radius-d ball covers the bucket, so the one around u
+            # misses a live point; stop at the first
+            for i in tree._bucket(node - tree._size + 1):
+                v = tree.points[i]
+                if tree.alive[i] and gauge_scalar(tree.plane, v.x - ux, v.y - uy) >= tree.d:
+                    return v
+        else:
             for child in (2 * node + 1, 2 * node + 2):
-                got = visit(child)
+                got = _far_point(tree, child, ux, uy)
                 if got is not None:
                     return got
-            raise NormClustError("internal: overfull node without a far point")
-        best, best_g = None, -1.0
-        for v in h.vertices:
-            g = gauge_scalar(tree.plane, v.x - ux, v.y - uy)
-            if g > best_g:
-                best, best_g = v, g
-        return best if best_g >= tree.d else None
-
-    return visit(0)
+        raise NormClustError("internal: overfull node without a far point")
+    best, best_g = None, -1.0
+    for v in h.vertices:
+        g = gauge_scalar(tree.plane, v.x - ux, v.y - uy)
+        if g > best_g:
+            best, best_g = v, g
+    return best if best_g >= tree.d else None
 
 
 def delete_point(tree: BallHullTree, p) -> None:
-    """Mark a live leaf dead and rebuild the hulls along its root path.
+    """Mark a live point dead, rebuild its bucket's hull from the bucket's
+    remaining live points, then the hulls along the root path.
 
-    Of equal leaves, the first live one goes.
+    Of equal points, the first live one goes.
     """
     target = Point(float(p[0]), float(p[1]))
     pts = tree.points
@@ -390,10 +435,10 @@ def delete_point(tree: BallHullTree, p) -> None:
     while idx < len(pts) and pts[idx] == target and not tree.alive[idx]:
         idx += 1
     if idx == len(pts) or pts[idx] != target:
-        raise NotPresent(f"{target} is not a live leaf")
+        raise NotPresent(f"{target} is not a live point of the tree")
     tree.alive[idx] = False
-    node = tree._size - 1 + idx
-    tree._hulls[node] = None
+    node = tree._size - 1 + idx // _BUCKET
+    tree._rebuild(node)
     while node > 0:
         node = (node - 1) // 2
         tree._rebuild(node)

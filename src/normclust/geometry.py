@@ -60,6 +60,18 @@ class OrientedLine:
 # --------------------------------------------------------------------------
 
 
+def _collinear_eps(pts: Sequence[Point]) -> float:
+    """Band below which a cross product of two differences of ``pts`` counts
+    as zero.  The rounding error of a difference grows with the coordinates'
+    magnitude, and a cross product is a difference times a difference no
+    longer than the set's extent, so the band is proportional to both; it
+    scales exactly when the input is scaled by a power of two."""
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    return 1e-12 * max(x1, -x0, y1, -y0) * max(x1 - x0, y1 - y0)
+
+
 def convex_hull(points) -> ConvexPolygon:
     """Monotone chain, strict (collinear vertices dropped)."""
     pts = [Point(float(p[0]), float(p[1])) for p in points]
@@ -68,8 +80,7 @@ def convex_hull(points) -> ConvexPolygon:
     uniq = sorted(set(pts))
     if len(uniq) == 1:
         return ConvexPolygon((uniq[0],))
-    scale = max(max(abs(p.x), abs(p.y)) for p in uniq)
-    eps = 1e-12 * max(1.0, scale) ** 2
+    eps = _collinear_eps(uniq)
 
     def build(seq):
         chain: list[Point] = []
@@ -123,8 +134,7 @@ def antipodal_pairs(poly: ConvexPolygon) -> Iterable[tuple[Point, Point]]:
         yield poly.vertices[0], poly.vertices[1]
         return
     U, L = _chains(poly)
-    scale = max(max(abs(p.x), abs(p.y)) for p in poly.vertices)
-    eps = 1e-12 * max(1.0, scale) ** 2
+    eps = _collinear_eps(poly.vertices)
     i, j = 0, len(L) - 1
     while i < len(U) - 1 or j > 0:
         yield U[i], L[j]

@@ -8,6 +8,7 @@ from normclust import (
     ball_hull,
     bh_contains,
     build_tree,
+    convex_hull,
     delete_point,
     diameter,
     euclidean_plane,
@@ -19,6 +20,8 @@ from normclust import (
     sample_arc,
     two_arc_plane,
 )
+from normclust.ballhull import _BUCKET as B
+from normclust.ballhull import OVERFULL
 from normclust.errors import NoBallContainsS, NotPresent, TooFarApart, Undecidable
 from normclust.oracle import bh_membership_interval
 
@@ -243,3 +246,152 @@ class TestTree:
                     if not alive:
                         tree = build_tree(plane, pts, d)
                         alive = set(tree.points)
+
+
+FAMILIES = pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+
+
+def _check_tree(plane, tree, live, d, probes):
+    """The root against a hull built directly from the live points, and each
+    probe's query against a linear scan."""
+    if live:
+        try:
+            want = ball_hull(plane, live, d).vertices
+        except NoBallContainsS:
+            want = OVERFULL
+        got = tree.root if tree.root is OVERFULL else tree.root.vertices
+        assert got == want
+    else:
+        assert tree.root is None
+    for u in probes:
+        got = query_far_point(tree, u)
+        want = any(float(gauge(plane, (p.x - u.x, p.y - u.y))) >= d for p in live)
+        assert (got is not None) == want
+        if got is not None:
+            assert got in live
+            assert float(gauge(plane, (got.x - u.x, got.y - u.y))) >= d
+
+
+def _replay(plane, pts, d, rng, deletions):
+    """Delete ``deletions`` (indices into the sorted points, or random picks
+    when None), checking the tree after the build and after every deletion."""
+    tree = build_tree(plane, pts, d)
+    live = sorted(Point(float(x), float(y)) for x, y in pts)
+    arr = np.array([(p.x, p.y) for p in live])
+    lo, hi = arr.min(0) - d, arr.max(0) + d
+
+    def probes():
+        return [Point(*u) for u in rng.uniform(lo, hi, size=(8, 2))]
+
+    _check_tree(plane, tree, live, d, probes())
+    order = deletions if deletions is not None else rng.permutation(len(live))
+    victims = [tree.points[i] for i in order]
+    for v in victims:
+        delete_point(tree, v)
+        live.remove(v)
+        _check_tree(plane, tree, live, d, probes())
+    return tree
+
+
+class TestBuckets:
+    """Trees whose leaves are buckets of up to B points, near bucket
+    boundaries, replayed against a direct hull and a linear scan."""
+
+    @FAMILIES
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1, 5 * B])
+    def test_sizes(self, plane, n):
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(0, 10, size=(n, 2))
+        diam = diameter(plane, pts)[0] or 1.0
+        for frac in (0.7, 0.3):
+            _replay(plane, pts, frac * diam, rng, rng.permutation(n)[: min(n, 12)])
+
+    @FAMILIES
+    def test_duplicates_straddle_a_boundary(self, plane):
+        rng = np.random.default_rng(61)
+        left = rng.uniform([-10, 0], [-1, 10], size=(B - 2, 2))
+        right = rng.uniform([1, 0], [10, 10], size=(B + 3, 2))
+        pts = np.vstack([left, np.tile([0.0, 5.0], (4, 1)), right])
+        d = 0.6 * diameter(plane, pts)[0]
+        tree = build_tree(plane, pts, d)
+        assert tree.points[B - 2] == tree.points[B + 1] == Point(0.0, 5.0)
+        # the four copies go one by one, whichever bucket holds them
+        _replay(plane, pts, d, rng, [B - 2, B - 1, B, B + 1])
+
+    @FAMILIES
+    def test_empty_bucket(self, plane):
+        rng = np.random.default_rng(62)
+        pts = rng.uniform(0, 10, size=(3 * B, 2))
+        d = 0.5 * diameter(plane, pts)[0]
+        tree = _replay(plane, pts, d, rng, range(B, 2 * B))
+        assert sum(tree.alive) == 2 * B
+
+    @FAMILIES
+    def test_overfull_strip(self, plane):
+        rng = np.random.default_rng(63)
+        pts = rng.uniform([0, 0], [0.5, 100], size=(5 * B, 2))
+        d = 0.3 * diameter(plane, pts)[0]
+        first = sorted(map(tuple, pts.tolist()))[:B]
+        with pytest.raises(NoBallContainsS):
+            ball_hull(plane, first, d)  # the first bucket has no hull
+        _replay(plane, pts, d, rng, None)
+
+
+class TestScale:
+    """Scaling the input by 2^k scales every hull exactly; other scales and a
+    set far from the origin keep the hull's shape."""
+
+    BASE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.5)]
+    SCALES = [2.0 ** k for k in range(-60, 61)] + [1e-6, 1e6]
+
+    @FAMILIES
+    def test_scale(self, plane):
+        rng = np.random.default_rng(64)
+        cloud = rng.uniform(0, 10, size=(3 * B, 2))
+        cloud_diam = diameter(plane, cloud)[0]
+        ref_hull = convex_hull(self.BASE).vertices
+        ref_diam = diameter(plane, self.BASE)[0]
+        ref_bh = len(ball_hull(plane, self.BASE, 1.0).vertices)
+        assert ref_bh == 4
+        ref_arcs = [a.side for a in minimal_arcs(plane, (0, 0), (1, 0), 1.0)]
+        assert ref_arcs == [1, -1]
+        ref_roots = [build_tree(plane, cloud, f * cloud_diam).root is OVERFULL for f in (0.7, 0.3)]
+        assert ref_roots == [False, True]
+        for s in self.SCALES:
+            pts = [(s * x, s * y) for x, y in self.BASE]
+            hull = convex_hull(pts).vertices
+            diam = diameter(plane, pts)[0]
+            if math.frexp(s)[0] == 0.5:  # a power of two
+                assert hull == tuple(Point(s * v.x, s * v.y) for v in ref_hull), s
+                assert diam == s * ref_diam, s
+            else:
+                assert len(hull) == len(ref_hull), s
+                assert diam == pytest.approx(s * ref_diam, rel=1e-12), s
+            arcs = minimal_arcs(plane, (0, 0), (s, 0), s)
+            assert [a.side for a in arcs] == ref_arcs, s
+            # each arc's midpoint lies on its own side of the chord
+            assert [math.copysign(1, sample_arc(plane, a, 3)[1].y) for a in arcs] == ref_arcs, s
+            h = ball_hull(plane, pts, s)
+            assert len(h.vertices) == ref_bh, s
+            assert all(bh_contains(plane, h, p, tol=1e-9 * s) for p in pts), s
+            roots = [build_tree(plane, s * cloud, f * s * cloud_diam).root is OVERFULL
+                     for f in (0.7, 0.3)]
+            assert roots == ref_roots, s
+
+    @FAMILIES
+    def test_far_from_origin(self, plane):
+        pts = [(x + 1e6, y + 1e6) for x, y in self.BASE]
+        assert len(convex_hull(pts)) == 4
+        assert diameter(plane, pts)[0] == diameter(plane, self.BASE)[0]
+        h = ball_hull(plane, pts, 1.0)
+        assert len(h.vertices) == 4
+        assert all(bh_contains(plane, h, p, tol=1e-9) for p in pts)
+        # a small set there: the rounding of its coordinates exceeds 1e-9 d
+        s = 1e-3
+        small = [(s * x + 1e6, s * y + 1e6) for x, y in self.BASE]
+        assert len(convex_hull(small)) == 4
+        assert len(ball_hull(plane, small, s).vertices) == 4
+        cloud = np.random.default_rng(65).uniform(0, s, size=(3 * B, 2)) + 1e6
+        diam = diameter(plane, cloud)[0]
+        assert build_tree(plane, cloud, 0.7 * diam).root is not OVERFULL
+        assert build_tree(plane, cloud, 0.3 * diam).root is OVERFULL
