@@ -5,13 +5,13 @@ Feasibility of a two-way split at threshold d is decided on the graph of
 bipartite, and any proper 2-coloring is a witness.  The min-max 2-clustering
 2-colors a maximum spanning tree instead (Asano, Bhattacharya, Keil and Yao,
 "Clustering algorithms based on minimum and maximum spanning trees", SoCG
-1988), and the split under two different diameter bounds is a 2-SAT
-instance on the point pairs.  The 3-clustering pipeline follows the zone
-decomposition around a leftmost point with the residual assignment solved
-as a 2-SAT instance.  An optimal k-clustering with pairwise linearly
-separable clusters always exists, so k-clustering peels off one cluster at a
-time, each an intersection of line dissections
-(``geometry.line_dissections``).
+1988).  The split under two different diameter bounds and the residual
+assignment of the 3-clustering's zone decomposition around a leftmost point
+are both 2-SAT (each point chooses one of two clusters, and no far pair may
+share one), solved by the one bitset solver ``_two_sat``.  An optimal
+k-clustering with pairwise linearly separable clusters always exists, so
+k-clustering peels off one cluster at a time, each an intersection of line
+dissections (``geometry.line_dissections``).
 """
 
 from __future__ import annotations
@@ -184,6 +184,56 @@ def _two_colour(far: list[int], rest: int) -> Optional[tuple[int, int]]:
     return b, c
 
 
+def _two_sat(far: Sequence[list[int]], forced: tuple[int, ...],
+             choices: Sequence[tuple[int, int, int]]) -> Optional[tuple[int, ...]]:
+    """Clusters holding the forced points of each and, for every (candidates,
+    first, second) of choices, each candidate in its first or second cluster,
+    with no pair far in cluster k's relation far[k] inside cluster k; or
+    None.  The forced sets must be disjoint, each without a far pair.
+
+    This is 2-SAT (one two-way choice per candidate, one clause per far pair
+    that could share a cluster), solved by unit propagation over bitsets: a
+    point placed in a cluster pushes its far candidates to their other
+    choice.  The lowest free candidate tries its first cluster; a propagation
+    that ends without conflict is kept, since every clause it touched is then
+    satisfied; if it conflicts, the second cluster is forced, and if that
+    conflicts too there is no assignment (Even, Itai and Shamir, SIAM J.
+    Comput. 5, 1976)."""
+    # (candidates, their other cluster) for the points pushed out of each
+    leave = [[(cand, b if a == k else a) for cand, a, b in choices if k in (a, b)]
+             for k in range(len(far))]
+
+    def place(members, free, queue):
+        members = list(members)
+        while queue:
+            k, pts = queue.pop()
+            if pts & ~free & ~members[k]:
+                return None  # already in another cluster
+            pts &= free
+            if not pts:
+                continue
+            reach = _reach(far[k], pts)
+            if reach & (members[k] | pts):
+                return None
+            members[k] |= pts
+            free ^= pts
+            queue += [(z, reach & free & cand) for cand, z in leave[k]]
+        return members, free
+
+    free = functools.reduce(operator.or_, (cand for cand, _, _ in choices))
+    queue = []
+    for k, held in enumerate(forced):
+        reach = _reach(far[k], held)
+        queue += [(z, reach & cand) for cand, z in leave[k]]
+    state = place(forced, free, queue)
+    while state is not None and state[1]:
+        members, free = state
+        u = free & -free
+        first, second = next((a, b) for cand, a, b in choices if u & cand)
+        state = place(members, free, [(first, u)]) or place(members, free, [(second, u)])
+    return None if state is None else tuple(state[0])
+
+
 # --------------------------------------------------------------------------
 # 2-clustering
 
@@ -252,10 +302,9 @@ def constrained_2cluster(plane: NormedPlane, points, d1: float, d2: float
     """Split S into (S1, S2) with diam(S1) <= d1 and diam(S2) <= d2, or None.
 
     With no pair longer than d1, S2 is the lexicographically lowest point.
-    Otherwise the split is a 2-SAT instance on the pairs, exact because the
-    bounds are pairwise: with x_i meaning point i is in S1, a pair longer
-    than d2 adds the clause (x_i or x_j) and a pair longer than d1 also adds
-    (not x_i or not x_j).
+    Otherwise the split is 2-SAT, exact because the bounds are pairwise:
+    every point chooses S1 first, then S2, and no pair longer than d1 (d2)
+    may share S1 (S2).
     """
     if d2 > d1 or d2 < 0 or d1 < 0:
         raise BadBounds("need d1 >= d2 >= 0")
@@ -279,17 +328,8 @@ def constrained_2cluster(plane: NormedPlane, points, d1: float, d2: float
         low = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
         return result([i for i in range(n) if i != low], [low])
 
-    sat = _TwoSat(n)
-    iu, ju = np.triu_indices(n, k=1)
-    far = D[iu, ju]
-    for i, j in zip(iu[far > d2].tolist(), ju[far > d2].tolist()):
-        sat.add_clause(2 * i, 2 * j)
-    for i, j in zip(iu[far > d1].tolist(), ju[far > d1].tolist()):
-        sat.add_clause(2 * i + 1, 2 * j + 1)
-    model = sat.solve()
-    if model is None:
-        return None
-    return result([i for i in range(n) if model[i]], [i for i in range(n) if not model[i]])
+    sides = _two_sat((_bit_rows(D > d1), _bit_rows(D > d2)), (0, 0), [((1 << n) - 1, 0, 1)])
+    return None if sides is None else result(*(list(_bits(s)) for s in sides))
 
 
 # --------------------------------------------------------------------------
@@ -565,69 +605,6 @@ def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
 # 3-clustering (zone decomposition + 2-SAT assignment)
 
 
-class _TwoSat:
-    """Implication-graph 2-SAT; literals 2v (true) and 2v+1 (false)."""
-
-    def __init__(self, nvars: int):
-        self.n = nvars
-        self.adj: list[list[int]] = [[] for _ in range(2 * nvars)]
-
-    def add_clause(self, l1: int, l2: int) -> None:
-        self.adj[l1 ^ 1].append(l2)
-        self.adj[l2 ^ 1].append(l1)
-
-    def solve(self) -> Optional[list[bool]]:
-        n2 = 2 * self.n
-        index = [-1] * n2
-        low = [0] * n2
-        comp = [-1] * n2
-        on_stack = [False] * n2
-        stack: list[int] = []
-        counter = [0]
-        ncomp = [0]
-
-        for root in range(n2):
-            if index[root] != -1:
-                continue
-            work = [(root, 0)]
-            while work:
-                v, pi = work.pop()
-                if pi == 0:
-                    index[v] = low[v] = counter[0]
-                    counter[0] += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                recurse = False
-                for wi in range(pi, len(self.adj[v])):
-                    w = self.adj[v][wi]
-                    if index[w] == -1:
-                        work.append((v, wi + 1))
-                        work.append((w, 0))
-                        recurse = True
-                        break
-                    elif on_stack[w]:
-                        low[v] = min(low[v], index[w])
-                if recurse:
-                    continue
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = ncomp[0]
-                        if w == v:
-                            break
-                    ncomp[0] += 1
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-        out = []
-        for v in range(self.n):
-            if comp[2 * v] == comp[2 * v + 1]:
-                return None
-            out.append(comp[2 * v] < comp[2 * v + 1])
-        return out
-
-
 def _birkhoff_coords(plane: NormedPlane, pts: np.ndarray) -> np.ndarray:
     """Coordinates of pts in the basis xhat = (1, 0), yhat, where xhat is
     Birkhoff orthogonal to yhat."""
@@ -651,58 +628,11 @@ def _zones(C: np.ndarray, xrank: np.ndarray, ia: int, ips) -> tuple[np.ndarray, 
     base = C[ips] - C[ia]
     rel = C - C[ia]
     cross = base[:, :1] * rel[:, 1] - base[:, 1:] * rel[:, 0]
-    band = 1e-9 * max(1.0, float(np.abs(C).max())) * np.abs(base).max(axis=1, keepdims=True)
+    band = 1e-9 * float(np.abs(C).max()) * np.abs(base).max(axis=1, keepdims=True)
     east = xrank > xrank[ips][:, None]
     seed = ~east & (np.abs(cross) <= band)
     north = ~east & ~seed & (cross > 0)
     return seed, north, ~(east | seed | north), east
-
-
-def _assign_case3(far: list[int], forced: tuple[int, int, int],
-                  north: int, south: int, east: int) -> Optional[list[int]]:
-    """Clusters [A, B, C] holding the forced points of each and every
-    candidate, a north one in A or B, a south one in C or A, an east one in
-    B or C, with no far pair inside a cluster; or None.
-
-    This is 2-SAT (one two-way choice per candidate, one clause per far pair
-    that could share a cluster), solved by unit propagation over bitsets: a
-    point placed in a cluster pushes its far candidates to their other
-    choice.  A tentative choice whose propagation ends without conflict is
-    kept, since every clause it touched is then satisfied; if it conflicts,
-    the other choice is forced, and if that conflicts too there is no
-    assignment (Even, Itai and Shamir, SIAM J. Comput. 5, 1976)."""
-    # (candidates, their other cluster) for the points pushed out of A, B, C
-    leave = (((north, 1), (south, 2)), ((north, 0), (east, 2)), ((south, 0), (east, 1)))
-
-    def place(members, free, queue):
-        members = list(members)
-        while queue:
-            k, pts = queue.pop()
-            if pts & ~free & ~members[k]:
-                return None  # already in the other cluster
-            pts &= free
-            if not pts:
-                continue
-            reach = _reach(far, pts)
-            if reach & (members[k] | pts):
-                return None
-            members[k] |= pts
-            free ^= pts
-            queue += [(z, reach & free & cand) for cand, z in leave[k]]
-        return members, free
-
-    free = north | south | east
-    queue = []
-    for k in range(3):
-        reach = _reach(far, forced[k]) & free
-        queue += [(z, reach & cand) for cand, z in leave[k]]
-    state = place(forced, free, queue)
-    while state is not None and state[1]:
-        members, free = state
-        u = free & -free
-        first, second = (0, 1) if u & north else (2, 0) if u & south else (1, 2)
-        state = place(members, free, [(first, u)]) or place(members, free, [(second, u)])
-    return None if state is None else state[0]
 
 
 class _ThreeClustering:
@@ -815,9 +745,10 @@ class _ThreeClustering:
             if B & C or _wide(far, B) or _wide(far, C):
                 continue
             east = full >> (r + 1) << (r + 1)
-            groups = _assign_case3(far, (seed, B, C), north & ~B, south & ~C, east & ~(B | C))
+            groups = _two_sat((far,) * 3, (seed, B, C), [
+                (north & ~B, 0, 1), (south & ~C, 2, 0), (east & ~(B | C), 1, 2)])
             if groups is not None:
-                return tuple(groups)
+                return groups
         return None
 
     def _audit(self, far, d, r, zones, audit: ZoneAudit) -> None:
@@ -848,7 +779,7 @@ def hr_zones(plane: NormedPlane, points, a, a_prime) -> Zones:
     y) and before a'."""
     pts = finite_points(points)
     ends = finite_points([a, a_prime])
-    if np.allclose(ends[0], ends[1]):
+    if (ends[0] == ends[1]).all():
         raise DegenerateBasis("a and a' coincide")
     C = _birkhoff_coords(plane, np.vstack([pts, ends]))
     n = len(pts)

@@ -159,7 +159,7 @@ def _criterion4_sweep(norm_suite):
         for d in thresholds:
             part = hr_feasible_3cluster(plane, pts, float(d), audit=audit)
             feasible = part is not None
-            if feasible != (want <= d + 1e-12):
+            if feasible != (want <= d):
                 mismatches.append((trial, float(d)))
             if part is not None and max(part.measures) > d + 1e-9:
                 mismatches.append((trial, float(d)))

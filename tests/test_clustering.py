@@ -108,7 +108,7 @@ class TestFeasible2:
                 for d in np.unique(D[iu, ju])[:: max(1, n // 3)]:
                     got = feasible_2cluster(plane, pts, float(d))
                     want, _ = brute_force_k_partition(plane, pts, 2, MAXDIAM)
-                    assert (got is not None) == (want <= d + 1e-12)
+                    assert (got is not None) == (want <= d)
 
 
 class TestAvis:
@@ -189,21 +189,32 @@ class TestConstrained2:
             constrained_2cluster(E, SQ, 1.0, 2.0)
 
     def test_roles_respected(self, norm_suite):
-        rng = np.random.default_rng(47)
+        rng, lattice = np.random.default_rng(47), np.random.default_rng(48)
+        cases = []
         for _, plane in norm_suite:
             for _ in range(10):
                 n = int(rng.integers(2, 13))
                 pts = rng.uniform(-5, 5, size=(n, 2))
-                D = pairwise_distances(plane, pts)
-                d1 = float(rng.uniform(0.4, 1.0)) * float(D.max())
-                d2 = float(rng.uniform(0.0, 1.0)) * d1
-                part = constrained_2cluster(plane, pts, d1, d2)
-                assert (part is not None) == _split_exists(D, d1, d2)
-                if part is not None:
-                    s1, s2 = part.clusters
-                    assert sorted(s1 + s2) == list(range(n))
-                    assert part.measures[0] <= d1 + 1e-9
-                    assert part.measures[1] <= d2 + 1e-9
+                d1 = float(rng.uniform(0.4, 1.0)) * float(pairwise_distances(plane, pts).max())
+                cases.append((plane, pts, d1, float(rng.uniform(0.0, 1.0)) * d1))
+            # lattice points, both bounds tied with pairwise distances
+            for _ in range(10):
+                n = int(lattice.integers(2, 13))
+                pts = lattice.integers(0, 4, size=(n, 2)).astype(float)
+                d2, d1 = sorted(lattice.choice(np.unique(pairwise_distances(plane, pts)), 2).tolist())
+                cases.append((plane, pts, d1, d2))
+        # the lowest point cannot join S1, so its second choice is forced
+        cases.append((E, np.array([(100, 0), (0, 0), (1, 0), (2, 0), (3, 0)], float), 5.0, 1.0))
+        for plane, pts, d1, d2 in cases:
+            D = pairwise_distances(plane, pts)
+            part = constrained_2cluster(plane, pts, d1, d2)
+            assert (part is not None) == _split_exists(D, d1, d2)
+            if part is not None:
+                s1, s2 = part.clusters
+                assert sorted(s1 + s2) == list(range(len(pts)))
+                assert part.measures[0] <= d1
+                assert part.measures[1] <= d2
+        assert part.clusters == ((1, 2, 3, 4), (0,))  # the last case
 
     def test_large_tight_bounds(self, norm_suite):
         rng = np.random.default_rng(89)
@@ -378,6 +389,9 @@ class TestZones:
         assert z.north == (0,)
         assert z.south == (1,)
         assert z.east == (2,)
+        # a and a' 1e-9 apart are distinct, and the zones scale with them
+        z = hr_zones(E, [(5e-10, 1e-9), (5e-10, -1e-9), (2e-9, 0), (5e-10, 0)], (0, 0), (1e-9, 0))
+        assert (z.north, z.south, z.east, z.seed) == ((0,), (1,), (2,), (3,))
 
     def test_on_segment_to_seed(self):
         z = hr_zones(E, [(3, 0), (2, 1)], (0, 0), (4, 0))
@@ -506,6 +520,20 @@ class TestHR3:
         with pytest.raises(TooFewPoints):
             min_max_3cluster(E, [(0, 0), (1, 1)])
 
+    @pytest.mark.parametrize("k", [-40, -30, 0, 30])
+    @pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+    def test_scaled_matches_oracle(self, plane, k):
+        # the seed band of the zones has no absolute floor: at every
+        # power-of-two scale the optimum is exactly the oracle's
+        rng = np.random.default_rng(83)
+        for _ in range(30):
+            n = int(rng.integers(4, 10))
+            pts = rng.uniform(-10, 10, size=(n, 2)) * 2.0 ** k
+            want, _ = brute_force_k_partition(plane, pts, 3, MAXDIAM)
+            got, part = min_max_3cluster(plane, pts)
+            assert got == want
+            assert max(part.measures) == got
+
     def test_feasibility_sweep_matches_oracle(self, norm_suite):
         rng = np.random.default_rng(73)
         for _, plane in norm_suite:
@@ -517,7 +545,7 @@ class TestHR3:
                 iu, ju = np.triu_indices(n, k=1)
                 for d in np.concatenate([[0.0], np.unique(D[iu, ju])]):
                     got = hr_feasible_3cluster(plane, pts, float(d))
-                    assert (got is not None) == (w <= d + 1e-12)
+                    assert (got is not None) == (w <= d)
                     if got is not None:
                         _partition_ok(D, got, float(d))
 
