@@ -25,7 +25,6 @@ from .norm import (
     PolygonNorm,
     TwoArcNorm,
     boundary_point,
-    pairwise_distances,
     validate_norm,
 )
 from .separation import perimeter_check, separate_clusters
@@ -271,10 +270,9 @@ def _cmd_cluster2(args, plane):
     pts = load_points(args.points)
     d_star, part = cl.avis_min_max_2cluster(plane, pts)
     if args.verify:
-        D = pairwise_distances(plane, pts)
+        # rotating calipers, independent of the spanning-tree split
         for c in part.clusters:
-            ids = list(c)
-            dd = float(D[np.ix_(ids, ids)].max()) if len(ids) > 1 else 0.0
+            dd = diameter(plane, [pts[i] for i in c])[0] if c else 0.0
             if dd > d_star + 1e-9:
                 raise VerificationFailed(f"cluster2: a cluster of diameter {dd} exceeds d* = {d_star}")
     result = {"d_star": d_star, "partition": _partition_doc(part)}

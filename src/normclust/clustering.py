@@ -1,14 +1,14 @@
 """2-, 3-, and k-clustering of planar points under a symmetric convex norm.
 
-Feasibility of a two-way split at threshold d is decided on the graph of
-"long" pairs (distance > d): a split exists exactly when that graph is
-bipartite, and any proper 2-coloring is a witness.  The min-max 2-clustering
-2-colors a maximum spanning tree instead (Asano, Bhattacharya, Keil and Yao,
+A two-way split with both diameters at most d exists exactly when the graph
+of "long" pairs (distance > d) is bipartite.  The min-max 2-clustering
+2-colors a maximum spanning tree (Asano, Bhattacharya, Keil and Yao,
 "Clustering algorithms based on minimum and maximum spanning trees", SoCG
-1988).  The split under two different diameter bounds and the residual
-assignment of the 3-clustering's zone decomposition around a leftmost point
-are both 2-SAT (each point chooses one of two clusters, and no far pair may
-share one), solved by the one bitset solver ``_two_sat``.  An optimal
+1988), built from the pairs with an end on the convex hull; its split answers
+every threshold at once.  The split under two different diameter bounds and
+the residual assignment of the 3-clustering's zone decomposition around a
+leftmost point are both 2-SAT (each point chooses one of two clusters, and no
+far pair may share one), solved by the one bitset solver ``_two_sat``.  An optimal
 k-clustering with pairwise linearly separable clusters always exists, so
 k-clustering peels off one cluster at a time, each an intersection of line
 dissections (``geometry.line_dissections``).
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, linprog
 
 from .errors import (
     BadBounds,
@@ -34,7 +33,7 @@ from .errors import (
     NormClustError,
     TooFewPoints,
 )
-from .geometry import line_dissections, subset_diameters
+from .geometry import hull_indices, line_dissections, subset_diameters
 from .norm import (
     EuclideanNorm,
     NormedPlane,
@@ -238,63 +237,98 @@ def _two_sat(far: Sequence[list[int]], forced: tuple[int, ...],
 # 2-clustering
 
 
+def _tree_split(plane: NormedPlane, pts: np.ndarray) -> tuple[float, Partition]:
+    """The points coloured alternately along a maximum spanning tree (Asano,
+    Bhattacharya, Keil and Yao, SoCG 1988), as a partition whose first
+    cluster holds point 0, and d*, the larger of its two diameters.  d* is
+    the least d for which some split has both diameters <= d: the tree path
+    between the ends of a pair longer than d uses only pairs at least that
+    long (the cycle property), so whenever the pairs longer than d form a
+    bipartite graph, the tree's colouring is a proper colouring of it.
+
+    The tree only needs the pairs with an end in H, the hull vertices (one
+    index per location; Monma, Paterson, Suri and Yao, "Computing Euclidean
+    maximum spanning trees", Algorithmica 5, 1990).  Take a pair (v, w) with
+    neither end in H and d = gauge(w - v), let phi be a norming functional
+    of w - v (phi(w - v) = d, |phi| <= gauge), and let x in H maximize phi
+    over the points and y in H minimize it.  Then gauge(x - v), gauge(x - y)
+    and gauge(w - y) are each >= phi(w - v) = d, so the cycle v-x-y-w has no
+    pair shorter than (v, w), and some maximum spanning tree avoids (v, w).
+    Prim over those pairs reads F, the (n, h) distances to the hull
+    vertices: a hull vertex joining the tree offers its column to every
+    point outside it, any other point offers its row to the hull vertices
+    outside it.  Once every hull vertex is in the tree no offer is left, so
+    each remaining point joins its best hull vertex in one step.  All
+    points on the hull is the worst case, n^2 distances.
+
+    The float gauge may order two pairs within a rounding error epsilon of
+    each other differently from the true one; the tree is then maximal
+    within epsilon, and the argument above still splits every pair longer
+    than d* + epsilon.  A cluster's diameter is attained by two vertices of
+    its own hull (a norm is convex), and the same ``pairwise_distances``
+    kernel gives the same bits for a pair in any matrix.
+    """
+    n = len(pts)
+    colour = np.zeros(n, dtype=bool)
+    if n > 1:
+        H = np.array(hull_indices(pts))
+        F = pairwise_distances(plane, pts, pts[H])
+        slot = np.full(n, -1)
+        slot[H] = np.arange(len(H))
+        outside, hull_outside = np.ones(n, dtype=bool), np.ones(len(H), dtype=bool)
+        outside[H[0]] = hull_outside[0] = False
+        # best[v] is the longest pair from the tree to v outside it
+        best = F[:, 0].copy()
+        best[H[0]] = -1.0
+        link = np.full(n, H[0])
+        while hull_outside.any():
+            v = int(best.argmax())
+            outside[v] = False
+            best[v] = -1.0
+            colour[v] = not colour[link[v]]
+            if slot[v] < 0:  # off the hull: offers its row to the hull outside
+                row = F[v]
+                longer = hull_outside & (row > best[H])
+                best[H[longer]] = row[longer]
+                link[H[longer]] = v
+            else:  # a hull vertex: offers its column to every point outside
+                hull_outside[slot[v]] = False
+                col = F[:, slot[v]]
+                longer = outside & (col > best)
+                np.copyto(best, col, where=longer)
+                link[longer] = v
+        colour[outside] = ~colour[link[outside]]
+        colour ^= colour[0]
+    clusters = (np.flatnonzero(~colour), np.flatnonzero(colour))
+    ends = [idx[hull_indices(pts[idx])] if len(idx) else idx for idx in clusters]
+    D = pairwise_distances(plane, pts[np.concatenate(ends)])
+    k = len(ends[0])
+    measures = (float(D[:k, :k].max(initial=0.0)), float(D[k:, k:].max(initial=0.0)))
+    return max(measures), Partition(tuple(tuple(c.tolist()) for c in clusters), measures)
+
+
 def feasible_2cluster(plane: NormedPlane, points, d: float) -> Optional[Partition]:
     """A split of S into two parts of diameter <= d, or None.
 
-    A valid split exists iff the graph of pairs at distance > d is
-    2-colorable; a valid split can always be realized by a line as well, so
+    Such a split exists exactly when d >= d*, the min-max 2-clustering's
+    value, and the spanning-tree split of ``avis_min_max_2cluster`` is then a
+    witness; a valid split can always be realized by a line as well, so
     absence here is definitive.
     """
-    pts = finite_points(points)
-    D = pairwise_distances(plane, pts)
-    far = _bit_rows(D > d)
-    colour = _two_colour(far, (1 << len(D)) - 1)
-    if colour is None:
-        return None
-    return _partition_from_masks(D, [list(_bits(g)) for g in colour])
-
-
-def _spanning_tree_colouring(D: np.ndarray) -> np.ndarray:
-    """The points coloured alternately along a maximum spanning tree of D,
-    as a boolean array (dense Prim)."""
-    n = len(D)
-    # best[v] is the longest pair from the tree to v outside it
-    outside = np.ones(n, dtype=bool)
-    outside[0] = False
-    best = D[0].copy()
-    best[0] = -1.0
-    link = np.zeros(n, dtype=np.intp)
-    color = np.zeros(n, dtype=bool)
-    for _ in range(n - 1):
-        v = int(best.argmax())
-        outside[v] = False
-        best[v] = -1.0
-        color[v] = not color[link[v]]
-        row = D[v]
-        longer = outside & (row > best)
-        best[longer] = row[longer]
-        link[longer] = v
-    return color
+    d_star, part = _tree_split(plane, finite_points(points))
+    return part if d >= d_star else None
 
 
 def avis_min_max_2cluster(plane: NormedPlane, points) -> tuple[float, Partition]:
-    """Minimize the maximum of the two cluster diameters.
-
-    Colors the points alternately along a maximum spanning tree (Asano,
-    Bhattacharya, Keil and Yao, SoCG 1988); d* is the largest distance
-    inside one color class.  This is exact: the tree path between the ends
-    of a pair longer than d uses only pairs at least that long (the cycle
-    property), so whenever the pairs longer than d form a bipartite graph,
-    the tree's coloring is a proper coloring of it.
+    """Minimize the maximum of the two cluster diameters: the split of a
+    maximum spanning tree's 2-colouring (see ``_tree_split``, which is exact)
+    and d*, the larger of its diameters.  O(n h) distances for h hull
+    vertices; no n x n matrix is formed.
     """
     pts = finite_points(points)
     if len(pts) < 2:
         raise TooFewPoints("2-clustering needs at least two points")
-    D = pairwise_distances(plane, pts)
-    color = _spanning_tree_colouring(D)
-    part = _partition_from_masks(D, [np.flatnonzero(~color).tolist(),
-                                     np.flatnonzero(color).tolist()])
-    return max(part.measures), part
+    return _tree_split(plane, pts)
 
 
 def constrained_2cluster(plane: NormedPlane, points, d1: float, d2: float
@@ -385,6 +419,8 @@ def _twoarc_triple_candidates(desc: TwoArcNorm, tri: np.ndarray) -> list[tuple[n
     translation invariant and homogeneous), so the tolerances are relative.
     Each residual is scanned on a 96-point grid of r for all eight sign
     patterns at once, and every sign change is polished by ``brentq``."""
+    from scipy.optimize import brentq  # imported on first use: it is most of the import time
+
     h, R = desc.center_height, desc.radius
     origin = tri[0]
     scale = float(np.abs(tri - origin).max())
@@ -497,6 +533,8 @@ def min_enclosing_ball(plane: NormedPlane, points) -> tuple[Point, float]:
         return Point(float(pts[0][0]), float(pts[0][1])), 0.0
 
     if isinstance(plane.descriptor, PolygonNorm):
+        from scipy.optimize import linprog  # imported on first use, like brentq
+
         # minimize r s.t. n_f . (s - c) <= r b_f, rows point-major
         N, b = plane._normals, plane._offsets
         res = linprog(
@@ -820,9 +858,8 @@ def min_max_3cluster(plane: NormedPlane, points, *,
     if inst.m <= 3:
         return 0.0, inst.partition(inst.probe(0.0), 0.0)
     DW = inst.DW
-    colour = _spanning_tree_colouring(DW)
-    best = tuple(_bit_rows(np.array([~colour, colour]))) + (0,)
-    d2 = max(_mask_diam(DW, np.flatnonzero(colour)), _mask_diam(DW, np.flatnonzero(~colour)))
+    d2, split = _tree_split(plane, inst.W)
+    best = tuple(sum(1 << u for u in c) for c in split.clusters) + (0,)
     values = np.unique(DW[np.triu_indices(inst.m, k=1)])
     values = values[(values >= _fourth_farthest_first(DW)) & (values <= d2)]
     lo, hi = 0, len(values) - 1

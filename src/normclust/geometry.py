@@ -66,8 +66,7 @@ def _collinear_eps(pts: Sequence[Point]) -> float:
     magnitude, and a cross product is a difference times a difference no
     longer than the set's extent, so the band is proportional to both; it
     scales exactly when the input is scaled by a power of two."""
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+    xs, ys = zip(*pts)
     x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     return 1e-12 * max(x1, -x0, y1, -y0) * max(x1 - x0, y1 - y0)
 
@@ -77,17 +76,31 @@ def convex_hull(points) -> ConvexPolygon:
     pts = [Point(float(p[0]), float(p[1])) for p in points]
     if not pts:
         raise EmptyInput("convex hull of an empty set")
-    uniq = sorted(set(pts))
+    return ConvexPolygon(tuple(_monotone_chain(sorted(set(pts)))))
+
+
+def hull_indices(points: np.ndarray) -> list[int]:
+    """The vertices of ``convex_hull`` of a nonempty (n, 2) float array, as
+    indices into it: the first index of each vertex's location."""
+    pts = list(map(tuple, points.tolist()))
+    first = dict(zip(reversed(pts), range(len(pts) - 1, -1, -1)))
+    return [first[v] for v in _monotone_chain(sorted(first))]
+
+
+def _monotone_chain(uniq: list) -> list:
+    """The hull vertices of distinct (x, y) pairs sorted in (x, y) order,
+    counterclockwise from the first."""
     if len(uniq) == 1:
-        return ConvexPolygon((uniq[0],))
+        return uniq
     eps = _collinear_eps(uniq)
 
     def build(seq):
-        chain: list[Point] = []
+        chain = []
         for p in seq:
+            px, py = p
             while len(chain) >= 2:
-                o, a = chain[-2], chain[-1]
-                if (a.x - o.x) * (p.y - o.y) - (a.y - o.y) * (p.x - o.x) <= eps:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= eps:
                     chain.pop()
                 else:
                     break
@@ -98,8 +111,8 @@ def convex_hull(points) -> ConvexPolygon:
     upper = build(reversed(uniq))
     verts = lower[:-1] + upper[:-1]
     if len(verts) < 2:  # all collinear
-        return ConvexPolygon((uniq[0], uniq[-1]))
-    return ConvexPolygon(tuple(verts))
+        return [uniq[0], uniq[-1]]
+    return verts
 
 
 def _chains(poly: ConvexPolygon):

@@ -58,9 +58,11 @@ def check_finite(points) -> None:
 
 
 def finite_points(points) -> np.ndarray:
-    """A point sequence as a float (n, 2) array, n >= 0, after check_finite."""
+    """A point sequence as a float (n, 2) array, n >= 0; raises
+    NonFinitePoint as check_finite does."""
     arr = as_array([tuple(p) for p in points] or np.empty((0, 2)))
-    check_finite(arr.tolist())
+    if not np.isfinite(arr).all():
+        raise NonFinitePoint("point coordinates must be finite")
     return arr
 
 
@@ -115,23 +117,19 @@ class NormedPlane:
 # validation
 
 
-def _strip_collinear(verts: np.ndarray, eps: float) -> np.ndarray:
+def _strip_collinear(verts: list, eps: float) -> list:
     """Remove vertices that lie on the segment between their neighbours."""
-    keep = list(range(len(verts)))
+    keep = list(verts)
     changed = True
     while changed and len(keep) > 2:
         changed = False
         for idx in range(len(keep)):
-            i0 = keep[idx - 1]
-            i1 = keep[idx]
-            i2 = keep[(idx + 1) % len(keep)]
-            e1 = verts[i1] - verts[i0]
-            e2 = verts[i2] - verts[i1]
-            if abs(e1[0] * e2[1] - e1[1] * e2[0]) <= eps:
+            (x0, y0), (x1, y1), (x2, y2) = keep[idx - 1], keep[idx], keep[(idx + 1) % len(keep)]
+            if abs((x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)) <= eps:
                 del keep[idx]
                 changed = True
                 break
-    return verts[keep]
+    return keep
 
 
 def validate_norm(descriptor: NormDescriptor, tolerance: float = DEFAULT_TOL) -> NormedPlane:
@@ -154,33 +152,35 @@ def validate_norm(descriptor: NormDescriptor, tolerance: float = DEFAULT_TOL) ->
 
     if isinstance(descriptor, PolygonNorm):
         verts = as_array([tuple(v) for v in descriptor.vertices])
-        if len(verts) == 0 or not np.all(np.isfinite(verts)):
+        if len(verts) == 0 or not np.isfinite(verts).all():
             raise DegenerateBody("polygon vertices must be finite and nonempty")
         scale = float(np.abs(verts).max())
         tol_len = tolerance * max(1.0, scale)
         # central symmetry: every vertex must have its negation among the vertices
-        for v in verts:
-            if np.abs(verts + v).max(axis=1).min() > tol_len:
-                raise NotSymmetric(f"vertex {tuple(v)} has no opposite vertex")
-        # orientation and convexity
+        lone = np.abs(verts[:, None, :] + verts).max(axis=2).min(axis=1) > tol_len
+        if lone.any():
+            raise NotSymmetric(f"vertex {tuple(verts[lone.argmax()])} has no opposite vertex")
+        # orientation and convexity; vertex nxt[i] follows vertex i
+        nxt = (np.arange(len(verts)) + 1) % len(verts)
         x, y = verts[:, 0], verts[:, 1]
-        area2 = float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        area2 = float(np.dot(x, y[nxt]) - np.dot(y, x[nxt]))
         if area2 < 0:
             verts = verts[::-1].copy()
-        edges = np.roll(verts, -1, axis=0) - verts
-        crosses = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
+        edges = verts[nxt] - verts
+        crosses = edges[:, 0] * edges[nxt, 1] - edges[:, 1] * edges[nxt, 0]
         tol_area = tolerance * max(1.0, scale) ** 2
         if np.any(crosses < -tol_area):
             raise NotConvex("polygon has a reflex vertex")
         if abs(area2) <= tol_area:
             raise DegenerateBody("polygon has (near) zero area")
-        reduced = _strip_collinear(verts, tol_area)
-        if len(reduced) < 4:
+        corners = _strip_collinear(verts.tolist(), tol_area)
+        if len(corners) < 4:
             raise DegenerateBody("symmetric convex body needs at least 4 vertices")
-        edges = np.roll(reduced, -1, axis=0) - reduced
-        normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+        reduced = np.array(corners)
+        edges = reduced[(np.arange(len(reduced)) + 1) % len(reduced)] - reduced
+        normals = edges[:, ::-1] * (1.0, -1.0)  # (e_y, -e_x)
         offsets = np.einsum("ij,ij->i", normals, reduced)
-        if np.any(offsets <= tol_len * np.linalg.norm(normals, axis=1)):
+        if np.any(offsets <= tol_len * np.sqrt(np.einsum("ij,ij->i", normals, normals))):
             raise OriginNotInterior("origin must be strictly inside the unit ball")
         plane = NormedPlane(
             PolygonNorm(tuple(Point(*v) for v in verts)),
@@ -188,7 +188,7 @@ def validate_norm(descriptor: NormDescriptor, tolerance: float = DEFAULT_TOL) ->
             _normals=normals,
             _offsets=offsets,
             _facets=tuple(zip(*normals.T.tolist(), offsets.tolist())),
-            _verts=tuple(map(tuple, reduced.tolist())),
+            _verts=tuple(map(tuple, corners)),
         )
         _spot_check(plane)
         return plane
@@ -196,15 +196,18 @@ def validate_norm(descriptor: NormDescriptor, tolerance: float = DEFAULT_TOL) ->
     raise TypeError(f"unknown descriptor {descriptor!r}")
 
 
+# the sample vectors u (first 8) and v (last 8) of _spot_check
+_SPOT = np.random.default_rng(0).normal(size=(16, 2))
+_SPOT.flags.writeable = False
+
+
 def _spot_check(plane: NormedPlane) -> None:
     """Cheap sampled sanity check of gauge symmetry and subadditivity."""
-    rng = np.random.default_rng(0)
-    u = rng.normal(size=(8, 2))
-    v = rng.normal(size=(8, 2))
-    gu, gv = gauge(plane, u), gauge(plane, v)
-    if np.any(np.abs(gu - gauge(plane, -u)) > 1e-7 * (1 + gu)):
+    u, v = _SPOT[:8], _SPOT[8:]
+    gu, gv, gneg, gsum = gauge(plane, np.concatenate([_SPOT, -u, u + v])).reshape(4, 8)
+    if np.any(np.abs(gu - gneg) > 1e-7 * (1 + gu)):
         raise NotSymmetric("gauge failed the symmetry spot check")
-    if np.any(gauge(plane, u + v) > gu + gv + 1e-7 * (1 + gu + gv)):
+    if np.any(gsum > gu + gv + 1e-7 * (1 + gu + gv)):
         raise NotConvex("gauge failed the triangle-inequality spot check")
 
 
@@ -320,15 +323,18 @@ def dist(plane: NormedPlane, p, q):
     return gauge(plane, as_array(q) - as_array(p))
 
 
-def pairwise_distances(plane: NormedPlane, points) -> np.ndarray:
-    """Full (n, n) matrix of gauge distances."""
+def pairwise_distances(plane: NormedPlane, points, others=None) -> np.ndarray:
+    """The (n, m) matrix of gauge(points[i] - others[j]); others defaults to
+    points.  Each entry depends only on its two points, so it is the same
+    bits in every matrix that holds the pair."""
     arr = as_array(points)
+    ref = arr if others is None else as_array(others)
     desc = plane.descriptor
     if isinstance(desc, TwoArcNorm):
-        diff = arr[:, None, :] - arr[None, :, :]
-        return gauge(plane, diff.reshape(-1, 2)).reshape(len(arr), len(arr))
-    dx = arr[:, None, 0] - arr[None, :, 0]
-    dy = arr[:, None, 1] - arr[None, :, 1]
+        diff = arr[:, None, :] - ref[None, :, :]
+        return gauge(plane, diff.reshape(-1, 2)).reshape(len(arr), len(ref))
+    dx = arr[:, None, 0] - ref[None, :, 0]
+    dy = arr[:, None, 1] - ref[None, :, 1]
     if isinstance(desc, EuclideanNorm):
         return np.hypot(dx, dy, out=dx)
     # one facet at a time, so no (n^2, facets) product is formed

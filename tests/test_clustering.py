@@ -156,6 +156,102 @@ class TestAvis:
                 assert feasible_2cluster(plane, pts, float(D[D < d].max())) is None
 
 
+def _degenerate_sets(rng, n):
+    """(kind, points): uniform, duplicate-heavy, collinear runs, lattice,
+    convex position (every point on the hull) and uniform scaled by 2^k."""
+    yield "uniform", rng.uniform(-10, 10, size=(n, 2))
+    pool = rng.uniform(-10, 10, size=(n // 5, 2))
+    yield "duplicates", pool[rng.integers(0, len(pool), n)]
+    along = rng.integers(-20, 21, size=(n, 1)).astype(float)
+    dirs = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -2.0)])[rng.integers(0, 4, n)]
+    yield "collinear", along * dirs + rng.integers(-3, 4, size=(n, 1)) * np.array([0.0, 7.0])
+    yield "lattice", rng.integers(-6, 7, size=(n, 2)).astype(float)
+    angle = rng.uniform(0, 2 * math.pi, n)
+    yield "convex", np.stack([3 * np.cos(angle), 2 * np.sin(angle)], axis=1) + 1.5
+    k = int(rng.integers(-60, 61))
+    yield f"scale 2^{k}", np.ldexp(rng.uniform(-10, 10, size=(n, 2)), k)
+
+
+def _dense_tree_d_star(D):
+    """d* from scipy's spanning tree of -D, a maximum spanning tree of D
+    (coincident points, at distance 0, get no edge), coloured breadth first."""
+    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
+
+    order, parent = breadth_first_order(minimum_spanning_tree(-D), 0, directed=False)
+    assert len(order) == len(D)
+    colour = np.zeros(len(D), dtype=bool)
+    for v in order[1:]:
+        colour[v] = not colour[parent[v]]
+    return max(float(D[np.ix_(c, c)].max()) for c in (np.flatnonzero(colour), np.flatnonzero(~colour)))
+
+
+def _bipartite(far):
+    """Whether the graph of the boolean matrix far is 2-colourable: no point
+    shares a component with its copy in the double cover."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = len(far)
+    i, j = np.nonzero(far)
+    cover = coo_matrix((np.ones(2 * len(i)), (np.concatenate([i, i + n]), np.concatenate([j + n, j]))),
+                       shape=(2 * n, 2 * n))
+    _, label = connected_components(cover, directed=False)
+    return not (label[:n] == label[n:]).any()
+
+
+class TestHullAnchoredTree:
+    """The spanning tree over the pairs with a hull-vertex end against an
+    independent dense maximum spanning tree and bipartiteness check."""
+
+    @staticmethod
+    def _check(plane, pts):
+        D = pairwise_distances(plane, pts)
+        d, part = avis_min_max_2cluster(plane, pts)
+        assert d == _dense_tree_d_star(D)
+        assert max(part.measures) == d
+        assert 0 in part.clusters[0]
+        assert sorted(i for c in part.clusters for i in c) == list(range(len(pts)))
+        below = float(D[D < d].max())
+        for t in (d, below):
+            got = feasible_2cluster(plane, pts, t)
+            assert (got is not None) == _bipartite(D > t)
+            if got is not None:
+                assert all(float(D[np.ix_(c, c)].max()) <= t for c in got.clusters if c)
+
+    def test_n300_every_norm_and_degenerate_set(self, norm_suite):
+        rng = np.random.default_rng(1101)
+        for _, plane in norm_suite:
+            for _, pts in _degenerate_sets(rng, 300):
+                self._check(plane, pts)
+
+    def test_n2000(self, norm_suite):
+        # one set per norm, the kinds taken in turn
+        rng = np.random.default_rng(1102)
+        for i, (_, plane) in enumerate(norm_suite):
+            kind, pts = list(_degenerate_sets(rng, 2000))[i % 6]
+            self._check(plane, pts)
+
+    @pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+    def test_n20000_smoke(self, plane):
+        import tracemalloc
+
+        pts = np.random.default_rng(1103).uniform(-10, 10, size=(20000, 2))
+        tracemalloc.start()
+        try:
+            t0 = time.monotonic()
+            d, part = avis_min_max_2cluster(plane, pts)
+            elapsed = time.monotonic() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 30
+        assert peak < 200e6
+        # rotating calipers on each cluster agree with the hull-vertex diameters
+        for c, m in zip(part.clusters, part.measures):
+            assert diameter(plane, pts[list(c)])[0] == pytest.approx(m, rel=1e-12)
+        assert d == max(part.measures)
+
+
 class TestConstrained2:
     def test_square_singleton_split(self):
         part = constrained_2cluster(E, SQ, math.sqrt(2), 0.0)
