@@ -1,9 +1,12 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from conftest import grid_meb_oracle, random_polygon_plane
 from normclust import (
@@ -175,8 +178,6 @@ def _degenerate_sets(rng, n):
 def _dense_tree_d_star(D):
     """d* from scipy's spanning tree of -D, a maximum spanning tree of D
     (coincident points, at distance 0, get no edge), coloured breadth first."""
-    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
-
     order, parent = breadth_first_order(minimum_spanning_tree(-D), 0, directed=False)
     assert len(order) == len(D)
     colour = np.zeros(len(D), dtype=bool)
@@ -188,9 +189,6 @@ def _dense_tree_d_star(D):
 def _bipartite(far):
     """Whether the graph of the boolean matrix far is 2-colourable: no point
     shares a component with its copy in the double cover."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     n = len(far)
     i, j = np.nonzero(far)
     cover = coo_matrix((np.ones(2 * len(i)), (np.concatenate([i, i + n]), np.concatenate([j + n, j]))),
@@ -233,8 +231,6 @@ class TestHullAnchoredTree:
 
     @pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
     def test_n20000_smoke(self, plane):
-        import tracemalloc
-
         pts = np.random.default_rng(1103).uniform(-10, 10, size=(20000, 2))
         tracemalloc.start()
         try:
