@@ -258,52 +258,64 @@ def _tree_split(plane: NormedPlane, pts: np.ndarray) -> tuple[float, Partition]:
     vertices: a hull vertex joining the tree offers its column to every
     point outside it, any other point offers its row to the hull vertices
     outside it.  Once every hull vertex is in the tree no offer is left, so
-    each remaining point joins its best hull vertex in one step.  All
-    points on the hull is the worst case, n^2 distances.
+    each remaining point joins its best hull vertex in one step.  That is
+    O(n h) distances and memory, all points on the hull being the worst
+    case, n^2; time is up to n Prim steps of O(n) numpy work each, as many
+    as there are points outranking the last hull vertex to join.
 
-    The float gauge may order two pairs within a rounding error epsilon of
-    each other differently from the true one; the tree is then maximal
-    within epsilon, and the argument above still splits every pair longer
-    than d* + epsilon.  A cluster's diameter is attained by two vertices of
-    its own hull (a norm is convex), and the same ``pairwise_distances``
-    kernel gives the same bits for a pair in any matrix.
+    The argument needs every vertex of the hull in H: ``hull_indices``
+    decides each turn exactly, so none is lost to an orientation band,
+    whose width would depend on where the points lie.  The float gauge may
+    order two pairs within a rounding error epsilon of each other
+    differently from the true one; the tree is then maximal within epsilon,
+    and the argument above still splits every pair longer than d* +
+    epsilon.  A cluster's diameter is attained by two vertices of its own
+    hull (a norm is convex), and the same ``pairwise_distances`` kernel
+    gives the same bits for a pair in any matrix, F included.
     """
     n = len(pts)
     colour = np.zeros(n, dtype=bool)
-    if n > 1:
-        H = np.array(hull_indices(pts))
-        F = pairwise_distances(plane, pts, pts[H])
-        slot = np.full(n, -1)
-        slot[H] = np.arange(len(H))
-        outside, hull_outside = np.ones(n, dtype=bool), np.ones(len(H), dtype=bool)
-        outside[H[0]] = hull_outside[0] = False
-        # best[v] is the longest pair from the tree to v outside it
-        best = F[:, 0].copy()
-        best[H[0]] = -1.0
-        link = np.full(n, H[0])
-        while hull_outside.any():
-            v = int(best.argmax())
-            outside[v] = False
-            best[v] = -1.0
-            colour[v] = not colour[link[v]]
-            if slot[v] < 0:  # off the hull: offers its row to the hull outside
-                row = F[v]
-                longer = hull_outside & (row > best[H])
-                best[H[longer]] = row[longer]
-                link[H[longer]] = v
-            else:  # a hull vertex: offers its column to every point outside
-                hull_outside[slot[v]] = False
-                col = F[:, slot[v]]
-                longer = outside & (col > best)
-                np.copyto(best, col, where=longer)
-                link[longer] = v
-        colour[outside] = ~colour[link[outside]]
-        colour ^= colour[0]
+    H = np.array(hull_indices(pts))
+    F = pairwise_distances(plane, pts, pts[H])
+    slot = np.full(n, -1)
+    slot[H] = np.arange(len(H))
+    outside, hull_outside = np.ones(n, dtype=bool), np.ones(len(H), dtype=bool)
+    outside[H[0]] = hull_outside[0] = False
+    # best[v] is the longest pair from the tree to v outside it
+    best = F[:, 0].copy()
+    best[H[0]] = -1.0
+    link = np.full(n, H[0])
+    to_join = len(H) - 1  # hull vertices outside the tree
+    while to_join:
+        v = int(best.argmax())
+        outside[v] = False
+        best[v] = -1.0
+        colour[v] = not colour[link[v]]
+        if slot[v] < 0:  # off the hull: offers its row to the hull outside
+            row = F[v]
+            longer = hull_outside & (row > best[H])
+            best[H[longer]] = row[longer]
+            link[H[longer]] = v
+        else:  # a hull vertex: offers its column to every point outside
+            hull_outside[slot[v]] = False
+            to_join -= 1
+            col = F[:, slot[v]]
+            longer = outside & (col > best)
+            np.copyto(best, col, where=longer)
+            link[longer] = v
+    colour[outside] = ~colour[link[outside]]
+    colour ^= colour[0]
     clusters = (np.flatnonzero(~colour), np.flatnonzero(colour))
-    ends = [idx[hull_indices(pts[idx])] if len(idx) else idx for idx in clusters]
-    D = pairwise_distances(plane, pts[np.concatenate(ends)])
-    k = len(ends[0])
-    measures = (float(D[:k, :k].max(initial=0.0)), float(D[k:, k:].max(initial=0.0)))
+
+    def measure(idx):
+        if not len(idx):
+            return 0.0
+        ends = idx[hull_indices(pts[idx])]
+        if (slot[ends] >= 0).all():  # all on the hull of S: the pairs are in F
+            return float(F[np.ix_(ends, slot[ends])].max())
+        return float(pairwise_distances(plane, pts[ends]).max())
+
+    measures = (measure(clusters[0]), measure(clusters[1]))
     return max(measures), Partition(tuple(tuple(c.tolist()) for c in clusters), measures)
 
 

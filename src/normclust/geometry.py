@@ -80,19 +80,38 @@ def convex_hull(points) -> ConvexPolygon:
 
 
 def hull_indices(points: np.ndarray) -> list[int]:
-    """The vertices of ``convex_hull`` of a nonempty (n, 2) float array, as
-    indices into it: the first index of each vertex's location."""
+    """The vertices of the convex hull of a nonempty (n, 2) float array, as
+    indices into it: the first index of each vertex's location.  Unlike
+    ``convex_hull``, no orientation band: every turn is decided exactly, so
+    each vertex of the true hull is returned and no other point."""
     pts = list(map(tuple, points.tolist()))
     first = dict(zip(reversed(pts), range(len(pts) - 1, -1, -1)))
-    return [first[v] for v in _monotone_chain(sorted(first))]
+    return [first[v] for v in _monotone_chain(sorted(first), exact=True)]
 
 
-def _monotone_chain(uniq: list) -> list:
+# Shewchuk's bound for orient2d from float differences: when |l - r| exceeds
+# it times |l| + |r|, the float l - r has the sign of the exact one; |l + r|
+# may stand for |l| + |r|, as l - r's sign is sure when l and r differ in sign
+_CCW_BOUND = (3 + 16 * 2.0 ** -53) * 2.0 ** -53
+
+
+def _exact_turn(o, a, p) -> int:
+    """A number with the exact sign of the turn o -> a -> p: the float
+    coordinates as integers over their largest power-of-two denominator."""
+    ratios = [c.as_integer_ratio() for c in (*o, *a, *p)]
+    den = max(d for _, d in ratios)
+    ox, oy, ax, ay, px, py = [n * (den // d) for n, d in ratios]
+    return (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
+
+
+def _monotone_chain(uniq: list, exact: bool = False) -> list:
     """The hull vertices of distinct (x, y) pairs sorted in (x, y) order,
-    counterclockwise from the first."""
+    counterclockwise from the first.  A turn within ``_collinear_eps`` of
+    straight counts as straight, or, with ``exact``, a turn whose float sign
+    is in doubt is settled in integer arithmetic."""
     if len(uniq) == 1:
         return uniq
-    eps = _collinear_eps(uniq)
+    eps = 0.0 if exact else _collinear_eps(uniq)
 
     def build(seq):
         chain = []
@@ -100,7 +119,11 @@ def _monotone_chain(uniq: list) -> list:
             px, py = p
             while len(chain) >= 2:
                 (ox, oy), (ax, ay) = chain[-2], chain[-1]
-                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= eps:
+                left, right = (ax - ox) * (py - oy), (ay - oy) * (px - ox)
+                turn = left - right
+                if exact and not abs(turn) > _CCW_BOUND * abs(left + right):
+                    turn = _exact_turn(chain[-2], chain[-1], p)
+                if turn <= eps:
                     chain.pop()
                 else:
                     break

@@ -161,7 +161,8 @@ class TestAvis:
 
 def _degenerate_sets(rng, n):
     """(kind, points): uniform, duplicate-heavy, collinear runs, lattice,
-    convex position (every point on the hull) and uniform scaled by 2^k."""
+    convex position (every point on the hull), uniform scaled by 2^k, and
+    convex position and a rounded line far from the origin."""
     yield "uniform", rng.uniform(-10, 10, size=(n, 2))
     pool = rng.uniform(-10, 10, size=(n // 5, 2))
     yield "duplicates", pool[rng.integers(0, len(pool), n)]
@@ -173,12 +174,20 @@ def _degenerate_sets(rng, n):
     yield "convex", np.stack([3 * np.cos(angle), 2 * np.sin(angle)], axis=1) + 1.5
     k = int(rng.integers(-60, 61))
     yield f"scale 2^{k}", np.ldexp(rng.uniform(-10, 10, size=(n, 2)), k)
+    angle = rng.uniform(0, 2 * math.pi, n)
+    yield "convex + 1e5", np.stack([3 * np.cos(angle), 2 * np.sin(angle)], axis=1) + 1e5
+    along = rng.uniform(-10, 10, size=(n, 1))
+    yield "near-collinear + 1e5", along * np.array([1.0, 1 / 3]) + 1e5
 
 
 def _dense_tree_d_star(D):
     """d* from scipy's spanning tree of -D, a maximum spanning tree of D
-    (coincident points, at distance 0, get no edge), coloured breadth first."""
-    order, parent = breadth_first_order(minimum_spanning_tree(-D), 0, directed=False)
+    (coincident points, at distance 0, get no edge), coloured breadth first.
+    The graph goes in sparse: from a dense array scipy drops entries within
+    1e-8 of zero, every pair of a set scaled by 2^-30."""
+    i, j = np.nonzero(D)
+    graph = coo_matrix((-D[i, j], (i, j)), shape=D.shape)
+    order, parent = breadth_first_order(minimum_spanning_tree(graph), 0, directed=False)
     assert len(order) == len(D)
     colour = np.zeros(len(D), dtype=bool)
     for v in order[1:]:
@@ -223,15 +232,32 @@ class TestHullAnchoredTree:
                 self._check(plane, pts)
 
     def test_n2000(self, norm_suite):
-        # one set per norm, the kinds taken in turn
+        # one norm per set, the norms taken in turn from L-infinity, so that
+        # "convex + 1e5" falls on L1: hull vertices lost to an orientation
+        # band of 1e-12 * |coordinate| * extent change d* there
         rng = np.random.default_rng(1102)
-        for i, (_, plane) in enumerate(norm_suite):
-            kind, pts = list(_degenerate_sets(rng, 2000))[i % 6]
-            self._check(plane, pts)
+        for i, (_, pts) in enumerate(_degenerate_sets(rng, 2000)):
+            self._check(norm_suite[(i + 2) % len(norm_suite)][1], pts)
 
+    def test_thin_spikes(self):
+        # a and b are hull vertices 5 away, 1e-12 from the chord between
+        # the others: an orientation band of 1e-12 * extent^2 would drop them
+        pts = np.array([(0, 0), (1e-12, -5), (1e-12, 5), (2e-12, 0)])
+        for plane in (E, L1, TA):
+            self._check(plane, pts)
+        assert avis_min_max_2cluster(E, pts)[0] == 5.0
+
+    @pytest.mark.parametrize("shape", ["uniform", "thin triangle"])
     @pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
-    def test_n20000_smoke(self, plane):
-        pts = np.random.default_rng(1103).uniform(-10, 10, size=(20000, 2))
+    def test_n20000_smoke(self, plane, shape):
+        rng = np.random.default_rng(1103)
+        pts = rng.uniform(-10, 10, size=(20000, 2))
+        if shape == "thin triangle":
+            # corners (-10, 0), (10, 0), (0, 0.5): the flat apex is the last
+            # hull vertex to join, after every point far from the middle
+            u, v = rng.uniform(0, 1, size=(2, 20000))
+            u, v = np.where(u + v > 1, 1 - u, u), np.where(u + v > 1, 1 - v, v)
+            pts = np.stack([-10 + 20 * u + 10 * v, 0.5 * v], axis=1)
         tracemalloc.start()
         try:
             t0 = time.monotonic()
