@@ -89,9 +89,10 @@ def hull_indices(points: np.ndarray) -> list[int]:
     return [first[v] for v in _monotone_chain(sorted(first), exact=True)]
 
 
-# Shewchuk's bound for orient2d from float differences: when |l - r| exceeds
-# it times |l| + |r|, the float l - r has the sign of the exact one; |l + r|
-# may stand for |l| + |r|, as l - r's sign is sure when l and r differ in sign
+# Shewchuk's bound for orient2d from float differences: for a turn l - r, l
+# and r the two products, when |l - r| exceeds it times |l| + |r| the float
+# turn has the sign of the exact one; |l + r| may stand for |l| + |r|, as the
+# sign is sure when l and r differ in sign
 _CCW_BOUND = (3 + 16 * 2.0 ** -53) * 2.0 ** -53
 
 
@@ -119,9 +120,9 @@ def _monotone_chain(uniq: list, exact: bool = False) -> list:
             px, py = p
             while len(chain) >= 2:
                 (ox, oy), (ax, ay) = chain[-2], chain[-1]
-                left, right = (ax - ox) * (py - oy), (ay - oy) * (px - ox)
-                turn = left - right
-                if exact and not abs(turn) > _CCW_BOUND * abs(left + right):
+                turn = (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
+                if exact and not abs(turn) > _CCW_BOUND * abs((ax - ox) * (py - oy)
+                                                              + (ay - oy) * (px - ox)):
                     turn = _exact_turn(chain[-2], chain[-1], p)
                 if turn <= eps:
                     chain.pop()
