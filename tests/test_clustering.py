@@ -184,7 +184,7 @@ def _dense_tree_d_star(D):
     """d* from scipy's spanning tree of -D, a maximum spanning tree of D
     (coincident points, at distance 0, get no edge), coloured breadth first.
     The graph goes in sparse: from a dense array scipy drops entries within
-    1e-8 of zero, every pair of a set scaled by 2^-30."""
+    1e-8 of zero, every pair of [-10, 10]^2 scaled by 2^-30."""
     i, j = np.nonzero(D)
     graph = coo_matrix((-D[i, j], (i, j)), shape=D.shape)
     order, parent = breadth_first_order(minimum_spanning_tree(graph), 0, directed=False)
@@ -240,8 +240,9 @@ class TestHullAnchoredTree:
             self._check(norm_suite[(i + 2) % len(norm_suite)][1], pts)
 
     def test_thin_spikes(self):
-        # a and b are hull vertices 5 away, 1e-12 from the chord between
-        # the others: an orientation band of 1e-12 * extent^2 would drop them
+        # (1e-12, +-5) are hull vertices 5 from the chord between the other
+        # two, but their neighbours lie 1e-12 apart, so their turns are 1e-11:
+        # an orientation band of 1e-12 * extent^2 = 1e-10 would drop them
         pts = np.array([(0, 0), (1e-12, -5), (1e-12, 5), (2e-12, 0)])
         for plane in (E, L1, TA):
             self._check(plane, pts)
