@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Witness counts of ``separate_clusters`` at several coordinate scales.
+
+For the Euclidean, L1, L-infinity and two-arc norms, draws cluster pairs
+with the acceptance suite's criterion-1 generator (1-12 points per cluster,
+uniform in [-10, 10]^2, one ``numpy.random.default_rng(seed)`` stream per
+norm), multiplies every coordinate by each scale in turn and separates the
+pair.  Prints one row per norm and scale: how often each witness answered,
+the number of ``NormClustError``s, and the number of splits that raised a
+diameter, diam(A') > diam(A) or diam(B') > diam(B) by more than 1e-9 of it.
+The diameters here are the largest pairwise distance, not the library's
+hull calipers.
+
+Usage: python scripts/witness_counts.py [--seed 77] [--pairs 200]
+"""
+
+import argparse
+from collections import Counter
+
+import numpy as np
+
+from normclust import (
+    SeparationWitness,
+    euclidean_plane,
+    l1_plane,
+    linf_plane,
+    separate_clusters,
+    two_arc_plane,
+)
+from normclust.errors import NormClustError
+from normclust.norm import pairwise_distances
+
+SCALES = (1e-7, 1e-4, 1.0, 1e5)
+NORMS = (("euclidean", euclidean_plane()), ("l1", l1_plane()), ("linf", linf_plane()),
+         ("two_arc", two_arc_plane(10.0, 5 * np.sqrt(13))))
+
+
+def _diam(plane, pts) -> float:
+    return float(pairwise_distances(plane, np.array(pts, float).reshape(-1, 2)).max(initial=0.0))
+
+
+def criterion_1_pairs(seed: int, n: int) -> list:
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        na, nb = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        pairs.append((rng.uniform(-10, 10, size=(na, 2)), rng.uniform(-10, 10, size=(nb, 2))))
+    return pairs
+
+
+def counts(plane, pairs, scale) -> Counter:
+    out = Counter()
+    for a, b in pairs:
+        a, b = a * scale, b * scale
+        try:
+            res = separate_clusters(plane, a, b)
+        except NormClustError:
+            out["errors"] += 1
+            continue
+        out[res.witness.value] += 1
+        for before, after in ((a, res.a_prime), (b, res.b_prime)):
+            if _diam(plane, after) > _diam(plane, before) * (1 + 1e-9):
+                out["grew"] += 1
+                break
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=77)
+    parser.add_argument("--pairs", type=int, default=200)
+    args = parser.parse_args()
+    columns = [w.value for w in SeparationWitness] + ["errors", "grew"]
+    print(f"{'norm':10s} {'scale':>6s} " + " ".join(f"{c:>15s}" for c in columns))
+    for name, plane in NORMS:
+        pairs = criterion_1_pairs(args.seed, args.pairs)
+        for scale in SCALES:
+            row = counts(plane, pairs, scale)
+            print(f"{name:10s} {scale:6.0e} " + " ".join(f"{row[c]:15d}" for c in columns))
+
+
+if __name__ == "__main__":
+    main()

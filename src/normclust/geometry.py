@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import EmptyInput, NonFinitePoint
 from .norm import (
     DEFAULT_TOL,
     NormedPlane,
@@ -72,47 +72,57 @@ def _collinear_eps(pts: Sequence[Point]) -> float:
 
 
 def convex_hull(points) -> ConvexPolygon:
-    """Monotone chain, strict (collinear vertices dropped)."""
+    """Monotone chain, strict (collinear vertices dropped), with every turn
+    decided exactly: each vertex of the true hull is kept and no other
+    point.  A NaN or infinite coordinate raises NonFinitePoint."""
     pts = [Point(float(p[0]), float(p[1])) for p in points]
     if not pts:
         raise EmptyInput("convex hull of an empty set")
-    return ConvexPolygon(tuple(_monotone_chain(sorted(set(pts)))))
+    uniq = sorted(set(pts))
+    if len(uniq) <= 2:
+        check_finite(uniq)  # from three points on, every point is in a turn
+    return ConvexPolygon(tuple(_monotone_chain(uniq)))
 
 
 def hull_indices(points: np.ndarray) -> list[int]:
     """The vertices of the convex hull of a nonempty (n, 2) float array, as
-    indices into it: the first index of each vertex's location.  Unlike
-    ``convex_hull``, no orientation band: every turn is decided exactly, so
-    each vertex of the true hull is returned and no other point."""
+    indices into it: the first index of each vertex's location."""
     pts = list(map(tuple, points.tolist()))
     first = dict(zip(reversed(pts), range(len(pts) - 1, -1, -1)))
-    return [first[v] for v in _monotone_chain(sorted(first), exact=True)]
-
-
-# Shewchuk's bound for orient2d from float differences: for a turn l - r, l
-# and r the two products, when |l - r| exceeds it times |l| + |r| the float
-# turn has the sign of the exact one; |l + r| may stand for |l| + |r|, as the
-# sign is sure when l and r differ in sign
-_CCW_BOUND = (3 + 16 * 2.0 ** -53) * 2.0 ** -53
+    return [first[v] for v in _monotone_chain(sorted(first))]
 
 
 def _exact_turn(o, a, p) -> int:
     """A number with the exact sign of the turn o -> a -> p: the float
-    coordinates as integers over their largest power-of-two denominator."""
-    ratios = [c.as_integer_ratio() for c in (*o, *a, *p)]
-    den = max(d for _, d in ratios)
-    ox, oy, ax, ay, px, py = [n * (den // d) for n, d in ratios]
+    coordinates as integers over their largest power-of-two denominator.
+    Zero when both products have a factor that is zero, as on a lattice: a
+    float difference is zero only when the coordinates are equal."""
+    if (a[0] == o[0] or p[1] == o[1]) and (a[1] == o[1] or p[0] == o[0]):
+        return 0
+    try:
+        (ox, dox), (oy, doy) = o[0].as_integer_ratio(), o[1].as_integer_ratio()
+        (ax, dax), (ay, day) = a[0].as_integer_ratio(), a[1].as_integer_ratio()
+        (px, dpx), (py, dpy) = p[0].as_integer_ratio(), p[1].as_integer_ratio()
+    except (ValueError, OverflowError):
+        raise NonFinitePoint("point coordinates must be finite") from None
+    den = max(dox, doy, dax, day, dpx, dpy)
+    ox, oy, ax, ay = ox * (den // dox), oy * (den // doy), ax * (den // dax), ay * (den // day)
+    px, py = px * (den // dpx), py * (den // dpy)
     return (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
 
 
-def _monotone_chain(uniq: list, exact: bool = False) -> list:
+def _monotone_chain(uniq: list) -> list:
     """The hull vertices of distinct (x, y) pairs sorted in (x, y) order,
-    counterclockwise from the first.  A turn within ``_collinear_eps`` of
-    straight counts as straight, or, with ``exact``, a turn whose float sign
-    is in doubt is settled in integer arithmetic."""
+    counterclockwise from the first.  Every turn is decided exactly: a
+    float turn within ``sure`` of zero is settled in integer arithmetic."""
     if len(uniq) == 1:
         return uniq
-    eps = 0.0 if exact else _collinear_eps(uniq)
+    ys = [p[1] for p in uniq]
+    # Each coordinate difference is within X (Y) of zero and off by at most
+    # u = 2^-53 of itself, so the float turn is off by at most about 8u X Y
+    # (Shewchuk's static filter); 10u covers the rounding of X, Y and this
+    # product, and 2^-1072 an underflow of the two products.
+    sure = 10 * 2.0 ** -53 * (uniq[-1][0] - uniq[0][0]) * (max(ys) - min(ys)) + 2.0 ** -1072
 
     def build(seq):
         chain = []
@@ -121,13 +131,9 @@ def _monotone_chain(uniq: list, exact: bool = False) -> list:
             while len(chain) >= 2:
                 (ox, oy), (ax, ay) = chain[-2], chain[-1]
                 turn = (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
-                if exact and not abs(turn) > _CCW_BOUND * abs((ax - ox) * (py - oy)
-                                                              + (ay - oy) * (px - ox)):
-                    turn = _exact_turn(chain[-2], chain[-1], p)
-                if turn <= eps:
-                    chain.pop()
-                else:
+                if turn > sure or (not turn < -sure and _exact_turn(chain[-2], chain[-1], p) > 0):
                     break
+                chain.pop()
             chain.append(p)
         return chain
 
@@ -198,11 +204,16 @@ def antipodal_pairs(poly: ConvexPolygon) -> Iterable[tuple[Point, Point]]:
 def diameter(plane: NormedPlane, points) -> tuple[float, tuple[Point, Point]]:
     """Normed diameter with an attaining pair, via rotating calipers."""
     pts = list(points)
-    check_finite(pts)  # not finite_points: separation calls this on small sets in its loops
-    hull = convex_hull(pts)
+    check_finite(pts)
+    return polygon_diameter(plane, convex_hull(pts))
+
+
+def polygon_diameter(plane: NormedPlane, polygon: ConvexPolygon) -> tuple[float, tuple[Point, Point]]:
+    """The normed diameter of a convex polygon with an attaining vertex pair,
+    via rotating calipers: ``diameter``'s value for the polygon's points."""
     best = -1.0
-    best_pair = (hull.vertices[0], hull.vertices[0])
-    for p, q in antipodal_pairs(hull):
+    best_pair = (polygon.vertices[0], polygon.vertices[0])
+    for p, q in antipodal_pairs(polygon):
         g = gauge_scalar(plane, q.x - p.x, q.y - p.y)
         if g > best:
             best, best_pair = g, (p, q)

@@ -1,7 +1,9 @@
 """Cluster separation without diameter increase.
 
 Given clusters A and B, produce linearly separable A', B' with
-diam(A') <= diam(A), diam(B') <= diam(B) and A' u B' = A u B.  The
+diam(A') <= diam(A), diam(B') <= diam(B) and A' u B' = A u B.  Hulls that
+neither cross nor nest keep A and B, split by a line between them.  Else,
+when conv(A u B) is no wider than the wider cluster, A' = A u B; if not, the
 construction decomposes the hull boundaries into interlacing pieces, finds
 "bad" piece pairs whose cross distance exceeds the larger diameter, groups
 them, and cuts along a line through two boundary crossings.  Where the
@@ -12,6 +14,7 @@ one) or fails, the best split among the line dissections is taken instead.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,17 +26,17 @@ from .geometry import (
     OrientedLine,
     Side,
     convex_hull,
-    diameter,
     dissections_within,
     iter_line_dissections,
     line_splits,
     line_through,
     norm_perimeter,
     point_in_convex,
+    polygon_diameter,
     side_of,
     signed_offset,
 )
-from .norm import NormedPlane, Point, Segment, as_array, gauge, pairwise_distances
+from .norm import NormedPlane, Point, Segment, as_array, check_finite, gauge, pairwise_distances
 
 
 class SeparationWitness(enum.Enum):
@@ -56,9 +59,11 @@ class _Crossing:
 
 @dataclass(frozen=True)
 class CrossingSequence:
-    """Boundary crossings of conv(A) and conv(B)."""
+    """Boundary crossings of conv(A) and conv(B), with the two hulls."""
 
     records: tuple[_Crossing, ...]  # counterclockwise along the A hull
+    hull_a: ConvexPolygon
+    hull_b: ConvexPolygon
 
     def __len__(self) -> int:
         return len(self.records)
@@ -128,7 +133,7 @@ def boundary_crossings(conv_a: ConvexPolygon, conv_b: ConvexPolygon,
     Empty when the hulls are disjoint or nested.
     """
     if conv_a.degenerate or conv_b.degenerate:
-        return CrossingSequence(())
+        return CrossingSequence((), conv_a, conv_b)
     va, vb = conv_a.vertices, conv_b.vertices
     scale = max(1.0, max(max(abs(p.x), abs(p.y)) for p in va + vb))
     eps = tol * scale * scale
@@ -152,7 +157,7 @@ def boundary_crossings(conv_a: ConvexPolygon, conv_b: ConvexPolygon,
         ):
             continue
         dedup.append(r)
-    return CrossingSequence(tuple(dedup))
+    return CrossingSequence(tuple(dedup), conv_a, conv_b)
 
 
 # --------------------------------------------------------------------------
@@ -182,30 +187,25 @@ def _walk(hull: ConvexPolygon, pos1, pos2, p1: Point, p2: Point):
 
 
 def _polyline_midpoint(pts: Sequence[Point]) -> Point:
-    arr = as_array([tuple(p) for p in pts])
-    seg = np.diff(arr, axis=0)
-    lens = np.hypot(seg[:, 0], seg[:, 1])
-    total = float(lens.sum())
-    if total <= 0:
+    lens = [math.hypot(q.x - p.x, q.y - p.y) for p, q in zip(pts, pts[1:])]
+    target = sum(lens) / 2
+    if target <= 0:
         return pts[0]
-    target = total / 2
     acc = 0.0
-    for k, l in enumerate(lens):
+    for p, q, l in zip(pts, pts[1:], lens):
         if acc + l >= target:
             s = (target - acc) / l if l > 0 else 0.0
-            p = arr[k] + s * seg[k]
-            return Point(float(p[0]), float(p[1]))
+            return Point(p.x + s * (q.x - p.x), p.y + s * (q.y - p.y))
         acc += l
     return pts[-1]
 
 
-def decompose_pieces(a_points, b_points, crossings: CrossingSequence) -> list[Piece]:
+def decompose_pieces(crossings: CrossingSequence) -> list[Piece]:
     """Alternating boundary pieces of conv(A)\\conv(B) and conv(B)\\conv(A),
     clockwise, starting with an A piece."""
     if len(crossings) < 2:
         raise NoOverlap("hulls are disjoint or nested")
-    hull_a = convex_hull(a_points)
-    hull_b = convex_hull(b_points)
+    hull_a, hull_b = crossings.hull_a, crossings.hull_b
     recs = list(crossings.records)
     m = len(recs)
     if m % 2 != 0:
@@ -326,32 +326,24 @@ def find_bad_structure(plane: NormedPlane, pieces: Sequence[Piece], diam_a: floa
     a_pieces = [p for p in pieces if p.owner == "A"]
     b_pieces = [p for p in pieces if p.owner == "B"]
     tol = plane.tolerance * max(1.0, diam_a)
+    # one gauge call over every pair of an A-piece vertex and a B-piece one
+    va = [v for p in a_pieces for v in p.polygon.vertices]
+    vb = [v for p in b_pieces for v in p.polygon.vertices]
+    g = gauge(plane, (as_array(va)[:, None, :] - as_array(vb)[None, :, :]).reshape(-1, 2))
+    g = g.reshape(len(va), len(vb))
+    ends_a = np.cumsum([0] + [len(p.polygon) for p in a_pieces])
+    ends_b = np.cumsum([0] + [len(p.polygon) for p in b_pieces])
+    longest = np.maximum.reduceat(np.maximum.reduceat(g, ends_a[:-1], axis=0), ends_b[:-1], axis=1)
+    bad = longest > diam_a + tol  # by A-piece and B-piece index
     records: list[BadPairRecord] = []
-    for ap in a_pieces:
-        va = as_array([tuple(p) for p in ap.polygon.vertices])
-        for bp in b_pieces:
-            vb = as_array([tuple(p) for p in bp.polygon.vertices])
-            diffs = va[:, None, :] - vb[None, :, :]
-            g = gauge(plane, diffs.reshape(-1, 2)).reshape(len(va), len(vb))
-            k = int(np.argmax(g))
-            i, j = divmod(k, len(vb))
-            if g[i, j] > diam_a + tol:
-                records.append(
-                    BadPairRecord(
-                        (ap.index, bp.index),
-                        Segment(Point(*va[i]), Point(*vb[j])),
-                        float(g[i, j]),
-                    )
-                )
-    k = len(a_pieces)
-    bad_a = [False] * k
-    bad_b = [False] * k
-    for r in records:
-        bad_a[r.pieces[0]] = True
-        bad_b[r.pieces[1]] = True
+    for ia, ib in zip(*np.nonzero(bad)):
+        (a0, a1), (b0, b1) = ends_a[ia:ia + 2], ends_b[ib:ib + 2]
+        i, j = divmod(int(np.argmax(g[a0:a1, b0:b1])), b1 - b0)
+        records.append(BadPairRecord((a_pieces[ia].index, b_pieces[ib].index),
+                                     Segment(va[a0 + i], vb[b0 + j]), float(g[a0 + i, b0 + j])))
     groups = GroupDecomposition(
-        tuple(tuple(r) for r in _cyclic_runs(bad_a)),
-        tuple(tuple(r) for r in _cyclic_runs(bad_b)),
+        tuple(tuple(r) for r in _cyclic_runs(bad.any(axis=1).tolist())),
+        tuple(tuple(r) for r in _cyclic_runs(bad.any(axis=0).tolist())),
     )
     return records, groups
 
@@ -359,22 +351,11 @@ def find_bad_structure(plane: NormedPlane, pieces: Sequence[Piece], diam_a: floa
 # --------------------------------------------------------------------------
 # the separation construction
 
-
-def _diam(plane, pts) -> float:
-    if len(pts) == 0:
-        return 0.0
-    return diameter(plane, pts)[0]
+_SLACK = 5e-10  # a split may raise a diameter by this much
 
 
-def _perim_of(plane, pts) -> float:
-    if len(pts) == 0:
-        return 0.0
-    return norm_perimeter(plane, convex_hull(pts))
-
-
-def _tangent_line(points: Sequence[Point]) -> OrientedLine:
-    """A supporting line of conv(points) with every point on one closed side."""
-    hull = convex_hull(points)
+def _tangent_line(hull: ConvexPolygon) -> OrientedLine:
+    """A supporting line of the hull with every point on one closed side."""
     v = hull.vertices
     if len(v) == 1:
         return OrientedLine(v[0], Point(1.0, 0.0))
@@ -391,10 +372,20 @@ def _dissection_line(union, pair, in_a) -> OrientedLine:
     return line
 
 
-def _valid(plane, a_pts, b_pts, line, diam_a, diam_b) -> bool:
-    slack = 5e-10
-    if _diam(plane, a_pts) > diam_a + slack or _diam(plane, b_pts) > diam_b + slack:
-        return False
+def _hull_or_none(pts) -> ConvexPolygon | None:
+    return convex_hull(pts) if pts else None
+
+
+def _perimeter(plane, hull: ConvexPolygon | None) -> float:
+    return 0.0 if hull is None else norm_perimeter(plane, hull)
+
+
+def _valid(plane, a_pts, b_pts, hull_a, hull_b, line, diam_a, diam_b) -> bool:
+    """Neither side's hull (None for no points) is wider than its bound, and
+    A' and B' lie on the line's closed left and right."""
+    for hull, bound in ((hull_a, diam_a), (hull_b, diam_b)):
+        if hull is not None and polygon_diameter(plane, hull)[0] > bound + _SLACK:
+            return False
     for p in a_pts:
         if side_of(line, p) is Side.RIGHT:
             return False
@@ -409,23 +400,31 @@ def _fallback_split(plane, union, diam_a, diam_b):
     the one with the smallest resulting hull-perimeter sum (one at least as
     good as the constructive answer always exists)."""
     D = pairwise_distances(plane, as_array([tuple(p) for p in union]))
-    slack = 5e-10
+    sides = {}  # points, hull and perimeter of a side by its row; a complement is often a row too
+
+    def side(row):
+        key = row.tobytes()
+        if key not in sides:
+            pts = tuple(p for p, keep in zip(union, row) if keep)
+            hull = _hull_or_none(pts)
+            sides[key] = (pts, hull, _perimeter(plane, hull))
+        return sides[key]
+
     best = None
-    for rows, pairs in dissections_within(union, D, diam_a + slack, diam_b + slack):
+    for rows, pairs in dissections_within(union, D, diam_a + _SLACK, diam_b + _SLACK):
         for row, pair in zip(rows, pairs):
-            a_pts = tuple(p for p, in_a in zip(union, row) if in_a)
-            b_pts = tuple(p for p, in_a in zip(union, row) if not in_a)
-            after = _perim_of(plane, a_pts) + _perim_of(plane, b_pts)
+            (a_pts, hull_a, perim_a), (b_pts, hull_b, perim_b) = side(row), side(~row)
+            after = perim_a + perim_b
             if best is None or after < best[0]:
                 line = _dissection_line(union, pair, row)
-                if _valid(plane, a_pts, b_pts, line, diam_a, diam_b):
+                if _valid(plane, a_pts, b_pts, hull_a, hull_b, line, diam_a, diam_b):
                     best = (after, a_pts, b_pts, line)
     if best is None:
         raise NormClustError("no valid separable split found (unexpected)")
     return best[1], best[2], best[3]
 
 
-def _group_split(plane, union, pieces, records, groups):
+def _splitting_line(pieces, records, groups) -> OrientedLine:
     """The splitting line of the construction: pick the last bad A piece of
     the first group; the line runs through the crossing before the first bad
     B piece after it and the crossing after its last bad partner."""
@@ -486,77 +485,97 @@ def _split_assignments(union, line):
                tuple(p for p, to_a in zip(union, row) if not to_a))
 
 
-def _separate_ordered(plane, a_points, b_points, diam_a, diam_b):
-    """Core construction assuming diam(A) >= diam(B)."""
+def _group_split(plane, union, crossings, diam_a, diam_b):
+    """The construction's split of A u B along ``_splitting_line``, for hulls
+    whose boundaries cross and a union wider than diam(A).  Raises
+    NormClustError where it does not apply: a decomposition that fails, no
+    bad pair, no valid split, or a perimeter sum that does not drop."""
+    pieces = decompose_pieces(crossings)
+    records, groups = find_bad_structure(plane, pieces, diam_a)
+    if not records:
+        raise NormClustError("no bad pairs but the union diameter grew")
+    line = _splitting_line(pieces, records, groups)
+    best = None
+    for a_pts, b_pts in _split_assignments(union, line):
+        hull_a, hull_b = _hull_or_none(a_pts), _hull_or_none(b_pts)
+        if _valid(plane, a_pts, b_pts, hull_a, hull_b, line, diam_a, diam_b):
+            after = _perimeter(plane, hull_a) + _perimeter(plane, hull_b)
+            if best is None or after < best[0]:
+                best = (after, a_pts, b_pts)
+    if best is None:
+        raise NormClustError("group split failed validation")
+    # boundaries cross here, so the hull interiors overlap and the
+    # perimeter sum must drop strictly; on flat-sided norms the rule's
+    # line may hit a chord of half the intersection's perimeter, in
+    # which case a strictly decreasing candidate split is used instead
+    before = norm_perimeter(plane, crossings.hull_a) + norm_perimeter(plane, crossings.hull_b)
+    if before - best[0] > 1e-9:
+        return best[1], best[2], line
+    raise NormClustError("group split did not decrease the perimeter sum")
+
+
+def _disjoint_line(hull_a: ConvexPolygon, hull_b: ConvexPolygon) -> OrientedLine | None:
+    """A line with A's hull vertices on its closed left and B's on its closed
+    right, or None.  The hulls then lie on those sides, and such a line can
+    be turned about the hulls until it runs through two of the vertices.
+    Pairs are tried in index order, so A's vertices start at the one nearest
+    B's centroid, often next to the vertex such a line touches."""
+    va, vb = as_array(hull_a.vertices), as_array(hull_b.vertices)
+    start = int(np.argmin(np.hypot(*(va - vb.mean(axis=0)).T)))
+    verts = hull_a.vertices[start:] + hull_a.vertices[:start] + hull_b.vertices
+    in_a = np.arange(len(verts)) < len(hull_a.vertices)
+    for rows, pairs in iter_line_dissections(verts):
+        hit = np.flatnonzero(np.all(rows == in_a, axis=1))
+        if len(hit):
+            return _dissection_line(verts, pairs[hit[0]], in_a)
+    return None
+
+
+def _merged(plane, union, hull_a, hull_b, diam_a):
+    """A' = A u B and B' empty, when conv(A u B) is no wider than diam(A)."""
+    # the exact hulls keep every vertex, so their vertices span conv(A u B)
+    hull = convex_hull(hull_a.vertices + hull_b.vertices)
+    if polygon_diameter(plane, hull)[0] <= diam_a + _SLACK:
+        return (union, (), _tangent_line(hull), SeparationWitness.NO_BAD_PAIRS)
+    return None
+
+
+def _separate_ordered(plane, a_points, hull_a, diam_a, b_points, hull_b, diam_b):
+    """Core construction assuming diam(A) >= diam(B), given both hulls.
+    The witnesses are tried in this order:
+
+    1. DISJOINT_HULLS, for hulls that neither cross (no crossings are taken
+       for a hull of one or two points or a collinear one) nor nest: a line
+       through two hull vertices with A on its closed left, B on its right.
+    2. NO_BAD_PAIRS, A' = A u B: diam(conv(A u B)) <= diam(A).  Nested and
+       crossing hulls try it first; it leaves no bad piece pair, so the
+       piece decomposition is built only when it fails.
+    3. GROUP_SPLIT, for crossing boundaries (``_group_split``).
+    4. FALLBACK_SPLIT, the best line dissection (``_fallback_split``).
+    """
     union = tuple(a_points) + tuple(b_points)
-    hull_a = convex_hull(a_points)
-    hull_b = convex_hull(b_points)
-    slack = 5e-10
-
-    def no_bad_branch():
-        if _diam(plane, union) <= diam_a + slack:
-            return (union, (), _tangent_line(union), SeparationWitness.NO_BAD_PAIRS)
-        return None
-
-    # no crossings for disjoint or nested hulls, and none taken for a hull
-    # of one or two points or a collinear one
     crossings = boundary_crossings(hull_a, hull_b, plane.tolerance)
-    if len(crossings) < 2:
-        nested = not (hull_a.degenerate or hull_b.degenerate) and (
-            all(point_in_convex(hull_a, v) for v in hull_b.vertices)
-            or all(point_in_convex(hull_b, v) for v in hull_a.vertices))
-        if nested:
-            res = no_bad_branch()
-            if res is not None:
-                return res
-        # a line with A's hull vertices on one closed side and B's on the
-        # other; the hulls then lie on those sides, and such a line can be
-        # turned about the hulls until it runs through two of the vertices.
-        # Pairs are tried in index order, so A's vertices start at the one
-        # nearest B's centroid, often next to the vertex such a line touches
-        va, vb = as_array(hull_a.vertices), as_array(hull_b.vertices)
-        start = int(np.argmin(np.hypot(*(va - vb.mean(axis=0)).T)))
-        verts = hull_a.vertices[start:] + hull_a.vertices[:start] + hull_b.vertices
-        in_a = np.arange(len(verts)) < len(hull_a.vertices)
-        for rows, pairs in iter_line_dissections(verts):
-            hit = np.flatnonzero(np.all(rows == in_a, axis=1))
-            if len(hit):
-                line = _dissection_line(verts, pairs[hit[0]], in_a)
-                return (tuple(a_points), tuple(b_points), line, SeparationWitness.DISJOINT_HULLS)
-        res = no_bad_branch()
-        if res is not None:
-            return res
-        a_pts, b_pts, line = _fallback_split(plane, union, diam_a, diam_b)
-        return (a_pts, b_pts, line, SeparationWitness.FALLBACK_SPLIT)
-
-    try:
-        pieces = decompose_pieces(a_points, b_points, crossings)
-        records, groups = find_bad_structure(plane, pieces, diam_a)
-        if not records:
-            res = no_bad_branch()
-            if res is None:
-                raise NormClustError("no bad pairs but the union diameter grew")
-            return res
-        line = _group_split(plane, union, pieces, records, groups)
-        before = norm_perimeter(plane, hull_a) + norm_perimeter(plane, hull_b)
-        best = None
-        for a_pts, b_pts in _split_assignments(union, line):
-            if _valid(plane, a_pts, b_pts, line, diam_a, diam_b):
-                after = _perim_of(plane, a_pts) + _perim_of(plane, b_pts)
-                if best is None or after < best[0]:
-                    best = (after, a_pts, b_pts)
-        if best is None:
-            raise NormClustError("group split failed validation")
-        # boundaries cross here, so the hull interiors overlap and the
-        # perimeter sum must drop strictly; on flat-sided norms the rule's
-        # line may hit a chord of half the intersection's perimeter, in
-        # which case a strictly decreasing candidate split is used instead
-        if before - best[0] > 1e-9:
-            return (best[1], best[2], line, SeparationWitness.GROUP_SPLIT)
-        raise NormClustError("group split did not decrease the perimeter sum")
-    except NormClustError:
-        a_pts, b_pts, line = _fallback_split(plane, union, diam_a, diam_b)
-        return (a_pts, b_pts, line, SeparationWitness.FALLBACK_SPLIT)
+    crossing = len(crossings) >= 2
+    nested = not crossing and not (hull_a.degenerate or hull_b.degenerate) and (
+        all(point_in_convex(hull_a, v) for v in hull_b.vertices)
+        or all(point_in_convex(hull_b, v) for v in hull_a.vertices))
+    merged = _merged(plane, union, hull_a, hull_b, diam_a) if crossing or nested else None
+    if merged is None and not crossing:
+        line = _disjoint_line(hull_a, hull_b)
+        if line is not None:
+            return (tuple(a_points), tuple(b_points), line, SeparationWitness.DISJOINT_HULLS)
+        if not nested:
+            merged = _merged(plane, union, hull_a, hull_b, diam_a)
+    if merged is not None:
+        return merged
+    if crossing:
+        try:
+            return (*_group_split(plane, union, crossings, diam_a, diam_b),
+                    SeparationWitness.GROUP_SPLIT)
+        except NormClustError:
+            pass
+    a_pts, b_pts, line = _fallback_split(plane, union, diam_a, diam_b)
+    return (a_pts, b_pts, line, SeparationWitness.FALLBACK_SPLIT)
 
 
 def separate_clusters(plane: NormedPlane, a_points, b_points) -> SeparationResult:
@@ -566,14 +585,14 @@ def separate_clusters(plane: NormedPlane, a_points, b_points) -> SeparationResul
     b_list = [Point(float(p[0]), float(p[1])) for p in b_points]
     if not a_list or not b_list:
         raise EmptyCluster("both clusters must be nonempty")
-    diam_a = _diam(plane, a_list)
-    diam_b = _diam(plane, b_list)
-    swapped = diam_b > diam_a
-    if swapped:
-        big, small, d_big, d_small = b_list, a_list, diam_b, diam_a
-    else:
-        big, small, d_big, d_small = a_list, b_list, diam_a, diam_b
-    big_p, small_p, line, witness = _separate_ordered(plane, big, small, d_big, d_small)
+    check_finite(a_list + b_list)
+    # each cluster is hulled once; its diameter is read from that hull
+    hull_a, hull_b = convex_hull(a_list), convex_hull(b_list)
+    a = (a_list, hull_a, polygon_diameter(plane, hull_a)[0])
+    b = (b_list, hull_b, polygon_diameter(plane, hull_b)[0])
+    swapped = b[2] > a[2]
+    big, small = (b, a) if swapped else (a, b)
+    big_p, small_p, line, witness = _separate_ordered(plane, *big, *small)
     if swapped:
         a_prime, b_prime = small_p, big_p
         line = OrientedLine(line.anchor, Point(-line.direction.x, -line.direction.y))
@@ -586,6 +605,8 @@ def perimeter_check(plane: NormedPlane, a_points, b_points,
                     result: SeparationResult) -> tuple[float, float]:
     """(before, after) hull-perimeter sums; after <= before, strictly when the
     hull interiors meet."""
-    before = _perim_of(plane, list(a_points)) + _perim_of(plane, list(b_points))
-    after = _perim_of(plane, result.a_prime) + _perim_of(plane, result.b_prime)
-    return before, after
+    def perimeter(pts):
+        return _perimeter(plane, _hull_or_none(list(pts)))
+
+    return (perimeter(a_points) + perimeter(b_points),
+            perimeter(result.a_prime) + perimeter(result.b_prime))

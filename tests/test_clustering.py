@@ -20,6 +20,7 @@ from normclust import (
     brute_force_k_partition,
     build_tree,
     constrained_2cluster,
+    convex_hull,
     diameter,
     euclidean_plane,
     exhaustive_separable_2cluster,
@@ -33,6 +34,7 @@ from normclust import (
     min_enclosing_ball,
     min_max_3cluster,
     query_far_point,
+    separate_clusters,
     two_arc_plane,
 )
 from normclust import geometry
@@ -79,6 +81,9 @@ def _split_exists(D, d1, d2):
     pytest.param(lambda pts: hr_feasible_3cluster(E, pts, 1.0), id="hr_feasible_3cluster"),
     pytest.param(lambda pts: min_max_3cluster(E, pts), id="min_max_3cluster"),
     pytest.param(lambda pts: diameter(E, pts), id="diameter"),
+    pytest.param(lambda pts: convex_hull(pts), id="convex_hull"),
+    pytest.param(lambda pts: convex_hull(pts[2:3]), id="convex_hull_one_point"),
+    pytest.param(lambda pts: separate_clusters(E, pts, [(5, 5)]), id="separate_clusters"),
     pytest.param(lambda pts: ball_hull(E, pts, 5.0), id="ball_hull"),
     pytest.param(lambda pts: build_tree(E, pts, 5.0), id="build_tree"),
     pytest.param(lambda pts: query_far_point(build_tree(E, SQ, 5.0), pts[2]),

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from normclust import (
     norm_perimeter,
     side_of,
     stabbing_line,
+    two_arc_plane,
 )
 from normclust.errors import EmptyInput
 from normclust import geometry
@@ -30,6 +32,34 @@ from normclust.norm import pairwise_distances
 
 E = euclidean_plane()
 L1 = l1_plane()
+TA = two_arc_plane(10.0, 5 * math.sqrt(13))
+PLANES = pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+
+# (1e-12, +-5) lie 5 from the chord between the other two points, but their
+# turns are 1e-11, below the 1e-10 that a band of 1e-12 * extent^2 would
+# count as straight
+SPIKE = [(0, 0), (1e-12, -5), (1e-12, 5), (2e-12, 0)]
+
+
+def _fraction_hull(pts):
+    """Monotone chain with every turn in exact rational arithmetic."""
+    uniq = sorted(set(map(tuple, np.asarray(pts, float).tolist())))
+    if len(uniq) == 1:
+        return [Point(*uniq[0])]
+
+    def build(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay), (px, py) = (map(Fraction, q) for q in (chain[-2], chain[-1], p))
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                    break
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    verts = build(uniq)[:-1] + build(uniq[::-1])[:-1]
+    return [Point(*v) for v in (verts if len(verts) >= 2 else [uniq[0], uniq[-1]])]
 
 
 class TestConvexHull:
@@ -47,6 +77,23 @@ class TestConvexHull:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             convex_hull([])
+
+    @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (2.0 ** -40, 0.0), (2.0 ** 40, 0.0), (1.0, 1.0)],
+                             ids=["unit", "2^-40", "2^40", "shifted"])
+    def test_thin_spikes(self, scale, shift):
+        pts = [(scale * x + shift, scale * y + shift) for x, y in SPIKE]
+        assert sorted(convex_hull(pts).vertices) == sorted(Point(*p) for p in pts)
+
+    def test_exact_turns(self):
+        # a few ulps off a line, far from the origin: the hull is the one that
+        # exact rational turns give
+        rng = np.random.default_rng(11)
+        for n in (3, 5, 12, 40):
+            for _ in range(25):
+                base, d = 1e5 * rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+                pts = (base + rng.uniform(0, 1, (n, 1)) * d
+                       + rng.integers(-3, 4, (n, 2)) * np.spacing(1e5))
+                assert list(convex_hull(pts).vertices) == _fraction_hull(pts)
 
     def test_against_edge_oracle(self):
         # every input point must be on the left of every hull edge
@@ -78,6 +125,16 @@ class TestDiameter:
             for pts in [rng.uniform(-10, 10, size=(n, 2)) for n in (2, 3, 12, 60, 200)] + [degenerate]:
                 D = pairwise_distances(plane, pts)
                 assert diameter(plane, pts)[0] == pytest.approx(float(D.max()), abs=1e-9)
+
+
+    @PLANES
+    def test_thin_spikes(self, plane):
+        # the diameter runs between the spike's tips, 10 apart vertically
+        value, pair = diameter(plane, SPIKE)
+        assert set(pair) == {Point(1e-12, -5), Point(1e-12, 5)}
+        assert value == pytest.approx(float(pairwise_distances(plane, np.array(SPIKE)).max()), rel=1e-15)
+        if plane is not TA:
+            assert value == 10.0
 
 
 class TestPerimeter:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normclust import (
     Point,
@@ -14,6 +15,7 @@ from normclust import (
     euclidean_plane,
     find_bad_structure,
     gauge,
+    l1_plane,
     perimeter_check,
     separate_clusters,
     side_of,
@@ -21,11 +23,14 @@ from normclust import (
 )
 from normclust.errors import EmptyCluster, NoOverlap
 from normclust.geometry import line_through, signed_offset
+from normclust.norm import pairwise_distances
 from normclust.oracle import hulls_interiors_overlap
 from normclust.separation import _split_assignments
 from conftest import random_clusters
 
 E = euclidean_plane()
+L1 = l1_plane()
+TA = two_arc_plane(10.0, 5 * math.sqrt(13))
 
 SQ_A = [(0, 0), (4, 0), (4, 4), (0, 4)]
 SQ_B = [(2, 1), (6, 1), (6, 3), (2, 3)]
@@ -55,7 +60,7 @@ class TestBoundaryCrossings:
 class TestDecompose:
     def test_squares_k1(self):
         cs = boundary_crossings(convex_hull(SQ_A), convex_hull(SQ_B))
-        pieces = decompose_pieces(SQ_A, SQ_B, cs)
+        pieces = decompose_pieces(cs)
         assert [p.owner for p in pieces] == ["A", "B"]
         owners_a = [p for p in pieces if p.owner == "A"]
         assert len(owners_a) == 1
@@ -64,7 +69,7 @@ class TestDecompose:
         tri_up = [(0, 0), (4, 0), (2, 3.5)]
         tri_dn = [(0.1, 2.3), (3.9, 2.4), (2, -1.2)]
         cs = boundary_crossings(convex_hull(tri_up), convex_hull(tri_dn))
-        pieces = decompose_pieces(tri_up, tri_dn, cs)
+        pieces = decompose_pieces(cs)
         assert sum(p.owner == "A" for p in pieces) == 3
         assert sum(p.owner == "B" for p in pieces) == 3
         assert [p.owner for p in pieces] == ["A", "B"] * 3
@@ -73,31 +78,27 @@ class TestDecompose:
         strip = [(-2, 1.5), (6, 1.6), (6, 2.7), (-2, 2.6)]
         cs = boundary_crossings(convex_hull(SQ_A), convex_hull(strip))
         assert len(cs) == 4
-        pieces = decompose_pieces(SQ_A, strip, cs)
+        pieces = decompose_pieces(cs)
         assert sum(p.owner == "A" for p in pieces) == 2
 
     def test_no_overlap_error(self):
         ha = convex_hull([(0, 0), (1, 0), (0, 1)])
         hb = convex_hull([(5, 5), (6, 5), (5, 6)])
         with pytest.raises(NoOverlap):
-            decompose_pieces(
-                [(0, 0), (1, 0), (0, 1)],
-                [(5, 5), (6, 5), (5, 6)],
-                boundary_crossings(ha, hb),
-            )
+            decompose_pieces(boundary_crossings(ha, hb))
 
 
 class TestBadStructure:
     def test_no_bad_pairs(self):
         cs = boundary_crossings(convex_hull(SQ_A), convex_hull(SQ_B))
         # big diameter bound: nothing is bad
-        pieces = decompose_pieces(SQ_A, SQ_B, cs)
+        pieces = decompose_pieces(cs)
         recs, groups = find_bad_structure(E, pieces, 100.0)
         assert recs == [] and groups.groups_a == () and groups.groups_b == ()
 
     def test_single_bad_pair(self):
         cs = boundary_crossings(convex_hull(BAD_A), convex_hull(BAD_B))
-        pieces = decompose_pieces(BAD_A, BAD_B, cs)
+        pieces = decompose_pieces(cs)
         diam_a = diameter(E, BAD_A)[0]
         recs, groups = find_bad_structure(E, pieces, diam_a)
         assert len(recs) == 1
@@ -121,7 +122,7 @@ class TestBadStructure:
                 if len(cs) < 2:
                     continue
                 try:
-                    pieces = decompose_pieces(A, B, cs)
+                    pieces = decompose_pieces(cs)
                 except Exception:
                     continue
                 recs, groups = find_bad_structure(plane, pieces, da)
@@ -229,6 +230,61 @@ class TestSeparate:
         assert after < before - 1e-9
 
 
+    def test_no_bad_pairs_before_the_decomposition(self):
+        # the hulls meet at the shared vertex (-3, -3) and cross twice more:
+        # an odd crossing count, which the piece decomposition rejects.  No
+        # pair of the union is longer than diam(A) (the longest, (0, 3) to
+        # (-3, -3) and (-2, 3) to (1, -3), tie at sqrt(45)), so the no-bad
+        # test, which comes first, merges the clusters
+        A = [(0, 3), (-3, -3), (-3, -1), (1, -3)]
+        B = [(-2, 3), (0, -2), (-3, -3)]
+        assert len(boundary_crossings(convex_hull(A), convex_hull(B))) == 3
+        res = separate_clusters(E, A, B)
+        assert res.witness is SeparationWitness.NO_BAD_PAIRS
+        assert sorted(res.a_prime) == sorted(Point(*p) for p in A + B)
+        assert res.b_prime == ()
+        _check_invariants(E, A, B, res)
+
+
+def _pairwise_diameter(plane, pts):
+    return float(pairwise_distances(plane, np.array(pts, float).reshape(-1, 2)).max(initial=0.0))
+
+
+_lattice = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda p: (p[0] / 2, p[1] / 2))
+_real = st.tuples(*[st.floats(-10, 10, allow_nan=False)] * 2)
+
+
+@st.composite
+def _cluster(draw):
+    """1-8 points: one or two points, lattice points (with duplicates and
+    collinear triples), a collinear run with repeats, or uniform reals."""
+    kind = draw(st.sampled_from(["small", "lattice", "collinear", "uniform"]))
+    if kind == "small":
+        return draw(st.lists(st.one_of(_lattice, _real), min_size=1, max_size=2))
+    if kind == "lattice":
+        return draw(st.lists(_lattice, min_size=1, max_size=8))
+    if kind == "collinear":
+        (ax, ay), (dx, dy) = draw(_lattice), draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]))
+        steps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
+        return [(ax + t * dx, ay + t * dy) for t in steps]
+    return draw(st.lists(_real, min_size=1, max_size=8))
+
+
+class TestSeparationProperties:
+    @pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+    @settings(max_examples=150, deadline=None)
+    @given(A=_cluster(), B=_cluster())
+    def test_invariants(self, plane, A, B):
+        res = separate_clusters(plane, A, B)
+        assert res.witness in set(SeparationWitness)
+        assert sorted(res.a_prime + res.b_prime) == sorted(Point(*p) for p in A + B)
+        # diameters from every pair, not from the hull calipers the library reads
+        assert _pairwise_diameter(plane, res.a_prime) <= _pairwise_diameter(plane, A) + 1e-9
+        assert _pairwise_diameter(plane, res.b_prime) <= _pairwise_diameter(plane, B) + 1e-9
+        assert all(side_of(res.line, p) is not Side.RIGHT for p in res.a_prime)
+        assert all(side_of(res.line, p) is not Side.LEFT for p in res.b_prime)
+
+
 # instances (found by seeded search) with at least two bad pairs whose
 # pieces differ on both sides
 MULTI_BAD = [
@@ -264,7 +320,7 @@ class TestBadSegmentGeometry:
         if len(cs) < 2:
             return 0
         try:
-            pieces = decompose_pieces(A, B, cs)
+            pieces = decompose_pieces(cs)
         except Exception:
             return 0
         recs, _ = find_bad_structure(plane, pieces, da)
