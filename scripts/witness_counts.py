@@ -9,7 +9,8 @@ pair.  Prints one row per norm and scale: how often each witness answered,
 the number of ``NormClustError``s, and the number of splits that raised a
 diameter, diam(A') > diam(A) or diam(B') > diam(B) by more than 1e-9 of it.
 The diameters here are the largest pairwise distance, not the library's
-hull calipers.
+hull calipers.  Exits 1 when any row shows an error or a grown diameter, so
+a run can gate on it.
 
 Usage: python scripts/witness_counts.py [--seed 77] [--pairs 200]
 """
@@ -65,19 +66,22 @@ def counts(plane, pairs, scale) -> Counter:
     return out
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=77)
     parser.add_argument("--pairs", type=int, default=200)
     args = parser.parse_args()
     columns = [w.value for w in SeparationWitness] + ["errors", "grew"]
     print(f"{'norm':10s} {'scale':>6s} " + " ".join(f"{c:>15s}" for c in columns))
+    wrong = 0
     for name, plane in NORMS:
         pairs = criterion_1_pairs(args.seed, args.pairs)
         for scale in SCALES:
             row = counts(plane, pairs, scale)
             print(f"{name:10s} {scale:6.0e} " + " ".join(f"{row[c]:15d}" for c in columns))
+            wrong += row["errors"] + row["grew"]
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

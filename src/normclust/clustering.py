@@ -588,7 +588,7 @@ def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
         raise TooFewPoints(f"need at least k={k} points")
     if not 2 <= k <= 4:
         raise NormClustError("k must be between 2 and 4")
-    rows, _ = line_dissections(pts)
+    rows = line_dissections(pts)
     cuts = _bit_rows(rows)
 
     if objective.measure is Measure.DIAMETER:

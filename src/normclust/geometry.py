@@ -1,6 +1,6 @@
-"""Planar primitives: hulls, normed diameters and perimeters, lines,
-stabbing lines, and line dissections (every split of a point set by a line)
-with their subset diameters.
+"""Planar primitives: hulls, normed diameters and perimeters, an exact
+orientation predicate, lines, stabbing lines, and line dissections (every
+split of a point set by a line) with their subset diameters.
 
 The convex hull is norm-independent; diameter and perimeter are measured in
 the plane's own gauge.
@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import EmptyInput, NonFinitePoint
 from .norm import (
-    DEFAULT_TOL,
     NormedPlane,
     Point,
     Segment,
@@ -53,8 +52,18 @@ class Side(enum.Enum):
 
 @dataclass(frozen=True)
 class OrientedLine:
+    """The line through two distinct points, directed from ``anchor`` to
+    ``through``; "left" is the side of a counterclockwise turn."""
+
     anchor: Point
-    direction: Point  # nonzero; "left" is the positive-determinant side
+    through: Point
+
+    @property
+    def direction(self) -> Point:
+        return Point(self.through.x - self.anchor.x, self.through.y - self.anchor.y)
+
+    def reversed(self) -> OrientedLine:
+        return OrientedLine(self.through, self.anchor)
 
 
 # --------------------------------------------------------------------------
@@ -92,11 +101,27 @@ def hull_indices(points: np.ndarray) -> list[int]:
     return [first[v] for v in _monotone_chain(sorted(first))]
 
 
-def _exact_turn(o, a, p) -> int:
-    """A number with the exact sign of the turn o -> a -> p: the float
-    coordinates as integers over their largest power-of-two denominator.
-    Zero when both products have a factor that is zero, as on a lattice: a
-    float difference is zero only when the coordinates are equal."""
+# Shewchuk's bound on the error of the float turn (orient2d's ccwerrboundA):
+# (3 + 16u) u times the sum of the two products' magnitudes, u = 2^-53, plus
+# 2^-1072 for an underflow of the products.
+_TURN_ERR = (3 + 16 * 2.0 ** -53) * 2.0 ** -53
+_TURN_TINY = 2.0 ** -1072
+
+
+def orient(o, a, p) -> int:
+    """The exact sign of the turn o -> a -> p: 1 when p is left of the line
+    from o to a, -1 when it is right of it, 0 when the three are collinear.
+    A float turn beyond Shewchuk's bound keeps its sign; any other is
+    settled with the coordinates (floats or ints) as integers over their
+    largest power-of-two denominator.  A non-finite one raises
+    NonFinitePoint."""
+    left = (a[0] - o[0]) * (p[1] - o[1])
+    right = (a[1] - o[1]) * (p[0] - o[0])
+    det = left - right
+    if abs(det) > _TURN_ERR * (abs(left) + abs(right)) + _TURN_TINY:
+        return 1 if det > 0 else -1
+    # both products have a zero factor, as on a lattice: a float difference
+    # is zero only when the coordinates are equal
     if (a[0] == o[0] or p[1] == o[1]) and (a[1] == o[1] or p[0] == o[0]):
         return 0
     try:
@@ -108,13 +133,38 @@ def _exact_turn(o, a, p) -> int:
     den = max(dox, doy, dax, day, dpx, dpy)
     ox, oy, ax, ay = ox * (den // dox), oy * (den // doy), ax * (den // dax), ay * (den // day)
     px, py = px * (den // dpx), py * (den // dpy)
-    return (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
+    turn = (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
+    return (turn > 0) - (turn < 0)
+
+
+def orient_lines(pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``orient(pts[i[r]], pts[j[r]], pts[k])`` for every line r and point k,
+    as an int8 array of shape (len(i), len(pts)); pts[i[r]] and pts[j[r]]
+    are distinct.  Each line's own two points are on it by their index;
+    ``orient`` settles the other turns within the float bound one by one."""
+    base = pts[i]
+    with np.errstate(over="ignore", invalid="ignore"):  # such turns are settled exactly
+        d = pts[j] - base
+        rel = pts[None, :, :] - base[:, None, :]
+        left = d[:, None, 0] * rel[..., 1]
+        right = d[:, None, 1] * rel[..., 0]
+        det = left - right
+        bound = _TURN_ERR * (np.abs(left) + np.abs(right)) + _TURN_TINY
+        sign = (det > bound).view(np.int8) - (det < -bound).view(np.int8)
+    unsure = sign == 0
+    lines = np.arange(len(i))
+    unsure[lines, i] = unsure[lines, j] = False
+    if unsure.any():
+        coords = pts.tolist()
+        for r, k in zip(*np.nonzero(unsure)):
+            sign[r, k] = orient(coords[i[r]], coords[j[r]], coords[k])
+    return sign
 
 
 def _monotone_chain(uniq: list) -> list:
     """The hull vertices of distinct (x, y) pairs sorted in (x, y) order,
     counterclockwise from the first.  Every turn is decided exactly: a
-    float turn within ``sure`` of zero is settled in integer arithmetic."""
+    float turn within ``sure`` of zero is settled by ``orient``."""
     if len(uniq) == 1:
         return uniq
     ys = [p[1] for p in uniq]
@@ -131,7 +181,7 @@ def _monotone_chain(uniq: list) -> list:
             while len(chain) >= 2:
                 (ox, oy), (ax, ay) = chain[-2], chain[-1]
                 turn = (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
-                if turn > sure or (not turn < -sure and _exact_turn(chain[-2], chain[-1], p) > 0):
+                if turn > sure or (not turn < -sure and orient(chain[-2], chain[-1], p) > 0):
                     break
                 chain.pop()
             chain.append(p)
@@ -235,9 +285,13 @@ def norm_perimeter(plane: NormedPlane, polygon: ConvexPolygon) -> float:
 
 
 def line_through(p, q) -> OrientedLine:
-    p = Point(float(p[0]), float(p[1]))
-    q = Point(float(q[0]), float(q[1]))
-    return OrientedLine(p, Point(q.x - p.x, q.y - p.y))
+    return OrientedLine(Point(float(p[0]), float(p[1])), Point(float(q[0]), float(q[1])))
+
+
+def horizontal_line(p) -> OrientedLine:
+    """The line through p parallel to the x-axis, directed to larger x."""
+    x, y = float(p[0]), float(p[1])
+    return OrientedLine(Point(x, y), Point(x + (1.0 + abs(x)), y))
 
 
 def signed_offset(line: OrientedLine, p) -> float:
@@ -246,37 +300,28 @@ def signed_offset(line: OrientedLine, p) -> float:
     return dx * (p[1] - line.anchor.y) - dy * (p[0] - line.anchor.x)
 
 
-def side_of(line: OrientedLine, p, tol: float = DEFAULT_TOL) -> Side:
-    det = signed_offset(line, p)
-    dl = max(abs(line.direction.x), abs(line.direction.y))
-    pl = max(abs(p[0] - line.anchor.x), abs(p[1] - line.anchor.y), 1.0)
-    band = tol * max(1.0, dl * pl)
-    if det > band:
-        return Side.LEFT
-    if det < -band:
-        return Side.RIGHT
-    return Side.ON
+def side_of(line: OrientedLine, p) -> Side:
+    """The side of the line that p lies on, decided exactly (``orient``)."""
+    return Side(orient(line.anchor, line.through, (float(p[0]), float(p[1]))))
 
 
-def _segment_stabbed(line: OrientedLine, seg: Segment, tol: float) -> bool:
-    sa = side_of(line, seg.a, tol)
-    sb = side_of(line, seg.b, tol)
-    if sa is Side.ON or sb is Side.ON:
-        return True
-    return sa is not sb
+def _segment_stabbed(line: OrientedLine, seg: Segment) -> bool:
+    return side_of(line, seg.a).value * side_of(line, seg.b).value <= 0
 
 
-def stabbing_line(segments: Sequence[Segment], tol: float = DEFAULT_TOL) -> Optional[OrientedLine]:
+def stabbing_line(segments: Sequence[Segment]) -> Optional[OrientedLine]:
     """A line meeting every segment, or None.
 
     Candidates: lines through two segment endpoints, lines through one
     endpoint parallel to a segment, and horizontal fallbacks.  A stabbing
     line, if one exists, can be translated and rotated until it touches two
-    endpoints, so the candidate set is complete.
+    endpoints, so the candidate set is complete.  A parallel line runs
+    through the endpoint and that endpoint plus the segment's direction,
+    a computed point; it is skipped when the two coincide.
     """
     segs = list(segments)
     if not segs:
-        return OrientedLine(Point(0.0, 0.0), Point(1.0, 0.0))
+        return horizontal_line((0.0, 0.0))
     endpoints: list[Point] = []
     for s in segs:
         for e in (s.a, s.b):
@@ -289,11 +334,12 @@ def stabbing_line(segments: Sequence[Segment], tol: float = DEFAULT_TOL) -> Opti
                 candidates.append(line_through(e1, e2))
     for e in endpoints:
         for s in segs:
-            if s.a != s.b:
-                candidates.append(OrientedLine(e, Point(s.b.x - s.a.x, s.b.y - s.a.y)))
-        candidates.append(OrientedLine(e, Point(1.0, 0.0)))
+            through = Point(e.x + (s.b.x - s.a.x), e.y + (s.b.y - s.a.y))
+            if through != e:
+                candidates.append(OrientedLine(e, through))
+        candidates.append(horizontal_line(e))
     for line in candidates:
-        if all(_segment_stabbed(line, s, tol) for s in segs):
+        if all(_segment_stabbed(line, s) for s in segs):
             return line
     return None
 
@@ -315,8 +361,7 @@ def _first_distinct(rows: np.ndarray) -> np.ndarray:
     return np.sort(order[fresh])
 
 
-def line_splits(left: np.ndarray, on: np.ndarray, along: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
+def line_splits(left: np.ndarray, on: np.ndarray, along: np.ndarray) -> np.ndarray:
     """The splits of points by lines that keep each line's points in order.
 
     Row l of the boolean ``left`` and ``on`` matrices marks the points
@@ -324,7 +369,6 @@ def line_splits(left: np.ndarray, on: np.ndarray, along: np.ndarray
     positions along it.  A line with m points on it gives its left points
     plus a prefix of its on-line points, of each size 0..m, then its left
     points plus a suffix of each size 1..m-1: every such split once.
-    Returns the rows and the line of each row.
     """
     rank = np.argsort(np.argsort(np.where(on, along, np.inf), axis=1, kind="stable"), axis=1)
     count = on.sum(axis=1)
@@ -337,30 +381,30 @@ def line_splits(left: np.ndarray, on: np.ndarray, along: np.ndarray
     sline, ssize = sizes(np.maximum(count - 1, 0), 1)
     prefix = left[pline] | (rank[pline] < psize)
     suffix = left[sline] | (on[sline] & (rank[sline] >= count[sline, None] - ssize))
-    return np.concatenate([prefix, suffix]), np.concatenate([pline, sline])
+    return np.concatenate([prefix, suffix])
 
 
-def iter_line_dissections(points) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The rows of ``line_dissections`` in blocks ``(rows, pairs)``, working
-    through the point pairs in chunks so that no temporary exceeds about
-    ``_CHUNK`` elements.  Rows are distinct within a block but may repeat
-    across blocks; the all and none rows come last."""
+def iter_line_dissections(points) -> Iterator[np.ndarray]:
+    """The rows of ``line_dissections`` in blocks, working through the point
+    pairs in chunks so that no temporary exceeds about ``_CHUNK`` elements.
+    Rows are distinct within a block but may repeat across blocks; the all
+    and none rows come last."""
     pts = as_array([tuple(p) for p in points])
     n = len(pts)
     iu, ju = np.triu_indices(n, k=1)
     keep = np.any(pts[iu] != pts[ju], axis=1)
     iu, ju = iu[keep], ju[keep]
+    # the order of a line's points along it: their (x, y) order when it runs
+    # towards larger (x, y), the reverse otherwise; equal points by index
+    up, down = np.empty(n, int), np.empty(n, int)
+    up[np.lexsort((np.arange(n), pts[:, 1], pts[:, 0]))] = np.arange(n)
+    down[np.lexsort((np.arange(n), -pts[:, 1], -pts[:, 0]))] = np.arange(n)
     seen: set[bytes] = set()
     step = max(1, _CHUNK // max(1, 2 * n))
     for s in range(0, len(iu), step):
         i, j = iu[s:s + step], ju[s:s + step]
-        direction = pts[j] - pts[i]
-        # side_of(line_through(pts[i], pts[j]), p) for every pair at once
-        rel = pts[None, :, :] - pts[i][:, None, :]
-        det = direction[:, None, 0] * rel[..., 1] - direction[:, None, 1] * rel[..., 0]
-        reach = np.maximum(np.abs(rel).max(axis=2), 1.0)
-        band = DEFAULT_TOL * np.maximum(1.0, np.abs(direction).max(axis=1)[:, None] * reach)
-        on = np.abs(det) <= band
+        sign = orient_lines(pts, i, j)
+        on = sign == 0
         # one pair per distinct line, which its points on the line identify;
         # only a line with three or more points on it is met by two pairs
         first = _first_distinct(on)
@@ -372,16 +416,14 @@ def iter_line_dissections(points) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                 repeat.add(r)
             seen.add(key)
         first = np.array([r for r in first.tolist() if r not in repeat], dtype=int)
-        along = (rel[first] * direction[first, None, :]).sum(axis=2)
-        rows, line = line_splits(det[first] > band[first], on[first], along)
+        along = np.where((up[j[first]] > up[i[first]])[:, None], up, down)
+        rows = line_splits(sign[first] > 0, on[first], along)
         rows = np.concatenate([rows, ~rows])
-        pairs = np.stack([i[first], j[first]], axis=1)[np.tile(line, 2)]
-        distinct = _first_distinct(rows)
-        yield rows[distinct], pairs[distinct]
-    yield np.stack([np.ones(n, bool), np.zeros(n, bool)]), np.zeros((2, 2), int)
+        yield rows[_first_distinct(rows)]
+    yield np.stack([np.ones(n, bool), np.zeros(n, bool)])
 
 
-def line_dissections(points) -> tuple[np.ndarray, np.ndarray]:
+def line_dissections(points) -> np.ndarray:
     """Every split of the points by a line, as the rows of a boolean matrix.
 
     Each distinct line through two points yields the points strictly on its
@@ -395,19 +437,14 @@ def line_dissections(points) -> tuple[np.ndarray, np.ndarray]:
     lies in the other side's hull, so moving it there never raises a
     diameter, a radius or a hull perimeter.
 
-    Returns ``(rows, pairs)``.  The rows are distinct and include the all
-    and none rows.  The points of row r lie on one closed side of the line
-    through points ``pairs[r]`` and the other points on the other closed
-    side, with ``side_of`` at its default tolerance deciding what is on the
-    line; the pair is (0, 0) when no two points are distinct.  In general
-    position the matrix has n(n-1)+2 rows of n; ``iter_line_dissections``
-    gives the same rows in blocks of bounded size.
+    Sides are decided exactly (``orient_lines``), so the points of each row
+    and the other points lie on the two closed sides of a line through two
+    of the points.  The rows are distinct and include the all and none
+    rows.  In general position the matrix has n(n-1)+2 rows of n;
+    ``iter_line_dissections`` gives the same rows in blocks of bounded size.
     """
-    blocks = list(iter_line_dissections(points))
-    rows = np.concatenate([b[0] for b in blocks])
-    pairs = np.concatenate([b[1] for b in blocks])
-    first = _first_distinct(rows)
-    return rows[first], pairs[first]
+    rows = np.concatenate(list(iter_line_dissections(points)))
+    return rows[_first_distinct(rows)]
 
 
 def subset_diameters(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -426,10 +463,9 @@ def subset_diameters(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def dissections_within(points, D: np.ndarray, d1: float, d2: float
-                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The rows and pairs of the line dissections of the points whose own
-    diameter under D is at most d1 and whose complement's is at most d2, in
+def dissections_within(points, D: np.ndarray, d1: float, d2: float) -> Iterator[np.ndarray]:
+    """The rows of the line dissections of the points whose own diameter
+    under D is at most d1 and whose complement's is at most d2, in
     ``iter_line_dissections`` order.
 
     With F the 0/1 matrix of pairs farther apart than d, a row r has
@@ -439,37 +475,28 @@ def dissections_within(points, D: np.ndarray, d1: float, d2: float
     """
     far1, far2 = (D > d1).astype(float), (D > d2).astype(float)
     batch = max(1, _CHUNK // len(D))
-    for rows, pairs in iter_line_dissections(points):
+    for rows in iter_line_dissections(points):
         for s in range(0, len(rows), batch):
-            part, at = rows[s:s + batch], pairs[s:s + batch]
+            part = rows[s:s + batch]
             inside, outside = part.astype(float), (~part).astype(float)
             fit = ((((inside @ far1) * inside).sum(axis=1) == 0)
                    & (((outside @ far2) * outside).sum(axis=1) == 0))
             if fit.any():
-                yield part[fit], at[fit]
+                yield part[fit]
 
 
 # --------------------------------------------------------------------------
 # convex polygon helpers (norm-independent)
 
 
-def point_in_convex(poly: ConvexPolygon, p, tol: float = DEFAULT_TOL) -> bool:
-    """Closed membership test; degenerate polygons are handled."""
+def point_in_convex(poly: ConvexPolygon, p) -> bool:
+    """Closed membership test, decided exactly (``orient``); degenerate
+    polygons are handled."""
+    p = (float(p[0]), float(p[1]))
     verts = poly.vertices
     if len(verts) == 1:
-        v = verts[0]
-        return abs(p[0] - v.x) <= tol and abs(p[1] - v.y) <= tol
-    scale = max(1.0, max(max(abs(v.x), abs(v.y)) for v in verts))
-    band = tol * scale
+        return p == verts[0]
     if len(verts) == 2:
         a, b = verts
-        cross = (b.x - a.x) * (p[1] - a.y) - (b.y - a.y) * (p[0] - a.x)
-        if abs(cross) > band * max(1.0, abs(b.x - a.x) + abs(b.y - a.y)):
-            return False
-        t = (p[0] - a.x) * (b.x - a.x) + (p[1] - a.y) * (b.y - a.y)
-        return -band <= t <= (b.x - a.x) ** 2 + (b.y - a.y) ** 2 + band
-    for i in range(len(verts)):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
-        if (b.x - a.x) * (p[1] - a.y) - (b.y - a.y) * (p[0] - a.x) < -band:
-            return False
-    return True
+        return orient(a, b, p) == 0 and min(a, b) <= p <= max(a, b)
+    return all(orient(verts[i - 1], verts[i], p) >= 0 for i in range(len(verts)))

@@ -9,6 +9,8 @@ construction decomposes the hull boundaries into interlacing pieces, finds
 them, and cuts along a line through two boundary crossings.  Where the
 construction does not apply (a hull of one or two points, or a collinear
 one) or fails, the best split among the line dissections is taken instead.
+Whichever path chose A' and B', the reported line is found from their
+hulls by one exact routine (``_disjoint_line``).
 """
 
 from __future__ import annotations
@@ -24,16 +26,15 @@ from .errors import EmptyCluster, NoOverlap, NormClustError
 from .geometry import (
     ConvexPolygon,
     OrientedLine,
-    Side,
     convex_hull,
     dissections_within,
-    iter_line_dissections,
+    horizontal_line,
     line_splits,
     line_through,
     norm_perimeter,
+    orient_lines,
     point_in_convex,
     polygon_diameter,
-    side_of,
     signed_offset,
 )
 from .norm import NormedPlane, Point, Segment, as_array, check_finite, gauge, pairwise_distances
@@ -125,18 +126,20 @@ def _edge_cross(a1: Point, a2: Point, b1: Point, b2: Point, eps: float):
     return None
 
 
-def boundary_crossings(conv_a: ConvexPolygon, conv_b: ConvexPolygon,
-                       tol: float = 1e-9) -> CrossingSequence:
+def boundary_crossings(conv_a: ConvexPolygon, conv_b: ConvexPolygon) -> CrossingSequence:
     """All transversal boundary intersection points, counterclockwise along
     the A hull.
 
-    Empty when the hulls are disjoint or nested.
+    Empty when the hulls are disjoint or nested.  The crossings are computed
+    points, so edges count as parallel, and two crossings as one, within
+    bands relative to the two hulls' extent.
     """
     if conv_a.degenerate or conv_b.degenerate:
         return CrossingSequence((), conv_a, conv_b)
     va, vb = conv_a.vertices, conv_b.vertices
-    scale = max(1.0, max(max(abs(p.x), abs(p.y)) for p in va + vb))
-    eps = tol * scale * scale
+    xs, ys = [p.x for p in va + vb], [p.y for p in va + vb]
+    extent = max(max(xs) - min(xs), max(ys) - min(ys))
+    eps = 1e-9 * extent * extent
     recs: list[_Crossing] = []
     for ia in range(len(va)):
         a1, a2 = va[ia], va[(ia + 1) % len(va)]
@@ -150,13 +153,8 @@ def boundary_crossings(conv_a: ConvexPolygon, conv_b: ConvexPolygon,
     recs.sort(key=lambda r: (r.ia, r.ta))
     dedup: list[_Crossing] = []
     for r in recs:
-        if any(
-            abs(r.point.x - s.point.x) <= 1e3 * tol * scale
-            and abs(r.point.y - s.point.y) <= 1e3 * tol * scale
-            for s in dedup
-        ):
-            continue
-        dedup.append(r)
+        if all(max(abs(r.point.x - s.point.x), abs(r.point.y - s.point.y)) > 1e-6 * extent for s in dedup):
+            dedup.append(r)
     return CrossingSequence(tuple(dedup), conv_a, conv_b)
 
 
@@ -216,7 +214,7 @@ def decompose_pieces(crossings: CrossingSequence) -> list[Piece]:
     for k in range(m):
         c1, c2 = recs[k], recs[(k + 1) % m]
         walk_a = _walk(hull_a, (c1.ia, c1.ta), (c2.ia, c2.ta), c1.point, c2.point)
-        inside = point_in_convex(hull_b, _polyline_midpoint(walk_a), 1e-9)
+        inside = point_in_convex(hull_b, _polyline_midpoint(walk_a))
         runs.append((c1, c2, walk_a, inside))
     if any(runs[k][3] == runs[(k + 1) % m][3] for k in range(m)):
         raise NormClustError("crossing runs do not alternate")
@@ -224,8 +222,6 @@ def decompose_pieces(crossings: CrossingSequence) -> list[Piece]:
     # cyclic position of every crossing along the B hull
     def b_key(r: _Crossing) -> float:
         return r.ib + r.tb
-
-    nb_total = len(hull_b.vertices)
 
     def run_is_clear(cfrom: _Crossing, cto: _Crossing) -> bool:
         """No other crossing strictly inside the CCW B-run cfrom -> cto."""
@@ -247,27 +243,15 @@ def decompose_pieces(crossings: CrossingSequence) -> list[Piece]:
         # contains no other crossing, so pick the crossing-free direction
         # (midpoint side decides when both directions are free, i.e. k = 1)
         want_inside_a = not inside  # A-piece closes with the B-arc inside conv(A)
-        fwd_clear = run_is_clear(c2, c1)
-        rev_clear = run_is_clear(c1, c2)
-        if fwd_clear and not rev_clear:
-            chosen = _walk(hull_b, (c2.ib, c2.tb), (c1.ib, c1.tb), c2.point, c1.point)
-        elif rev_clear and not fwd_clear:
-            chosen = list(reversed(_walk(hull_b, (c1.ib, c1.tb), (c2.ib, c2.tb), c1.point, c2.point)))
-        elif fwd_clear and rev_clear:
-            chosen = None
-            for cand in (
-                _walk(hull_b, (c2.ib, c2.tb), (c1.ib, c1.tb), c2.point, c1.point),
-                list(reversed(_walk(hull_b, (c1.ib, c1.tb), (c2.ib, c2.tb), c1.point, c2.point))),
-            ):
-                if point_in_convex(hull_a, _polyline_midpoint(cand), 1e-9) == want_inside_a:
-                    chosen = cand
-                    break
-            if chosen is None:
-                raise NormClustError("could not orient the closing hull run")
-        else:
-            raise NormClustError("no crossing-free closing run")
-        if point_in_convex(hull_a, _polyline_midpoint(chosen), 1e-9) != want_inside_a:
-            raise NormClustError("closing run lies on the wrong side")
+        closing = []
+        if run_is_clear(c2, c1):
+            closing.append(_walk(hull_b, (c2.ib, c2.tb), (c1.ib, c1.tb), c2.point, c1.point))
+        if run_is_clear(c1, c2):
+            closing.append(list(reversed(_walk(hull_b, (c1.ib, c1.tb), (c2.ib, c2.tb), c1.point, c2.point))))
+        chosen = next((run for run in closing
+                       if point_in_convex(hull_a, _polyline_midpoint(run)) == want_inside_a), None)
+        if chosen is None:
+            raise NormClustError("no crossing-free closing run on the right side")
         cycle = tuple(walk_a) + tuple(chosen[1:-1])
         owner = "B" if inside else "A"
         pieces_ccw.append((owner, cycle, c1, c2))
@@ -296,27 +280,18 @@ def decompose_pieces(crossings: CrossingSequence) -> list[Piece]:
 
 
 def _cyclic_runs(flags: Sequence[bool]) -> list[list[int]]:
+    """The maximal runs of true flags in cyclic order, by first index."""
     n = len(flags)
-    idx = [i for i in range(n) if flags[i]]
-    if not idx:
-        return []
     if all(flags):
         return [list(range(n))]
-    runs = []
-    run: list[int] = []
-    # start scanning right after a gap so cyclic runs are not split
-    start = next(i for i in range(n) if not flags[i])
-    for k in range(1, n + 1):
-        i = (start + k) % n
+    runs: list[list[int]] = []
+    start = flags.index(False)  # scan from a gap, so no run is split
+    for i in [(start + k) % n for k in range(1, n + 1)]:
         if flags[i]:
-            run.append(i)
-        elif run:
-            runs.append(run)
-            run = []
-    if run:
-        runs.append(run)
-    runs.sort(key=lambda r: r[0])
-    return runs
+            if not flags[i - 1]:
+                runs.append([])
+            runs[-1].append(i)
+    return sorted(runs, key=lambda r: r[0])
 
 
 def find_bad_structure(plane: NormedPlane, pieces: Sequence[Piece], diam_a: float
@@ -325,7 +300,7 @@ def find_bad_structure(plane: NormedPlane, pieces: Sequence[Piece], diam_a: floa
     groups per cluster."""
     a_pieces = [p for p in pieces if p.owner == "A"]
     b_pieces = [p for p in pieces if p.owner == "B"]
-    tol = plane.tolerance * max(1.0, diam_a)
+    tol = plane.tolerance * diam_a
     # one gauge call over every pair of an A-piece vertex and a B-piece one
     va = [v for p in a_pieces for v in p.polygon.vertices]
     vb = [v for p in b_pieces for v in p.polygon.vertices]
@@ -351,25 +326,7 @@ def find_bad_structure(plane: NormedPlane, pieces: Sequence[Piece], diam_a: floa
 # --------------------------------------------------------------------------
 # the separation construction
 
-_SLACK = 5e-10  # a split may raise a diameter by this much
-
-
-def _tangent_line(hull: ConvexPolygon) -> OrientedLine:
-    """A supporting line of the hull with every point on one closed side."""
-    v = hull.vertices
-    if len(v) == 1:
-        return OrientedLine(v[0], Point(1.0, 0.0))
-    return line_through(v[0], v[1])
-
-
-def _dissection_line(union, pair, in_a) -> OrientedLine:
-    """The line through the points ``pair`` of the union, oriented with the
-    points flagged in in_a on its closed left and the others on its closed
-    right; either side may lie wholly on the line."""
-    line = line_through(union[pair[0]], union[pair[1]])
-    if any(side_of(line, p) is (Side.RIGHT if a else Side.LEFT) for p, a in zip(union, in_a)):
-        line = OrientedLine(line.anchor, Point(-line.direction.x, -line.direction.y))
-    return line
+_SLACK = 5e-10  # a split may raise a diameter by this share of it
 
 
 def _hull_or_none(pts) -> ConvexPolygon | None:
@@ -380,19 +337,21 @@ def _perimeter(plane, hull: ConvexPolygon | None) -> float:
     return 0.0 if hull is None else norm_perimeter(plane, hull)
 
 
-def _valid(plane, a_pts, b_pts, hull_a, hull_b, line, diam_a, diam_b) -> bool:
-    """Neither side's hull (None for no points) is wider than its bound, and
-    A' and B' lie on the line's closed left and right."""
-    for hull, bound in ((hull_a, diam_a), (hull_b, diam_b)):
-        if hull is not None and polygon_diameter(plane, hull)[0] > bound + _SLACK:
-            return False
-    for p in a_pts:
-        if side_of(line, p) is Side.RIGHT:
-            return False
-    for p in b_pts:
-        if side_of(line, p) is Side.LEFT:
-            return False
-    return True
+def _fits(plane, hull_a, hull_b, diam_a, diam_b) -> bool:
+    """Neither side's hull (None for no points) is wider than its bound."""
+    return all(hull is None or polygon_diameter(plane, hull)[0] <= bound * (1 + _SLACK)
+               for hull, bound in ((hull_a, diam_a), (hull_b, diam_b)))
+
+
+def _split_line(hull_a, hull_b) -> OrientedLine | None:
+    """The line reported for a split: ``_disjoint_line`` of its two hulls,
+    or, when one side has no points (None), a supporting line of the other
+    with all of it on its own closed side."""
+    if hull_a is not None and hull_b is not None:
+        return _disjoint_line(hull_a, hull_b)
+    v = (hull_b if hull_a is None else hull_a).vertices
+    line = horizontal_line(v[0]) if len(v) == 1 else line_through(v[0], v[1])
+    return line.reversed() if hull_a is None else line
 
 
 def _fallback_split(plane, union, diam_a, diam_b):
@@ -411,31 +370,26 @@ def _fallback_split(plane, union, diam_a, diam_b):
         return sides[key]
 
     best = None
-    for rows, pairs in dissections_within(union, D, diam_a + _SLACK, diam_b + _SLACK):
-        for row, pair in zip(rows, pairs):
+    for rows in dissections_within(union, D, diam_a * (1 + _SLACK), diam_b * (1 + _SLACK)):
+        for row in rows:
             (a_pts, hull_a, perim_a), (b_pts, hull_b, perim_b) = side(row), side(~row)
             after = perim_a + perim_b
-            if best is None or after < best[0]:
-                line = _dissection_line(union, pair, row)
-                if _valid(plane, a_pts, b_pts, hull_a, hull_b, line, diam_a, diam_b):
-                    best = (after, a_pts, b_pts, line)
-    if best is None:
+            if (best is None or after < best[0]) and _fits(plane, hull_a, hull_b, diam_a, diam_b):
+                best = (after, a_pts, b_pts, hull_a, hull_b)
+    # a line dissection's sides are decided exactly, so its line exists
+    line = None if best is None else _split_line(best[3], best[4])
+    if line is None:
         raise NormClustError("no valid separable split found (unexpected)")
-    return best[1], best[2], best[3]
+    return best[1], best[2], line
 
 
 def _splitting_line(pieces, records, groups) -> OrientedLine:
     """The splitting line of the construction: pick the last bad A piece of
     the first group; the line runs through the crossing before the first bad
     B piece after it and the crossing after its last bad partner."""
-    piece_pos = {}
-    for pos, p in enumerate(pieces):
-        piece_pos[(p.owner, p.index)] = pos
+    piece_pos = {(p.owner, p.index): pos for pos, p in enumerate(pieces)}
     m = len(pieces)
-
-    a_groups = groups.groups_a
-    group0 = a_groups[0]
-    a_i = group0[-1]
+    a_i = groups.groups_a[0][-1]
     pos_ai = piece_pos[("A", a_i)]
 
     def disp(owner_idx):
@@ -450,7 +404,7 @@ def _splitting_line(pieces, records, groups) -> OrientedLine:
     pc_last = pieces[piece_pos[("B", b_last)]]
     u_before = pc_first.entry_point
     u_after = pc_last.exit_point
-    if abs(u_before.x - u_after.x) < 1e-12 and abs(u_before.y - u_after.y) < 1e-12:
+    if u_before == u_after:
         raise NormClustError("degenerate splitting line")
     line = line_through(u_before, u_after)
 
@@ -464,22 +418,20 @@ def _splitting_line(pieces, records, groups) -> OrientedLine:
         raise NormClustError("cannot orient the splitting line")
     sgn = 1.0 if ref_off > 0 else -1.0
     # orient so that the A' side is the closed left side
-    if sgn > 0:
-        line = OrientedLine(line.anchor, Point(-line.direction.x, -line.direction.y))
-    return line
+    return line.reversed() if sgn > 0 else line
 
 
 def _split_assignments(union, line):
     """Splits of the union by ``line``: strict sides are fixed (left = A');
     the points on the line go to A' as a prefix or a suffix of their order
-    along it (``line_splits``)."""
+    along it (``line_splits``).  The line runs through computed crossings,
+    so "on" is a band of 1e-9 of the union's extent."""
     pts = as_array([tuple(p) for p in union])
-    scale = max(1.0, float(np.abs(pts).max()))
-    band = 1e-9 * scale * max(abs(line.direction.x), abs(line.direction.y), 1e-30)
+    dx, dy = line.direction
+    band = 1e-9 * float(np.ptp(pts, axis=0).max()) * max(abs(dx), abs(dy))
     rel = pts - np.array(line.anchor)
-    det = line.direction.x * rel[:, 1] - line.direction.y * rel[:, 0]
-    rows, _ = line_splits((det > band)[None], (np.abs(det) <= band)[None],
-                          (rel @ np.array(line.direction))[None])
+    det = dx * rel[:, 1] - dy * rel[:, 0]
+    rows = line_splits((det > band)[None], (np.abs(det) <= band)[None], (rel @ np.array((dx, dy)))[None])
     for row in rows:
         yield (tuple(p for p, to_a in zip(union, row) if to_a),
                tuple(p for p, to_a in zip(union, row) if not to_a))
@@ -489,45 +441,57 @@ def _group_split(plane, union, crossings, diam_a, diam_b):
     """The construction's split of A u B along ``_splitting_line``, for hulls
     whose boundaries cross and a union wider than diam(A).  Raises
     NormClustError where it does not apply: a decomposition that fails, no
-    bad pair, no valid split, or a perimeter sum that does not drop."""
+    bad pair, or no split that fits, lowers the perimeter sum and has a
+    separating line."""
     pieces = decompose_pieces(crossings)
     records, groups = find_bad_structure(plane, pieces, diam_a)
     if not records:
         raise NormClustError("no bad pairs but the union diameter grew")
-    line = _splitting_line(pieces, records, groups)
-    best = None
-    for a_pts, b_pts in _split_assignments(union, line):
+    fits = []
+    for a_pts, b_pts in _split_assignments(union, _splitting_line(pieces, records, groups)):
         hull_a, hull_b = _hull_or_none(a_pts), _hull_or_none(b_pts)
-        if _valid(plane, a_pts, b_pts, hull_a, hull_b, line, diam_a, diam_b):
-            after = _perimeter(plane, hull_a) + _perimeter(plane, hull_b)
-            if best is None or after < best[0]:
-                best = (after, a_pts, b_pts)
-    if best is None:
-        raise NormClustError("group split failed validation")
+        if _fits(plane, hull_a, hull_b, diam_a, diam_b):
+            fits.append((_perimeter(plane, hull_a) + _perimeter(plane, hull_b), a_pts, b_pts, hull_a, hull_b))
     # boundaries cross here, so the hull interiors overlap and the
     # perimeter sum must drop strictly; on flat-sided norms the rule's
-    # line may hit a chord of half the intersection's perimeter, in
-    # which case a strictly decreasing candidate split is used instead
+    # line may hit a chord of half the intersection's perimeter, and then
+    # the fallback finds a strictly decreasing split instead.  The line is
+    # sought for the best split first, and for the next only if it has none.
     before = norm_perimeter(plane, crossings.hull_a) + norm_perimeter(plane, crossings.hull_b)
-    if before - best[0] > 1e-9:
-        return best[1], best[2], line
-    raise NormClustError("group split did not decrease the perimeter sum")
+    for after, a_pts, b_pts, hull_a, hull_b in sorted(fits, key=lambda fit: fit[0]):
+        if not before - after > 1e-9 * before:
+            break
+        line = _split_line(hull_a, hull_b)
+        if line is not None:
+            return a_pts, b_pts, line
+    raise NormClustError("group split found no separable split that lowers the perimeter sum")
 
 
 def _disjoint_line(hull_a: ConvexPolygon, hull_b: ConvexPolygon) -> OrientedLine | None:
-    """A line with A's hull vertices on its closed left and B's on its closed
-    right, or None.  The hulls then lie on those sides, and such a line can
-    be turned about the hulls until it runs through two of the vertices.
-    Pairs are tried in index order, so A's vertices start at the one nearest
-    B's centroid, often next to the vertex such a line touches."""
-    va, vb = as_array(hull_a.vertices), as_array(hull_b.vertices)
-    start = int(np.argmin(np.hypot(*(va - vb.mean(axis=0)).T)))
-    verts = hull_a.vertices[start:] + hull_a.vertices[:start] + hull_b.vertices
-    in_a = np.arange(len(verts)) < len(hull_a.vertices)
-    for rows, pairs in iter_line_dissections(verts):
-        hit = np.flatnonzero(np.all(rows == in_a, axis=1))
-        if len(hit):
-            return _dissection_line(verts, pairs[hit[0]], in_a)
+    """A line with A's hull on its closed left and B's on its closed right,
+    or None; the A and B vertices on it must not interleave in (x, y) order,
+    though they may share an end.  Every side test is exact.
+
+    The candidates are A's directed edges, B's reversed edges (a hull of two
+    vertices has both directions) and, for two single points, the line
+    through them.  They suffice: each side of conv(A) - conv(B) is parallel
+    to an edge of A or B, and when a line separates the hulls, the origin
+    lies on the closed outer side of one side's line; the matching edge
+    line of A or B then separates them."""
+    va, vb = hull_a.vertices, hull_b.vertices
+    na, nb = len(va), len(vb)
+    if na == nb == 1:
+        return horizontal_line(va[0]) if va[0] == vb[0] else line_through(va[0], vb[0])
+    ka, kb = np.arange(na if na > 1 else 0), np.arange(nb if nb > 1 else 0)
+    i = np.concatenate([ka, na + (kb + 1) % nb])
+    j = np.concatenate([(ka + 1) % na, na + kb])
+    verts = va + vb
+    sign = orient_lines(as_array(verts), i, j)
+    for c in np.flatnonzero((sign[:, :na] >= 0).all(axis=1) & (sign[:, na:] <= 0).all(axis=1)).tolist():
+        on_a = [v for v, s in zip(va, sign[c, :na]) if s == 0]
+        on_b = [v for v, s in zip(vb, sign[c, na:]) if s == 0]
+        if not on_a or not on_b or max(on_a) <= min(on_b) or max(on_b) <= min(on_a):
+            return OrientedLine(verts[i[c]], verts[j[c]])
     return None
 
 
@@ -535,8 +499,8 @@ def _merged(plane, union, hull_a, hull_b, diam_a):
     """A' = A u B and B' empty, when conv(A u B) is no wider than diam(A)."""
     # the exact hulls keep every vertex, so their vertices span conv(A u B)
     hull = convex_hull(hull_a.vertices + hull_b.vertices)
-    if polygon_diameter(plane, hull)[0] <= diam_a + _SLACK:
-        return (union, (), _tangent_line(hull), SeparationWitness.NO_BAD_PAIRS)
+    if polygon_diameter(plane, hull)[0] <= diam_a * (1 + _SLACK):
+        return (union, (), _split_line(hull, None), SeparationWitness.NO_BAD_PAIRS)
     return None
 
 
@@ -545,8 +509,9 @@ def _separate_ordered(plane, a_points, hull_a, diam_a, b_points, hull_b, diam_b)
     The witnesses are tried in this order:
 
     1. DISJOINT_HULLS, for hulls that neither cross (no crossings are taken
-       for a hull of one or two points or a collinear one) nor nest: a line
-       through two hull vertices with A on its closed left, B on its right.
+       for a hull of one or two points or a collinear one) nor nest: an edge
+       line of either hull with A on its closed left, B on its closed right
+       (``_disjoint_line``).
     2. NO_BAD_PAIRS, A' = A u B: diam(conv(A u B)) <= diam(A).  Nested and
        crossing hulls try it first; it leaves no bad piece pair, so the
        piece decomposition is built only when it fails.
@@ -554,7 +519,7 @@ def _separate_ordered(plane, a_points, hull_a, diam_a, b_points, hull_b, diam_b)
     4. FALLBACK_SPLIT, the best line dissection (``_fallback_split``).
     """
     union = tuple(a_points) + tuple(b_points)
-    crossings = boundary_crossings(hull_a, hull_b, plane.tolerance)
+    crossings = boundary_crossings(hull_a, hull_b)
     crossing = len(crossings) >= 2
     nested = not crossing and not (hull_a.degenerate or hull_b.degenerate) and (
         all(point_in_convex(hull_a, v) for v in hull_b.vertices)
@@ -595,7 +560,7 @@ def separate_clusters(plane: NormedPlane, a_points, b_points) -> SeparationResul
     big_p, small_p, line, witness = _separate_ordered(plane, *big, *small)
     if swapped:
         a_prime, b_prime = small_p, big_p
-        line = OrientedLine(line.anchor, Point(-line.direction.x, -line.direction.y))
+        line = line.reversed()
     else:
         a_prime, b_prime = big_p, small_p
     return SeparationResult(tuple(a_prime), tuple(b_prime), line, witness)

@@ -26,6 +26,7 @@ from normclust.geometry import (
     line_dissections,
     line_splits,
     line_through,
+    point_in_convex,
     subset_diameters,
 )
 from normclust.norm import pairwise_distances
@@ -171,19 +172,54 @@ class TestLines:
         assert side_of(x_axis, (0, 1)) is Side.LEFT
         assert side_of(x_axis, (5, 0)) is Side.ON
         assert side_of(x_axis, (0, -1)) is Side.RIGHT
+        # a few ulps off the diagonal, whose defining points differ in
+        # magnitude by 2^60; every answer is the exact one
+        diagonal = line_through((2.0 ** -60, 2.0 ** -60), (1, 1))
+        half_ulp = np.spacing(0.5)
+        assert side_of(diagonal, (0.5, 0.5)) is Side.ON
+        assert side_of(diagonal, (0.5, 0.5 + 3 * half_ulp)) is Side.LEFT
+        assert side_of(diagonal, (0.5 + 2 * half_ulp, 0.5)) is Side.RIGHT
+        # one ulp off a vertical line at 1e5
+        vertical = line_through((1e5, 0), (1e5, 1))
+        assert side_of(vertical, (np.nextafter(1e5, 0), 7)) is Side.LEFT
+        assert side_of(vertical, (np.nextafter(1e5, 2e5), 7)) is Side.RIGHT
+        assert side_of(vertical, (1e5, -7)) is Side.ON
+        for line, p in ((diagonal, (0.5, 0.5 + half_ulp)), (vertical, (np.nextafter(1e5, 2e5), 7))):
+            assert side_of(line, p).value == _fraction_turn(line.anchor, line.through, p)
+
+    def test_point_in_convex(self):
+        # the spike's sides are 1e-12 from its axis over a height of 10: the
+        # points just outside them are outside, whatever their distance
+        spike = convex_hull(SPIKE)
+        inside = [(1e-12, 0), (1e-12, 4.9), (1e-12, 5), (0, 0), (2e-12, 0), (0.5e-12, 2.5)]
+        outside = [(0, 1), (-1e-13, 0), (3e-12, 0), (2e-12, 1), (1e-12, 5.0000001), (0.5e-12, 2.6)]
+        for p in inside + outside:
+            assert point_in_convex(spike, p) is (p in inside)
+            assert point_in_convex(spike, p) is all(
+                _fraction_turn(a, b, p) >= 0 for a, b in zip(spike.vertices, spike.vertices[1:] + spike.vertices[:1]))
+        segment = convex_hull([(0, 0), (2, 2)])
+        assert point_in_convex(segment, (1, 1)) and not point_in_convex(segment, (3, 3))
+        assert not point_in_convex(segment, (1, 1 + np.spacing(1.0)))
+        assert point_in_convex(convex_hull([(1, 2)]), (1, 2)) and not point_in_convex(convex_hull([(1, 2)]), (1, 2.5))
+
+
+def _fraction_turn(o, a, p) -> int:
+    """The sign of the turn o -> a -> p in exact rational arithmetic."""
+    (ox, oy), (ax, ay), (px, py) = (map(Fraction, map(float, q)) for q in (o, a, p))
+    turn = (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
+    return (turn > 0) - (turn < 0)
 
 
 def _stab_oracle(segments):
     """Exhaustive candidate check, quadratic in the endpoints."""
-    eps = 1e-9
     endpoints = []
     for s in segments:
         endpoints += [s.a, s.b]
 
     def stabs(line):
         for s in segments:
-            sa = side_of(line, s.a, eps)
-            sb = side_of(line, s.b, eps)
+            sa = side_of(line, s.a)
+            sb = side_of(line, s.b)
             if sa is sb and sa is not Side.ON and sb is not Side.ON:
                 return False
         return True
@@ -195,9 +231,10 @@ def _stab_oracle(segments):
             if e1 != e2 and stabs(line_through(e1, e2)):
                 return True
         for s in segments:
-            if s.a != s.b and stabs(OrientedLine(e1, Point(s.b.x - s.a.x, s.b.y - s.a.y))):
+            through = Point(e1.x + (s.b.x - s.a.x), e1.y + (s.b.y - s.a.y))
+            if through != e1 and stabs(OrientedLine(e1, through)):
                 return True
-        if stabs(OrientedLine(e1, Point(1.0, 0.0))):
+        if stabs(OrientedLine(e1, Point(e1.x + 1.0, e1.y))):
             return True
     return False
 
@@ -206,22 +243,23 @@ class TestLineDissections:
     def test_every_split_by_a_line(self):
         rng = np.random.default_rng(17)
         pts = rng.uniform(-1, 1, size=(9, 2))
-        rows, pairs = line_dissections(pts)
+        rows = line_dissections(pts)
         # points in general position: n(n-1) splits plus all and none
         assert len(rows) == 9 * 8 + 2
         assert len({r.tobytes() for r in rows}) == len(rows)
-        for row, (i, j) in zip(rows, pairs):
-            sides = {side_of(line_through(pts[i], pts[j]), p) for p in pts[row]}
-            others = {side_of(line_through(pts[i], pts[j]), p) for p in pts[~row]}
-            assert (Side.RIGHT not in sides and Side.LEFT not in others) or (
-                Side.LEFT not in sides and Side.RIGHT not in others)
+        # each row and its complement lie on the closed sides of a line
+        # through two of the points, in exact rational arithmetic
+        pairs = [(p, q) for p in pts for q in pts if tuple(p) != tuple(q)]
+        for row in rows:
+            assert any(all(_fraction_turn(p, q, r) >= 0 for r in pts[row])
+                       and all(_fraction_turn(p, q, r) <= 0 for r in pts[~row]) for p, q in pairs)
         found = {r.tobytes() for r in rows}
         for theta, c in rng.uniform((0, -1.5), (2 * math.pi, 1.5), size=(2000, 2)):
             cut = pts @ (math.cos(theta), math.sin(theta)) > c
             assert cut.tobytes() in found
 
     def test_collinear_with_duplicates(self):
-        rows, _ = line_dissections([(0, 0), (2, 2), (1, 1), (1, 1)])
+        rows = line_dissections([(0, 0), (2, 2), (1, 1), (1, 1)])
         # prefixes and suffixes along the line; the twins may be parted
         want = {(0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 1, 1),
                 (0, 1, 1, 1), (0, 1, 0, 1), (0, 1, 0, 0)}
@@ -231,33 +269,32 @@ class TestLineDissections:
         # a lattice has many lines with three or more points on them, each
         # met by pairs in different blocks when a block holds one pair
         pts = [(x, y) for x in range(4) for y in range(4)]
-        rows, _ = line_dissections(pts)
+        rows = line_dissections(pts)
         monkeypatch.setattr(geometry, "_CHUNK", 32)
         blocks = list(iter_line_dissections(pts))
         assert len(blocks) == 16 * 15 // 2 + 1
-        assert {r.tobytes() for b, _ in blocks for r in b} == {r.tobytes() for r in rows}
-        assert len(line_dissections(pts)[0]) == len(rows)
+        assert {r.tobytes() for b in blocks for r in b} == {r.tobytes() for r in rows}
+        assert len(line_dissections(pts)) == len(rows)
 
     def test_line_splits(self):
         # three points on the line, at positions 2, 0 and 1, and one left of it
-        rows, line = line_splits(np.array([[False, False, False, True]]),
-                                 np.array([[True, True, True, False]]),
-                                 np.array([[2.0, 0.0, 1.0, 5.0]]))
+        rows = line_splits(np.array([[False, False, False, True]]),
+                           np.array([[True, True, True, False]]),
+                           np.array([[2.0, 0.0, 1.0, 5.0]]))
         assert rows.astype(int).tolist() == [
             [0, 0, 0, 1], [0, 1, 0, 1], [0, 1, 1, 1], [1, 1, 1, 1],
             [1, 0, 0, 1], [1, 0, 1, 1]]
-        assert line.tolist() == [0] * 6
 
     def test_dissections_within(self, monkeypatch):
         # the fitting rows, in batches of a few rows, against subset_diameters
         rng = np.random.default_rng(29)
         pts = rng.uniform(-5, 5, size=(12, 2))
         D = pairwise_distances(L1, pts)
-        rows, _ = line_dissections(pts)
+        rows = line_dissections(pts)
         monkeypatch.setattr(geometry, "_CHUNK", 40)
         for d1, d2 in ((8.0, 6.0), (12.0, 3.0), (20.0, 0.0), (2.0, 1.0)):
             want = (subset_diameters(D, rows) <= d1) & (subset_diameters(D, ~rows) <= d2)
-            got = [r.tobytes() for b, _ in dissections_within(pts, D, d1, d2) for r in b]
+            got = [r.tobytes() for b in dissections_within(pts, D, d1, d2) for r in b]
             assert sorted(set(got)) == sorted(r.tobytes() for r in rows[want])
 
     def test_subset_diameters(self):
