@@ -11,7 +11,8 @@ import sys
 import numpy as np
 
 from normclust import constrained_2cluster, dist, exhaustive_separable_2cluster, two_arc_plane
-from normclust.cli import Scene, emit_svg, _sphere_sample
+from normclust.ballhull import _sphere_point
+from normclust.cli import Scene, emit_svg
 from normclust.norm import Point, _circle_circle, _on_twoarc_arc, _twoarc_sphere_arcs
 
 
@@ -60,7 +61,7 @@ def main() -> int:
     scene.points.append(("centers", [Point(*a), Point(*b)]))
     for center, rad in ((a, 1.0), (b, 1.1)):
         curve = [
-            _sphere_sample(plane, Point(*center), rad, t)
+            _sphere_point(plane, Point(*center), rad, t)
             for t in np.linspace(0, 2 * math.pi, 256, endpoint=False)
         ]
         scene.spheres.append(curve)

@@ -9,13 +9,16 @@ pair.  Prints one row per norm and scale: how often each witness answered,
 the number of ``NormClustError``s, and the number of splits that raised a
 diameter, diam(A') > diam(A) or diam(B') > diam(B) by more than 1e-9 of it.
 The diameters here are the largest pairwise distance, not the library's
-hull calipers.  Exits 1 when any row shows an error or a grown diameter, so
-a run can gate on it.
+hull calipers.  The last column is a digest of the row's answers (witness,
+A', B' and the line's two points, or the error), so two versions of the
+library give the same answers when they print the same lines.  Exits 1
+when any row shows an error or a grown diameter, so a run can gate on it.
 
 Usage: python scripts/witness_counts.py [--seed 77] [--pairs 200]
 """
 
 import argparse
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -49,21 +52,24 @@ def criterion_1_pairs(seed: int, n: int) -> list:
     return pairs
 
 
-def counts(plane, pairs, scale) -> Counter:
-    out = Counter()
+def counts(plane, pairs, scale) -> tuple[Counter, str]:
+    out, digest = Counter(), hashlib.sha256()
     for a, b in pairs:
         a, b = a * scale, b * scale
         try:
             res = separate_clusters(plane, a, b)
-        except NormClustError:
+        except NormClustError as exc:
             out["errors"] += 1
+            digest.update(repr(exc).encode())
             continue
         out[res.witness.value] += 1
+        digest.update(repr((res.witness.value, res.a_prime, res.b_prime,
+                            res.line.anchor, res.line.through)).encode())
         for before, after in ((a, res.a_prime), (b, res.b_prime)):
             if _diam(plane, after) > _diam(plane, before) * (1 + 1e-9):
                 out["grew"] += 1
                 break
-    return out
+    return out, digest.hexdigest()[:16]
 
 
 def main() -> int:
@@ -72,13 +78,13 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=200)
     args = parser.parse_args()
     columns = [w.value for w in SeparationWitness] + ["errors", "grew"]
-    print(f"{'norm':10s} {'scale':>6s} " + " ".join(f"{c:>15s}" for c in columns))
+    print(f"{'norm':10s} {'scale':>6s} " + " ".join(f"{c:>15s}" for c in columns) + f" {'digest':>16s}")
     wrong = 0
     for name, plane in NORMS:
         pairs = criterion_1_pairs(args.seed, args.pairs)
         for scale in SCALES:
-            row = counts(plane, pairs, scale)
-            print(f"{name:10s} {scale:6.0e} " + " ".join(f"{row[c]:15d}" for c in columns))
+            row, digest = counts(plane, pairs, scale)
+            print(f"{name:10s} {scale:6.0e} " + " ".join(f"{row[c]:15d}" for c in columns) + f" {digest}")
             wrong += row["errors"] + row["grew"]
     return 1 if wrong else 0
 

@@ -23,9 +23,11 @@ from .norm import (
     NormedPlane,
     Point,
     PolygonNorm,
-    TwoArcNorm,
-    boundary_point,
-    validate_norm,
+    euclidean_plane,
+    l1_plane,
+    linf_plane,
+    polygon_plane,
+    two_arc_plane,
 )
 from .separation import perimeter_check, separate_clusters
 
@@ -60,28 +62,18 @@ def load_points(path: str) -> list[Point]:
 
 def load_norm(spec: str, tolerance: float = 1e-9) -> NormedPlane:
     """Named norm ("euclidean", "l1", "linf") or a JSON descriptor file."""
-    name = spec.lower()
-    if name == "euclidean":
-        return validate_norm(EuclideanNorm(), tolerance)
-    if name == "l1":
-        return validate_norm(
-            PolygonNorm((Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1))), tolerance
-        )
-    if name == "linf":
-        return validate_norm(
-            PolygonNorm((Point(1, 1), Point(-1, 1), Point(-1, -1), Point(1, -1))), tolerance
-        )
+    named = {"euclidean": euclidean_plane, "l1": l1_plane, "linf": linf_plane}
+    if spec.lower() in named:
+        return named[spec.lower()](tolerance)
     with open(spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     kind = doc.get("kind")
     if kind == "euclidean":
-        return validate_norm(EuclideanNorm(), tolerance)
+        return euclidean_plane(tolerance)
     if kind == "polygon":
-        return validate_norm(
-            PolygonNorm(tuple(Point(float(x), float(y)) for x, y in doc["vertices"])), tolerance
-        )
+        return polygon_plane([(float(x), float(y)) for x, y in doc["vertices"]], tolerance)
     if kind == "two_arc":
-        return validate_norm(TwoArcNorm(float(doc["center"]), float(doc["radius"])), tolerance)
+        return two_arc_plane(float(doc["center"]), float(doc["radius"]), tolerance)
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -370,7 +362,7 @@ def _cmd_plot(args, plane):
     for sph in args.sphere or []:
         cx, cy, r = (float(t) for t in sph.split(","))
         curve = [
-            _sphere_sample(plane, Point(cx, cy), r, theta)
+            bh._sphere_point(plane, Point(cx, cy), r, theta)
             for theta in np.linspace(0, 2 * math.pi, 128, endpoint=False)
         ]
         scene.spheres.append(curve)
@@ -378,11 +370,6 @@ def _cmd_plot(args, plane):
     result = {"out": args.out, "elements": len(scene.points) + len(scene.hulls)
               + len(scene.arcs) + len(scene.lines) + len(scene.spheres)}
     return {"points": len(pts)}, result, 0
-
-
-def _sphere_sample(plane: NormedPlane, center: Point, r: float, theta: float) -> Point:
-    u = boundary_point(plane, (math.cos(theta), math.sin(theta)))
-    return Point(center.x + r * u.x, center.y + r * u.y)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -384,45 +384,6 @@ def line_splits(left: np.ndarray, on: np.ndarray, along: np.ndarray) -> np.ndarr
     return np.concatenate([prefix, suffix])
 
 
-def iter_line_dissections(points) -> Iterator[np.ndarray]:
-    """The rows of ``line_dissections`` in blocks, working through the point
-    pairs in chunks so that no temporary exceeds about ``_CHUNK`` elements.
-    Rows are distinct within a block but may repeat across blocks; the all
-    and none rows come last."""
-    pts = as_array([tuple(p) for p in points])
-    n = len(pts)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = np.any(pts[iu] != pts[ju], axis=1)
-    iu, ju = iu[keep], ju[keep]
-    # the order of a line's points along it: their (x, y) order when it runs
-    # towards larger (x, y), the reverse otherwise; equal points by index
-    up, down = np.empty(n, int), np.empty(n, int)
-    up[np.lexsort((np.arange(n), pts[:, 1], pts[:, 0]))] = np.arange(n)
-    down[np.lexsort((np.arange(n), -pts[:, 1], -pts[:, 0]))] = np.arange(n)
-    seen: set[bytes] = set()
-    step = max(1, _CHUNK // max(1, 2 * n))
-    for s in range(0, len(iu), step):
-        i, j = iu[s:s + step], ju[s:s + step]
-        sign = orient_lines(pts, i, j)
-        on = sign == 0
-        # one pair per distinct line, which its points on the line identify;
-        # only a line with three or more points on it is met by two pairs
-        first = _first_distinct(on)
-        rich = first[on[first].sum(axis=1) > 2]
-        repeat = set()
-        for r in rich.tolist():
-            key = np.packbits(on[r]).tobytes()
-            if key in seen:
-                repeat.add(r)
-            seen.add(key)
-        first = np.array([r for r in first.tolist() if r not in repeat], dtype=int)
-        along = np.where((up[j[first]] > up[i[first]])[:, None], up, down)
-        rows = line_splits(sign[first] > 0, on[first], along)
-        rows = np.concatenate([rows, ~rows])
-        yield rows[_first_distinct(rows)]
-    yield np.stack([np.ones(n, bool), np.zeros(n, bool)])
-
-
 def line_dissections(points) -> np.ndarray:
     """Every split of the points by a line, as the rows of a boolean matrix.
 
@@ -440,10 +401,46 @@ def line_dissections(points) -> np.ndarray:
     Sides are decided exactly (``orient_lines``), so the points of each row
     and the other points lie on the two closed sides of a line through two
     of the points.  The rows are distinct and include the all and none
-    rows.  In general position the matrix has n(n-1)+2 rows of n;
-    ``iter_line_dissections`` gives the same rows in blocks of bounded size.
+    rows.  In general position the matrix has n(n-1)+2 rows of n.  The
+    point pairs are worked through in chunks, so that no temporary exceeds
+    about ``_CHUNK`` elements.
     """
-    rows = np.concatenate(list(iter_line_dissections(points)))
+    pts = as_array([tuple(p) for p in points])
+    n = len(pts)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = np.any(pts[iu] != pts[ju], axis=1)
+    iu, ju = iu[keep], ju[keep]
+    # the order of a line's points along it: their (x, y) order when it runs
+    # towards larger (x, y), the reverse otherwise; equal points by index
+    up, down = np.empty(n, int), np.empty(n, int)
+    up[np.lexsort((np.arange(n), pts[:, 1], pts[:, 0]))] = np.arange(n)
+    down[np.lexsort((np.arange(n), -pts[:, 1], -pts[:, 0]))] = np.arange(n)
+    # a line with three or more points on it is met by several pairs, which
+    # may fall in different chunks and part equal points differently; the
+    # first pair counts
+    seen: set[bytes] = set()
+    blocks = []
+    step = max(1, _CHUNK // max(1, 2 * n))
+    for s in range(0, len(iu), step):
+        i, j = iu[s:s + step], ju[s:s + step]
+        sign = orient_lines(pts, i, j)
+        on = sign == 0
+        # one pair per distinct line, which its points on the line identify
+        first = _first_distinct(on)
+        rich = first[on[first].sum(axis=1) > 2]
+        repeat = set()
+        for r in rich.tolist():
+            key = np.packbits(on[r]).tobytes()
+            if key in seen:
+                repeat.add(r)
+            seen.add(key)
+        first = np.array([r for r in first.tolist() if r not in repeat], dtype=int)
+        along = np.where((up[j[first]] > up[i[first]])[:, None], up, down)
+        rows = line_splits(sign[first] > 0, on[first], along)
+        rows = np.concatenate([rows, ~rows])
+        blocks.append(rows[_first_distinct(rows)])
+    blocks.append(np.stack([np.ones(n, bool), np.zeros(n, bool)]))
+    rows = np.concatenate(blocks)
     return rows[_first_distinct(rows)]
 
 
@@ -463,26 +460,24 @@ def subset_diameters(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def dissections_within(points, D: np.ndarray, d1: float, d2: float) -> Iterator[np.ndarray]:
-    """The rows of the line dissections of the points whose own diameter
-    under D is at most d1 and whose complement's is at most d2, in
-    ``iter_line_dissections`` order.
+def dissections_within(points, D: np.ndarray, d1: float, d2: float) -> np.ndarray:
+    """The rows of ``line_dissections`` whose own diameter under D is at
+    most d1 and whose complement's is at most d2, in the same order.
 
     With F the 0/1 matrix of pairs farther apart than d, a row r has
     diameter at most d exactly when r F r = 0, which one matrix product
-    counts for a batch of rows.  Batches hold about ``_CHUNK`` elements, so
-    a caller that stops at the first block it is given stops early.
+    counts for a batch of rows; batches hold about ``_CHUNK`` elements.
     """
+    rows = line_dissections(points)
     far1, far2 = (D > d1).astype(float), (D > d2).astype(float)
+    fit = np.empty(len(rows), bool)
     batch = max(1, _CHUNK // len(D))
-    for rows in iter_line_dissections(points):
-        for s in range(0, len(rows), batch):
-            part = rows[s:s + batch]
-            inside, outside = part.astype(float), (~part).astype(float)
-            fit = ((((inside @ far1) * inside).sum(axis=1) == 0)
-                   & (((outside @ far2) * outside).sum(axis=1) == 0))
-            if fit.any():
-                yield part[fit]
+    for s in range(0, len(rows), batch):
+        inside = rows[s:s + batch].astype(float)
+        outside = 1 - inside
+        fit[s:s + batch] = ((((inside @ far1) * inside).sum(axis=1) == 0)
+                            & (((outside @ far2) * outside).sum(axis=1) == 0))
+    return rows[fit]
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Given clusters A and B, produce linearly separable A', B' with
 diam(A') <= diam(A), diam(B') <= diam(B) and A' u B' = A u B.  Hulls that
-neither cross nor nest keep A and B, split by a line between them.  Else,
+do not cross and that a line separates keep A and B.  Else,
 when conv(A u B) is no wider than the wider cluster, A' = A u B; if not, the
 construction decomposes the hull boundaries into interlacing pieces, finds
 "bad" piece pairs whose cross distance exceeds the larger diameter, groups
@@ -200,7 +200,14 @@ def _polyline_midpoint(pts: Sequence[Point]) -> Point:
 
 def decompose_pieces(crossings: CrossingSequence) -> list[Piece]:
     """Alternating boundary pieces of conv(A)\\conv(B) and conv(B)\\conv(A),
-    clockwise, starting with an A piece."""
+    clockwise, starting with an A piece.
+
+    Two crossings c1 -> c2 consecutive counterclockwise along A bound one A
+    chain and one B chain of the hulls' intersection, and the crossings lie
+    in the same cyclic order on both hulls (O'Rourke, Chien, Olson and
+    Naddor, 1982).  So the A run c1 -> c2 and the counterclockwise B run
+    c1 -> c2 bound one piece: an A piece when the A run lies outside
+    conv(B), a B piece when it lies inside."""
     if len(crossings) < 2:
         raise NoOverlap("hulls are disjoint or nested")
     hull_a, hull_b = crossings.hull_a, crossings.hull_b
@@ -209,52 +216,15 @@ def decompose_pieces(crossings: CrossingSequence) -> list[Piece]:
     if m % 2 != 0:
         raise NormClustError("odd crossing count; tangential configuration")
 
-    # classify the boundary run after each crossing (CCW along the A hull)
-    runs = []
+    pieces_ccw = []
     for k in range(m):
         c1, c2 = recs[k], recs[(k + 1) % m]
         walk_a = _walk(hull_a, (c1.ia, c1.ta), (c2.ia, c2.ta), c1.point, c2.point)
-        inside = point_in_convex(hull_b, _polyline_midpoint(walk_a))
-        runs.append((c1, c2, walk_a, inside))
-    if any(runs[k][3] == runs[(k + 1) % m][3] for k in range(m)):
+        walk_b = _walk(hull_b, (c1.ib, c1.tb), (c2.ib, c2.tb), c1.point, c2.point)
+        owner = "B" if point_in_convex(hull_b, _polyline_midpoint(walk_a)) else "A"
+        pieces_ccw.append((owner, tuple(walk_a) + tuple(reversed(walk_b[1:-1])), c1, c2))
+    if any(pieces_ccw[k][0] == pieces_ccw[k - 1][0] for k in range(m)):
         raise NormClustError("crossing runs do not alternate")
-
-    # cyclic position of every crossing along the B hull
-    def b_key(r: _Crossing) -> float:
-        return r.ib + r.tb
-
-    def run_is_clear(cfrom: _Crossing, cto: _Crossing) -> bool:
-        """No other crossing strictly inside the CCW B-run cfrom -> cto."""
-        lo, hi = b_key(cfrom), b_key(cto)
-        for r in recs:
-            if r is cfrom or r is cto:
-                continue
-            x = b_key(r)
-            if lo <= hi:
-                if lo < x < hi:
-                    return False
-            elif x > lo or x < hi:
-                return False
-        return True
-
-    pieces_ccw = []
-    for c1, c2, walk_a, inside in runs:
-        # B-hull run closing the piece, from c2 back to c1: the piece boundary
-        # contains no other crossing, so pick the crossing-free direction
-        # (midpoint side decides when both directions are free, i.e. k = 1)
-        want_inside_a = not inside  # A-piece closes with the B-arc inside conv(A)
-        closing = []
-        if run_is_clear(c2, c1):
-            closing.append(_walk(hull_b, (c2.ib, c2.tb), (c1.ib, c1.tb), c2.point, c1.point))
-        if run_is_clear(c1, c2):
-            closing.append(list(reversed(_walk(hull_b, (c1.ib, c1.tb), (c2.ib, c2.tb), c1.point, c2.point))))
-        chosen = next((run for run in closing
-                       if point_in_convex(hull_a, _polyline_midpoint(run)) == want_inside_a), None)
-        if chosen is None:
-            raise NormClustError("no crossing-free closing run on the right side")
-        cycle = tuple(walk_a) + tuple(chosen[1:-1])
-        owner = "B" if inside else "A"
-        pieces_ccw.append((owner, cycle, c1, c2))
 
     # clockwise presentation: reverse, rotate to start at an A piece
     pieces_cw = list(reversed(pieces_ccw))
@@ -274,8 +244,6 @@ def decompose_pieces(crossings: CrossingSequence) -> list[Piece]:
             )
         )
         counts[owner] += 1
-    if counts["A"] != counts["B"]:
-        raise NormClustError("pieces do not interlace")
     return out
 
 
@@ -370,12 +338,11 @@ def _fallback_split(plane, union, diam_a, diam_b):
         return sides[key]
 
     best = None
-    for rows in dissections_within(union, D, diam_a * (1 + _SLACK), diam_b * (1 + _SLACK)):
-        for row in rows:
-            (a_pts, hull_a, perim_a), (b_pts, hull_b, perim_b) = side(row), side(~row)
-            after = perim_a + perim_b
-            if (best is None or after < best[0]) and _fits(plane, hull_a, hull_b, diam_a, diam_b):
-                best = (after, a_pts, b_pts, hull_a, hull_b)
+    for row in dissections_within(union, D, diam_a * (1 + _SLACK), diam_b * (1 + _SLACK)):
+        (a_pts, hull_a, perim_a), (b_pts, hull_b, perim_b) = side(row), side(~row)
+        after = perim_a + perim_b
+        if (best is None or after < best[0]) and _fits(plane, hull_a, hull_b, diam_a, diam_b):
+            best = (after, a_pts, b_pts, hull_a, hull_b)
     # a line dissection's sides are decided exactly, so its line exists
     line = None if best is None else _split_line(best[3], best[4])
     if line is None:
@@ -508,29 +475,25 @@ def _separate_ordered(plane, a_points, hull_a, diam_a, b_points, hull_b, diam_b)
     """Core construction assuming diam(A) >= diam(B), given both hulls.
     The witnesses are tried in this order:
 
-    1. DISJOINT_HULLS, for hulls that neither cross (no crossings are taken
-       for a hull of one or two points or a collinear one) nor nest: an edge
-       line of either hull with A on its closed left, B on its closed right
-       (``_disjoint_line``).
-    2. NO_BAD_PAIRS, A' = A u B: diam(conv(A u B)) <= diam(A).  Nested and
-       crossing hulls try it first; it leaves no bad piece pair, so the
-       piece decomposition is built only when it fails.
+    1. DISJOINT_HULLS, for hulls whose boundaries do not cross (no crossings
+       are taken for a hull of one or two points or a collinear one): an
+       edge line of either hull with A on its closed left, B on its closed
+       right (``_disjoint_line``).  Nested hulls of three or more vertices
+       have no such line.
+    2. NO_BAD_PAIRS, A' = A u B: diam(conv(A u B)) <= diam(A).  It leaves no
+       bad piece pair, so the piece decomposition is built only when it
+       fails.
     3. GROUP_SPLIT, for crossing boundaries (``_group_split``).
     4. FALLBACK_SPLIT, the best line dissection (``_fallback_split``).
     """
     union = tuple(a_points) + tuple(b_points)
     crossings = boundary_crossings(hull_a, hull_b)
     crossing = len(crossings) >= 2
-    nested = not crossing and not (hull_a.degenerate or hull_b.degenerate) and (
-        all(point_in_convex(hull_a, v) for v in hull_b.vertices)
-        or all(point_in_convex(hull_b, v) for v in hull_a.vertices))
-    merged = _merged(plane, union, hull_a, hull_b, diam_a) if crossing or nested else None
-    if merged is None and not crossing:
+    if not crossing:
         line = _disjoint_line(hull_a, hull_b)
         if line is not None:
             return (tuple(a_points), tuple(b_points), line, SeparationWitness.DISJOINT_HULLS)
-        if not nested:
-            merged = _merged(plane, union, hull_a, hull_b, diam_a)
+    merged = _merged(plane, union, hull_a, hull_b, diam_a)
     if merged is not None:
         return merged
     if crossing:

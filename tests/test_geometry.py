@@ -22,7 +22,6 @@ from normclust.errors import EmptyInput
 from normclust import geometry
 from normclust.geometry import (
     dissections_within,
-    iter_line_dissections,
     line_dissections,
     line_splits,
     line_through,
@@ -267,14 +266,25 @@ class TestLineDissections:
 
     def test_blocks_give_the_same_rows(self, monkeypatch):
         # a lattice has many lines with three or more points on them, each
-        # met by pairs in different blocks when a block holds one pair
+        # met by pairs in different blocks when a block holds one pair; the
+        # rows come block by block, so only their order may change
         pts = [(x, y) for x in range(4) for y in range(4)]
         rows = line_dissections(pts)
         monkeypatch.setattr(geometry, "_CHUNK", 32)
-        blocks = list(iter_line_dissections(pts))
-        assert len(blocks) == 16 * 15 // 2 + 1
-        assert {r.tobytes() for b in blocks for r in b} == {r.tobytes() for r in rows}
-        assert len(line_dissections(pts)) == len(rows)
+        blocks = line_dissections(pts)
+        assert len(blocks) == len(rows)
+        assert {r.tobytes() for r in blocks} == {r.tobytes() for r in rows}
+
+    def test_blocks_keep_the_first_pair_of_a_line(self, monkeypatch):
+        # pairs on one line in opposite directions order its twin points
+        # alike, so they part the twins differently; only the first pair of
+        # each line counts, also when its pairs fall in different blocks
+        pts = np.random.default_rng(0).integers(0, [3, 4], size=(30, 2)).astype(float)
+        rows = line_dissections(pts)
+        monkeypatch.setattr(geometry, "_CHUNK", 2 * len(pts))
+        blocks = line_dissections(pts)
+        assert len(blocks) == len(rows) == 476
+        assert {r.tobytes() for r in blocks} == {r.tobytes() for r in rows}
 
     def test_line_splits(self):
         # three points on the line, at positions 2, 0 and 1, and one left of it
@@ -286,16 +296,16 @@ class TestLineDissections:
             [1, 0, 0, 1], [1, 0, 1, 1]]
 
     def test_dissections_within(self, monkeypatch):
-        # the fitting rows, in batches of a few rows, against subset_diameters
+        # the fitting rows in line_dissections order, in batches of a few
+        # rows, against subset_diameters
         rng = np.random.default_rng(29)
         pts = rng.uniform(-5, 5, size=(12, 2))
         D = pairwise_distances(L1, pts)
-        rows = line_dissections(pts)
         monkeypatch.setattr(geometry, "_CHUNK", 40)
+        rows = line_dissections(pts)
         for d1, d2 in ((8.0, 6.0), (12.0, 3.0), (20.0, 0.0), (2.0, 1.0)):
             want = (subset_diameters(D, rows) <= d1) & (subset_diameters(D, ~rows) <= d2)
-            got = [r.tobytes() for b in dissections_within(pts, D, d1, d2) for r in b]
-            assert sorted(set(got)) == sorted(r.tobytes() for r in rows[want])
+            assert np.array_equal(dissections_within(pts, D, d1, d2), rows[want])
 
     def test_subset_diameters(self):
         rng = np.random.default_rng(19)

@@ -57,29 +57,54 @@ class TestBoundaryCrossings:
         assert len(cs) == 6
 
 
+def _piece_vertices(pieces):
+    """Each piece's owner and polygon vertices, in the order given."""
+    return [(p.owner, sorted(map(tuple, p.polygon.vertices))) for p in pieces]
+
+
+def _assert_pieces(pieces, want):
+    got = _piece_vertices(pieces)
+    assert [owner for owner, _ in got] == [owner for owner, _ in want]
+    for (_, verts), (_, want_verts) in zip(got, want):
+        assert len(verts) == len(want_verts)
+        assert np.allclose(verts, sorted(want_verts), rtol=0, atol=1e-12)
+
+
 class TestDecompose:
+    # a piece is the hull of its owner's run outside the other hull and the
+    # other hull's run inside the owner's, which bends inwards: its vertices
+    # are the outer run's, the crossings at its ends where they are corners
     def test_squares_k1(self):
         cs = boundary_crossings(convex_hull(SQ_A), convex_hull(SQ_B))
         pieces = decompose_pieces(cs)
-        assert [p.owner for p in pieces] == ["A", "B"]
-        owners_a = [p for p in pieces if p.owner == "A"]
-        assert len(owners_a) == 1
+        _assert_pieces(pieces, [("A", [(0, 0), (4, 0), (4, 4), (0, 4)]),
+                                ("B", [(4, 1), (6, 1), (6, 3), (4, 3)])])
 
     def test_star_k3(self):
         tri_up = [(0, 0), (4, 0), (2, 3.5)]
         tri_dn = [(0.1, 2.3), (3.9, 2.4), (2, -1.2)]
         cs = boundary_crossings(convex_hull(tri_up), convex_hull(tri_dn))
         pieces = decompose_pieces(cs)
-        assert sum(p.owner == "A" for p in pieces) == 3
-        assert sum(p.owner == "B" for p in pieces) == 3
-        assert [p.owner for p in pieces] == ["A", "B"] * 3
+        # the crossings counterclockwise along tri_up, from its bottom edge
+        # y = 0; its right edge is 3.5x + 2y = 14, its left edge y = 1.75x,
+        # and tri_dn's edges are 3.5x + 1.9y = 4.72, 3.6x - 1.9y = 9.48 and
+        # x = 38y - 87.3
+        c = [(47.2 / 35, 0.0), (7.9 / 3, 0.0), (45.56 / 13.85, 17.22 / 13.85),
+             (357.4 / 135, 319.55 / 135), (87.3 / 65.5, 152.775 / 65.5), (4.72 / 6.825, 8.26 / 6.825)]
+        _assert_pieces(pieces, [("A", [(0, 0), c[0], c[5]]), ("B", [(0.1, 2.3), c[5], c[4]]),
+                                ("A", [c[4], c[3], (2, 3.5)]), ("B", [c[3], c[2], (3.9, 2.4)]),
+                                ("A", [c[1], (4, 0), c[2]]), ("B", [c[0], (2, -1.2), c[1]])])
 
     def test_square_and_strip_k2(self):
+        # the strip's long edges are y = 1.5 + (x + 2) / 80 and 2.6 + (x + 2) / 80
         strip = [(-2, 1.5), (6, 1.6), (6, 2.7), (-2, 2.6)]
         cs = boundary_crossings(convex_hull(SQ_A), convex_hull(strip))
         assert len(cs) == 4
         pieces = decompose_pieces(cs)
-        assert sum(p.owner == "A" for p in pieces) == 2
+        _assert_pieces(pieces, [("A", [(0, 0), (4, 0), (4, 1.575), (0, 1.525)]),
+                                ("B", [(-2, 1.5), (0, 1.525), (0, 2.625), (-2, 2.6)]),
+                                ("A", [(0, 2.625), (4, 2.675), (4, 4), (0, 4)]),
+                                ("B", [(4, 1.575), (6, 1.6), (6, 2.7), (4, 2.675)])])
 
     def test_no_overlap_error(self):
         ha = convex_hull([(0, 0), (1, 0), (0, 1)])
