@@ -269,13 +269,13 @@ def ball_hull(plane: NormedPlane, points, d: float) -> BallHull:
 
 
 def bh_contains(plane: NormedPlane, hull: BallHull, x, tol: float = 1e-9) -> bool:
-    """Closed membership in the hull region (tolerance band on the boundary)."""
+    """Closed membership in the hull region, with a band of ``tol * d``."""
     px, py = float(x[0]), float(x[1])
+    d = hull.radius
+    band = tol * d
     if len(hull.vertices) == 1:
         v = hull.vertices[0]
-        return abs(px - v.x) <= tol and abs(py - v.y) <= tol
-    d = hull.radius
-    band = tol * max(1.0, d)
+        return abs(px - v.x) <= band and abs(py - v.y) <= band
     for c in hull.support_centers:
         if gauge(plane, (px - c.x, py - c.y)) > d + band:
             return False

@@ -383,8 +383,10 @@ def constrained_2cluster(plane: NormedPlane, points, d1: float, d2: float
 
 
 def _euclid_circumcenter(a, b, c):
+    """The circumcenter of a triple, or None when it is collinear within a
+    share of its squared magnitude, so that the test scales with the input."""
     d = 2 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if abs(d) < 1e-14 * (1 + abs(a[0]) + abs(b[0]) + abs(c[0])) ** 2:
+    if abs(d) <= 1e-14 * (abs(a[0]) + abs(b[0]) + abs(c[0]) + abs(a[1]) + abs(b[1]) + abs(c[1])) ** 2:
         return None
     a2, b2, c2 = a[0] ** 2 + a[1] ** 2, b[0] ** 2 + b[1] ** 2, c[0] ** 2 + c[1] ** 2
     ux = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d

@@ -366,82 +366,64 @@ def line_splits(left: np.ndarray, on: np.ndarray, along: np.ndarray) -> np.ndarr
 
     Row l of the boolean ``left`` and ``on`` matrices marks the points
     strictly left of line l and the points on it; ``along`` holds their
-    positions along it.  A line with m points on it gives its left points
-    plus a prefix of its on-line points, of each size 0..m, then its left
-    points plus a suffix of each size 1..m-1: every such split once.
+    positions along it (one row may serve every line).  A line with m
+    points on it gives its left points plus a prefix of its on-line points,
+    of each size 0..m, then its left points plus a suffix of each size
+    1..m-1: every such split once.  The rows come line by line.
     """
     rank = np.argsort(np.argsort(np.where(on, along, np.inf), axis=1, kind="stable"), axis=1)
     count = on.sum(axis=1)
-
-    def sizes(k, first):
-        line = np.repeat(np.arange(len(on)), k)
-        return line, (np.arange(len(line)) - np.repeat(np.cumsum(k) - k, k) + first)[:, None]
-
-    pline, psize = sizes(count + 1, 0)
-    sline, ssize = sizes(np.maximum(count - 1, 0), 1)
-    prefix = left[pline] | (rank[pline] < psize)
-    suffix = left[sline] | (on[sline] & (rank[sline] >= count[sline, None] - ssize))
-    return np.concatenate([prefix, suffix])
+    # row pos of a line's 2m rows (one row when m = 0): the prefix of size
+    # pos for pos <= m, else the suffix of size pos - m
+    per_line = np.maximum(2 * count, 1)
+    line = np.repeat(np.arange(len(on)), per_line)
+    pos = (np.arange(len(line)) - np.repeat(np.cumsum(per_line) - per_line, per_line))[:, None]
+    m, r = count[line, None], rank[line]
+    return left[line] | (on[line] & np.where(pos <= m, r < pos, r >= 2 * m - pos))
 
 
 def line_dissections(points) -> np.ndarray:
     """Every split of the points by a line, as the rows of a boolean matrix.
 
-    Each distinct line through two points yields the points strictly on its
-    left plus a prefix or a suffix of the points on it, in their order along
-    the line (``line_splits``), and the complements of those rows.  That
-    reaches every split by a line that misses all points: translate such a
-    line until it hits a point, then turn it about that point until it hits
+    The splits are those of the distinct locations, each copy of a location
+    on its side.  Each distinct line through two locations, directed
+    towards larger (x, y), yields the locations strictly on its left plus a
+    prefix or a suffix of the locations on it, in their (x, y) order
+    (``line_splits``), and the complements of those rows.  That reaches
+    every split by a line that misses all points: translate such a line
+    until it hits a point, then turn it about that point until it hits
     another; the points it sweeps onto itself come from one side along one
-    ray and from the other side along the opposite ray.  A split that puts a
-    point between two points of the other side is not listed; that point
-    lies in the other side's hull, so moving it there never raises a
-    diameter, a radius or a hull perimeter.
+    ray and from the other side along the opposite ray.  A split that puts
+    a point between two points of the other side, or on another side than
+    a copy of it, is not listed; that point lies in the other side's hull,
+    so moving it there never raises a diameter, a radius or a hull
+    perimeter.
 
     Sides are decided exactly (``orient_lines``), so the points of each row
     and the other points lie on the two closed sides of a line through two
     of the points.  The rows are distinct and include the all and none
-    rows.  In general position the matrix has n(n-1)+2 rows of n.  The
-    point pairs are worked through in chunks, so that no temporary exceeds
-    about ``_CHUNK`` elements.
+    rows.  In general position the matrix has n(n-1)+2 rows of n.  The rows
+    come in the order of the first pair of locations, in (x, y) order, that
+    yields each, then the complements and the all and none rows.  The pairs
+    are worked through in chunks, so that no temporary exceeds about
+    ``_CHUNK`` elements; the chunk size does not change the rows or their
+    order.
     """
     pts = as_array([tuple(p) for p in points])
-    n = len(pts)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = np.any(pts[iu] != pts[ju], axis=1)
-    iu, ju = iu[keep], ju[keep]
-    # the order of a line's points along it: their (x, y) order when it runs
-    # towards larger (x, y), the reverse otherwise; equal points by index
-    up, down = np.empty(n, int), np.empty(n, int)
-    up[np.lexsort((np.arange(n), pts[:, 1], pts[:, 0]))] = np.arange(n)
-    down[np.lexsort((np.arange(n), -pts[:, 1], -pts[:, 0]))] = np.arange(n)
-    # a line with three or more points on it is met by several pairs, which
-    # may fall in different chunks and part equal points differently; the
-    # first pair counts
-    seen: set[bytes] = set()
+    locs, copy_of = np.unique(pts, axis=0, return_inverse=True)
+    m = len(locs)
+    iu, ju = np.triu_indices(m, k=1)
     blocks = []
-    step = max(1, _CHUNK // max(1, 2 * n))
+    step = max(1, _CHUNK // max(1, 2 * m))
     for s in range(0, len(iu), step):
-        i, j = iu[s:s + step], ju[s:s + step]
-        sign = orient_lines(pts, i, j)
-        on = sign == 0
-        # one pair per distinct line, which its points on the line identify
-        first = _first_distinct(on)
-        rich = first[on[first].sum(axis=1) > 2]
-        repeat = set()
-        for r in rich.tolist():
-            key = np.packbits(on[r]).tobytes()
-            if key in seen:
-                repeat.add(r)
-            seen.add(key)
-        first = np.array([r for r in first.tolist() if r not in repeat], dtype=int)
-        along = np.where((up[j[first]] > up[i[first]])[:, None], up, down)
-        rows = line_splits(sign[first] > 0, on[first], along)
-        rows = np.concatenate([rows, ~rows])
+        sign = orient_lines(locs, iu[s:s + step], ju[s:s + step])
+        # one pair per distinct line, which its points on the line identify;
+        # a line met again in a later chunk yields the same rows again
+        sign = sign[_first_distinct(sign == 0)]
+        rows = line_splits(sign > 0, sign == 0, np.arange(m))
         blocks.append(rows[_first_distinct(rows)])
-    blocks.append(np.stack([np.ones(n, bool), np.zeros(n, bool)]))
-    rows = np.concatenate(blocks)
-    return rows[_first_distinct(rows)]
+    rows = np.concatenate([*blocks, *(~b for b in blocks), np.ones((1, m), bool), np.zeros((1, m), bool)])
+    return rows[_first_distinct(rows)][:, copy_of]
 
 
 def subset_diameters(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -458,26 +440,6 @@ def subset_diameters(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
         both = rows[:, iu[s:s + step]] & rows[:, ju[s:s + step]]
         np.maximum(out, np.where(both, dist[s:s + step], 0.0).max(axis=1), out=out)
     return out
-
-
-def dissections_within(points, D: np.ndarray, d1: float, d2: float) -> np.ndarray:
-    """The rows of ``line_dissections`` whose own diameter under D is at
-    most d1 and whose complement's is at most d2, in the same order.
-
-    With F the 0/1 matrix of pairs farther apart than d, a row r has
-    diameter at most d exactly when r F r = 0, which one matrix product
-    counts for a batch of rows; batches hold about ``_CHUNK`` elements.
-    """
-    rows = line_dissections(points)
-    far1, far2 = (D > d1).astype(float), (D > d2).astype(float)
-    fit = np.empty(len(rows), bool)
-    batch = max(1, _CHUNK // len(D))
-    for s in range(0, len(rows), batch):
-        inside = rows[s:s + batch].astype(float)
-        outside = 1 - inside
-        fit[s:s + batch] = ((((inside @ far1) * inside).sum(axis=1) == 0)
-                            & (((outside @ far2) * outside).sum(axis=1) == 0))
-    return rows[fit]
 
 
 # --------------------------------------------------------------------------

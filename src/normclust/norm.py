@@ -155,7 +155,7 @@ def validate_norm(descriptor: NormDescriptor, tolerance: float = DEFAULT_TOL) ->
         if len(verts) == 0 or not np.isfinite(verts).all():
             raise DegenerateBody("polygon vertices must be finite and nonempty")
         scale = float(np.abs(verts).max())
-        tol_len = tolerance * max(1.0, scale)
+        tol_len = tolerance * scale
         # central symmetry: every vertex must have its negation among the vertices
         lone = np.abs(verts[:, None, :] + verts).max(axis=2).min(axis=1) > tol_len
         if lone.any():
@@ -168,7 +168,7 @@ def validate_norm(descriptor: NormDescriptor, tolerance: float = DEFAULT_TOL) ->
             verts = verts[::-1].copy()
         edges = verts[nxt] - verts
         crosses = edges[:, 0] * edges[nxt, 1] - edges[:, 1] * edges[nxt, 0]
-        tol_area = tolerance * max(1.0, scale) ** 2
+        tol_area = tolerance * scale ** 2
         if np.any(crosses < -tol_area):
             raise NotConvex("polygon has a reflex vertex")
         if abs(area2) <= tol_area:
@@ -352,8 +352,9 @@ def boundary_point(plane: NormedPlane, direction) -> Point:
     """Intersection of the ray from the origin through ``direction`` with the
     unit sphere."""
     d = as_array(direction)
+    check_finite([d])
     g = gauge(plane, d)
-    if g <= plane.tolerance * max(1.0, float(np.abs(d).max())):
+    if not g > 0:
         raise ZeroDirection("direction must be nonzero")
     return Point(float(d[0] / g), float(d[1] / g))
 
@@ -371,7 +372,7 @@ def _outward_normals(plane: NormedPlane, bp: np.ndarray) -> list[np.ndarray]:
         return [bp / np.linalg.norm(bp)]
     if isinstance(desc, PolygonNorm):
         res = np.abs(plane._normals @ bp - plane._offsets)
-        scale = np.linalg.norm(plane._normals, axis=1) * max(1.0, float(np.linalg.norm(bp)))
+        scale = np.linalg.norm(plane._normals, axis=1) * np.linalg.norm(bp)
         active = np.nonzero(res <= 1e3 * tol * scale)[0]
         out = [plane._normals[i] / np.linalg.norm(plane._normals[i]) for i in active]
         return out if out else [bp / np.linalg.norm(bp)]

@@ -27,8 +27,8 @@ from .geometry import (
     ConvexPolygon,
     OrientedLine,
     convex_hull,
-    dissections_within,
     horizontal_line,
+    line_dissections,
     line_splits,
     line_through,
     norm_perimeter,
@@ -36,6 +36,7 @@ from .geometry import (
     point_in_convex,
     polygon_diameter,
     signed_offset,
+    subset_diameters,
 )
 from .norm import NormedPlane, Point, Segment, as_array, check_finite, gauge, pairwise_distances
 
@@ -337,8 +338,11 @@ def _fallback_split(plane, union, diam_a, diam_b):
             sides[key] = (pts, hull, _perimeter(plane, hull))
         return sides[key]
 
+    rows = line_dissections(union)
+    fit = ((subset_diameters(D, rows) <= diam_a * (1 + _SLACK))
+           & (subset_diameters(D, ~rows) <= diam_b * (1 + _SLACK)))
     best = None
-    for row in dissections_within(union, D, diam_a * (1 + _SLACK), diam_b * (1 + _SLACK)):
+    for row in rows[fit]:
         (a_pts, hull_a, perim_a), (b_pts, hull_b, perim_b) = side(row), side(~row)
         after = perim_a + perim_b
         if (best is None or after < best[0]) and _fits(plane, hull_a, hull_b, diam_a, diam_b):

@@ -373,7 +373,9 @@ class TestScale:
             assert [math.copysign(1, sample_arc(plane, a, 3)[1].y) for a in arcs] == ref_arcs, s
             h = ball_hull(plane, pts, s)
             assert len(h.vertices) == ref_bh, s
-            assert all(bh_contains(plane, h, p, tol=1e-9 * s) for p in pts), s
+            assert all(bh_contains(plane, h, p, tol=1e-9) for p in pts), s
+            # the band is a share of the radius, so a far point stays out
+            assert not bh_contains(plane, h, (3 * s, 3 * s)), s
             roots = [build_tree(plane, s * cloud, f * s * cloud_diam).root is OVERFULL
                      for f in (0.7, 0.3)]
             assert roots == ref_roots, s

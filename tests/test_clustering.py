@@ -416,10 +416,11 @@ def _meb_points(draw):
 class TestMinEnclosingBallProperties:
     @pytest.mark.parametrize("plane", [E, TA], ids=["euclidean", "two_arc"])
     @settings(max_examples=150, deadline=None)
-    @given(pts=_meb_points())
+    @given(pts=_meb_points(), k=st.integers(-60, 60))
     # near-duplicates far from the origin relative to their spread
-    @example(pts=np.array([[0, 2e-6], [0, 2e-6], [0, 2.0000002e-6]]))
-    def test_invariants(self, plane, pts):
+    @example(pts=np.array([[0, 2e-6], [0, 2e-6], [0, 2.0000002e-6]]), k=0)
+    @example(pts=np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]), k=-40)
+    def test_invariants(self, plane, pts, k):
         # a center is rounded to the input's magnitude, so radii carry an
         # absolute error of a few ulps of the largest coordinate
         ulps = 64 * np.finfo(float).eps * float(np.abs(pts).max())
@@ -430,6 +431,9 @@ class TestMinEnclosingBallProperties:
         assert abs(r - r_brute) <= 1e-9 * r_brute + ulps
         _, r_reversed = min_enclosing_ball(plane, pts[::-1])
         assert abs(r - r_reversed) <= 1e-12 * r + ulps
+        # a power-of-two scaling is exact, and so is the answer's
+        s = 2.0 ** k
+        assert min_enclosing_ball(plane, pts * s) == (Point(c.x * s, c.y * s), r * s)
 
     @pytest.mark.parametrize("plane, n", [(TA, 40), (E, 2000)], ids=["two_arc", "euclidean"])
     def test_large(self, plane, n):
@@ -474,11 +478,20 @@ class TestKCluster:
         rng = np.random.default_rng(61)
         obj = Objective(Combiner.SUM, Measure.DIAMETER)
         for plane in (E, L1):
-            for _ in range(3):
-                pts = rng.uniform(-10, 10, size=(8, 2))
+            # the last set has repeated points: 9 points on 6 lattice locations
+            for pts in [rng.uniform(-10, 10, size=(8, 2)) for _ in range(3)] + [
+                    rng.integers(0, [2, 3], size=(9, 2)).astype(float)]:
                 v, _ = k_cluster_minimize(plane, pts, 3, obj)
                 w, _ = brute_force_k_partition(plane, pts, 3, obj)
                 assert v == pytest.approx(w, abs=1e-9)
+
+    def test_partition_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        # ties on the 4x4 lattice go to the first region in dissection
+        # order, which chunking the point pairs must not change
+        pts = [(x, y) for x in range(4) for y in range(4)]
+        v, part = k_cluster_minimize(E, pts, 2, MAXDIAM)
+        monkeypatch.setattr(geometry, "_CHUNK", 32)
+        assert k_cluster_minimize(E, pts, 2, MAXDIAM) == (v, part)
 
     def test_radius_measure(self):
         rng = np.random.default_rng(67)

@@ -21,7 +21,6 @@ from normclust import (
 from normclust.errors import EmptyInput
 from normclust import geometry
 from normclust.geometry import (
-    dissections_within,
     line_dissections,
     line_splits,
     line_through,
@@ -259,32 +258,30 @@ class TestLineDissections:
 
     def test_collinear_with_duplicates(self):
         rows = line_dissections([(0, 0), (2, 2), (1, 1), (1, 1)])
-        # prefixes and suffixes along the line; the twins may be parted
-        want = {(0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 1, 1),
-                (0, 1, 1, 1), (0, 1, 0, 1), (0, 1, 0, 0)}
+        # prefixes and suffixes along the line; the twins share a side
+        want = {(0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 1, 1), (1, 1, 1, 1), (0, 1, 1, 1), (0, 1, 0, 0)}
         assert {tuple(map(int, r)) for r in rows} == want
 
     def test_blocks_give_the_same_rows(self, monkeypatch):
         # a lattice has many lines with three or more points on them, each
         # met by pairs in different blocks when a block holds one pair; the
-        # rows come block by block, so only their order may change
+        # rows and their order do not depend on the blocks
         pts = [(x, y) for x in range(4) for y in range(4)]
         rows = line_dissections(pts)
         monkeypatch.setattr(geometry, "_CHUNK", 32)
-        blocks = line_dissections(pts)
-        assert len(blocks) == len(rows)
-        assert {r.tobytes() for r in blocks} == {r.tobytes() for r in rows}
+        assert np.array_equal(line_dissections(pts), rows)
 
     def test_blocks_keep_the_first_pair_of_a_line(self, monkeypatch):
-        # pairs on one line in opposite directions order its twin points
-        # alike, so they part the twins differently; only the first pair of
-        # each line counts, also when its pairs fall in different blocks
+        # 30 points on 12 locations: every pair of a line yields the same
+        # rows, also when its pairs fall in different blocks, and no row
+        # parts equal points
         pts = np.random.default_rng(0).integers(0, [3, 4], size=(30, 2)).astype(float)
         rows = line_dissections(pts)
         monkeypatch.setattr(geometry, "_CHUNK", 2 * len(pts))
-        blocks = line_dissections(pts)
-        assert len(blocks) == len(rows) == 476
-        assert {r.tobytes() for r in blocks} == {r.tobytes() for r in rows}
+        assert np.array_equal(line_dissections(pts), rows)
+        assert len(rows) == 100
+        twins = (pts[:, None] == pts[None]).all(axis=2)
+        assert not (twins[None] & (rows[:, :, None] != rows[:, None, :])).any()
 
     def test_line_splits(self):
         # three points on the line, at positions 2, 0 and 1, and one left of it
@@ -294,18 +291,6 @@ class TestLineDissections:
         assert rows.astype(int).tolist() == [
             [0, 0, 0, 1], [0, 1, 0, 1], [0, 1, 1, 1], [1, 1, 1, 1],
             [1, 0, 0, 1], [1, 0, 1, 1]]
-
-    def test_dissections_within(self, monkeypatch):
-        # the fitting rows in line_dissections order, in batches of a few
-        # rows, against subset_diameters
-        rng = np.random.default_rng(29)
-        pts = rng.uniform(-5, 5, size=(12, 2))
-        D = pairwise_distances(L1, pts)
-        monkeypatch.setattr(geometry, "_CHUNK", 40)
-        rows = line_dissections(pts)
-        for d1, d2 in ((8.0, 6.0), (12.0, 3.0), (20.0, 0.0), (2.0, 1.0)):
-            want = (subset_diameters(D, rows) <= d1) & (subset_diameters(D, ~rows) <= d2)
-            assert np.array_equal(dissections_within(pts, D, d1, d2), rows[want])
 
     def test_subset_diameters(self):
         rng = np.random.default_rng(19)

@@ -23,6 +23,7 @@ from normclust import (
 from normclust.norm import gauge_scalar, pairwise_distances
 from normclust.errors import (
     DegenerateBody,
+    NonFinitePoint,
     NotConvex,
     NotSymmetric,
     OriginNotInterior,
@@ -51,6 +52,15 @@ class TestValidate:
     def test_reflex_not_convex(self):
         with pytest.raises(NotConvex):
             polygon_plane([(1, 0), (0.05, 0.05), (0, 1), (-1, 0), (-0.05, -0.05), (0, -1)])
+
+    def test_small_diamond(self):
+        # the L1 ball scaled by 1e-10: its tolerances scale with it
+        s = 1e-10
+        plane = polygon_plane([(s, 0), (0, s), (-s, 0), (0, -s)])
+        v = np.random.default_rng(3).normal(size=(20, 2))
+        np.testing.assert_allclose(gauge(plane, v), 1e10 * gauge(L1, v), rtol=1e-12)
+        y = birkhoff_orthogonal(plane, (1, 0))
+        assert y.x == 0.0 and y.y == pytest.approx(1e-10, rel=1e-12)
 
     def test_origin_not_interior(self):
         # symmetric and convex but flat through the origin
@@ -118,6 +128,7 @@ class TestGauge:
 class TestBoundaryPoint:
     def test_euclidean(self):
         assert boundary_point(E, (2, 0)) == Point(1.0, 0.0)
+        assert boundary_point(E, (1e-12, 0)) == Point(1.0, 0.0)
 
     def test_diamond(self):
         bp = boundary_point(L1, (1, 1))
@@ -130,6 +141,9 @@ class TestBoundaryPoint:
     def test_zero_direction(self):
         with pytest.raises(ZeroDirection):
             boundary_point(E, (0, 0))
+        for bad in ((math.nan, 0), (math.inf, 0)):
+            with pytest.raises(NonFinitePoint):
+                boundary_point(E, bad)
 
 
 class TestBirkhoff:
