@@ -30,6 +30,7 @@ from .errors import (
     BadBounds,
     DegenerateBasis,
     EmptyInput,
+    NonFiniteResult,
     NormClustError,
     TooFewPoints,
 )
@@ -480,23 +481,19 @@ def _smallest_cover(plane: NormedPlane, Q: np.ndarray, balls) -> Optional[tuple[
     return best
 
 
-def _welzl_ball(plane: NormedPlane, pts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Welzl's minimal ball ("Smallest enclosing disks (balls and
-    ellipsoids)", 1991) for a strictly convex norm, where the ball is unique
-    and a point outside the ball of the points before it lies on the sphere
-    of the ball of all of them.
+def _welzl_center(plane: NormedPlane, pts: np.ndarray) -> np.ndarray:
+    """The center of Welzl's minimal ball ("Smallest enclosing disks (balls
+    and ellipsoids)", 1991) for a strictly convex norm, where the ball is
+    unique and a point outside the ball of the points before it lies on the
+    sphere of the ball of all of them.
 
     Three nested loops over the points in one fixed pseudo-random order
     (expected linear time, deterministic output): a point outside the
     current ball goes on the boundary of the next one.  The ball through two
     boundary points is their midpoint ball; through three, the Euclidean
     circumcircle or the smallest two-arc candidate that covers the points
-    seen so far, else the smallest covering pair ball of the three.
-
-    The loops run on the points moved to pts[0], so that rounding scales
-    with the spread of the points rather than with their offset."""
-    origin = pts[0]
-    P = (pts - origin)[np.random.default_rng(0).permutation(len(pts))]
+    seen so far, else the smallest covering pair ball of the three."""
+    P = pts[np.random.default_rng(0).permutation(len(pts))]
     desc = plane.descriptor
 
     def first_outside(c, r, lo, hi) -> Optional[int]:
@@ -532,38 +529,81 @@ def _welzl_ball(plane: NormedPlane, pts: np.ndarray) -> tuple[np.ndarray, float]
                 k = first_outside(c, r, k + 1, j)
             j = first_outside(c, r, j + 1, i)
         i = first_outside(c, r, i + 1, len(P))
-    c = origin + c
-    return c, float(gauge(plane, pts - c).max())
+    return c
+
+
+def _polygon_center(plane: NormedPlane, pts: np.ndarray) -> np.ndarray:
+    """The center of a minimal ball for a polygon norm.
+
+    B(c, r) holds the points exactly when c lies in every half-plane
+    n_f . c >= h_f - r b_f, for each facet f of the unit ball (normal n_f,
+    offset b_f) and h_f the points' largest n_f . s.  By Helly's theorem the
+    half-planes meet when every three do.  Three facets have weights alpha
+    with sum alpha_i n_i = 0 (alpha_i the cross product of the other two
+    normals), unique up to a factor; by Farkas' lemma their half-planes miss
+    each other exactly when alpha can be taken >= 0 and sum alpha_i (h_i -
+    r b_i) > 0.  So the least radius is the largest sum alpha h / sum alpha
+    b over the triples with alpha >= 0 (linear programming duality, with
+    the triples as the dual bases).  Where the best triple has three
+    nonzero weights, its half-planes meet in one point, the center; where
+    it has two, two opposite facets, the center is the middle of the
+    stretch of their common line inside every other half-plane."""
+    N, b = plane._normals, plane._offsets
+    h = (pts @ N.T).max(axis=0)
+    T = np.array(list(itertools.combinations(range(len(N)), 3)))
+    n = N[T]
+    alpha = np.stack([n[:, j, 0] * n[:, k, 1] - n[:, j, 1] * n[:, k, 0]
+                      for j, k in ((1, 2), (2, 0), (0, 1))], axis=1)
+    alpha *= np.sign(alpha.sum(axis=1, keepdims=True))
+    dual = np.flatnonzero((alpha >= 0).all(axis=1) & (alpha.sum(axis=1) > 0))
+    bound = (alpha[dual] * h[T[dual]]).sum(axis=1) / (alpha[dual] * b[T[dual]]).sum(axis=1)
+    pick = int(bound.argmax())
+    best, weights = dual[pick], alpha[dual[pick]]
+    line = h - bound[pick] * b  # n_f . c >= line_f, with equality on the tight facets
+    if (weights > 0).all():
+        # weights[i] is the cross product of the other two normals: keep the
+        # best-conditioned pair
+        pair = np.delete(T[best], weights.argmax())
+        return np.linalg.solve(N[pair], line[pair])
+    f = T[best][weights.argmax()]
+    start, along = N[f] * line[f] / (N[f] @ N[f]), np.array([-N[f][1], N[f][0]])
+    # n_g . (start + tau along) >= line_g bounds tau on one side; the rate
+    # n_g . along is a cross product with n_f, exactly 0 for f and -f
+    rate, need = N[:, 1] * along[1] + N[:, 0] * along[0], line - N @ start
+    up, down = rate > 0, rate < 0
+    lo = (need[up] / rate[up]).max(initial=-np.inf)
+    hi = (need[down] / rate[down]).min(initial=np.inf)
+    return start + (lo + hi) / 2 * along
 
 
 def min_enclosing_ball(plane: NormedPlane, points) -> tuple[Point, float]:
-    """Smallest radius r and a center c with S inside B(c, r): an LP over the
-    facet inequalities for a polygon norm, Welzl's algorithm for the
-    strictly convex norms.  r is the largest gauge reach from c."""
+    """Smallest radius r and a center c with S inside B(c, r): the best dual
+    basis of the facet inequalities for a polygon norm (see
+    ``_polygon_center``), Welzl's algorithm for the strictly convex norms.
+    r is the largest gauge reach from c.
+
+    Both run on the points scaled by a power of two to coordinates of at
+    most 1, moved to the first point and scaled by a power of two again to
+    an extent of at most 1.  The scalings are exact and no difference
+    overflows, so the answer scales exactly with the input and its rounding
+    scales with the spread of the points rather than with their offset.  A
+    radius too large for a float raises NonFiniteResult."""
     pts = finite_points(points)
     if len(pts) == 0:
         raise EmptyInput("no points")
-    if len(pts) == 1:
+    top = math.frexp(float(np.abs(pts).max()))[1]
+    q = np.ldexp(pts, -top)
+    spread = math.frexp(float(np.abs(q - q[0]).max()))[1]
+    unit = np.ldexp(q - q[0], -spread)
+    if not unit.any():
         return Point(float(pts[0][0]), float(pts[0][1])), 0.0
-
-    if isinstance(plane.descriptor, PolygonNorm):
-        from scipy.optimize import linprog  # imported on first use, like brentq
-
-        # minimize r s.t. n_f . (s - c) <= r b_f, rows point-major
-        N, b = plane._normals, plane._offsets
-        res = linprog(
-            c=[0.0, 0.0, 1.0],
-            A_ub=np.tile(np.column_stack([-N, -b]), (len(pts), 1)),
-            b_ub=-(pts[:, None, 0] * N[:, 0] + pts[:, None, 1] * N[:, 1]).ravel(),
-            bounds=[(None, None), (None, None), (0, None)],
-            method="highs",
-        )
-        if not res.success:
-            raise NormClustError(f"enclosing-ball LP failed: {res.message}")
-        cx, cy, r = res.x
-        return Point(float(cx), float(cy)), float(r)
-
-    c, r = _welzl_ball(plane, pts)
+    find = _polygon_center if isinstance(plane.descriptor, PolygonNorm) else _welzl_center
+    center = find(plane, unit)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        c = np.ldexp(q[0] + np.ldexp(center, spread), top)
+        r = float(gauge(plane, pts - c).max())
+    if not (math.isfinite(r) and np.isfinite(c).all()):
+        raise NonFiniteResult("the enclosing ball does not fit in floats")
     return Point(float(c[0]), float(c[1])), r
 
 
@@ -576,13 +616,27 @@ def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
     """Minimize the max, sum or sum of squares of per-cluster diameters or
     radii over all k-clusterings (empty clusters allowed).
 
-    Some optimum has pairwise linearly separable clusters, so the cluster
-    holding the lowest-index point of the remaining points U is U cut by at
-    most j-1 line dissections, where j clusters are left to place.  Hence
-    ``best(U, j) = min over such R of combine(measure(R), best(U - R, j-1))``,
-    evaluated exactly with point sets as integer bitmasks and memoized for
-    the duration of the call.  Ties go to the first region in dissection
-    order.
+    The max of the diameters at k = 2 and 3 is the min-max 2- and
+    3-clustering, which ``_tree_split`` and ``min_max_3cluster`` solve
+    exactly; its ties may be split differently from the enumeration's.
+
+    Every other objective enumerates.  Some optimum has pairwise linearly
+    separable clusters, so the cluster holding the lowest-index point of the
+    remaining points U is U cut by at most j-1 line dissections, where j
+    clusters are left to place.  Hence ``best(U, j) = min over such R of
+    combine(measure(R), best(U - R, j-1))``, evaluated exactly with point
+    sets as integer bitmasks and memoized for the duration of the call.
+    Ties go to the first region in dissection order.
+
+    A region is skipped when a lower bound on its term already reaches the
+    best value found, and at j = 2 also when its term joined with the bound
+    of U - R, the last cluster, does; a skipped region could not have
+    replaced the incumbent, so the answer is the same as without the bounds.
+    A diameter bounds itself.  A radius is at least half the diameter in
+    every norm (the triangle inequality through the center); the bound is
+    deflated by a relative 1e-12 and 64 ulps of the largest coordinate, more
+    than the rounding of a computed radius, so it only skips enclosing balls
+    that could not win.
     """
     pts = finite_points(points)
     n = len(pts)
@@ -590,37 +644,49 @@ def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
         raise TooFewPoints(f"need at least k={k} points")
     if not 2 <= k <= 4:
         raise NormClustError("k must be between 2 and 4")
+    if objective == Objective(Combiner.MAX, Measure.DIAMETER) and k < 4:
+        return _tree_split(plane, pts) if k == 2 else min_max_3cluster(plane, pts)
     rows = line_dissections(pts)
     cuts = _bit_rows(rows)
+    D = pairwise_distances(plane, pts)
+    known = dict(zip(cuts, subset_diameters(D, rows).tolist()))
+    dist = D.tolist()
+
+    def diam(mask: int) -> float:
+        # diam(m) = max(diam(m without its lowest point), farthest point of m
+        # from that lowest point)
+        chain = []
+        while mask not in known:
+            chain.append(mask)
+            mask &= mask - 1
+        value = known[mask]
+        for m in reversed(chain):
+            far = dist[(m & -m).bit_length() - 1]
+            value = max(value, max(far[i] for i in _bits(m)))
+            known[m] = value
+        return value
 
     if objective.measure is Measure.DIAMETER:
-        D = pairwise_distances(plane, pts)
-        known = dict(zip(cuts, subset_diameters(D, rows).tolist()))
-        dist = D.tolist()
-
-        def measure(mask: int) -> float:
-            # diam(m) = max(diam(m without its lowest point), farthest point
-            # of m from that lowest point)
-            chain = []
-            while mask not in known:
-                chain.append(mask)
-                mask &= mask - 1
-            value = known[mask]
-            for m in reversed(chain):
-                far = dist[(m & -m).bit_length() - 1]
-                value = max(value, max(far[i] for i in _bits(m)))
-                known[m] = value
-            return value
+        measure = lower = diam
     else:
+        slack = 64 * np.finfo(float).eps * float(np.abs(pts).max())
+
         @functools.cache
         def measure(mask: int) -> float:
             return min_enclosing_ball(plane, pts[list(_bits(mask))])[1] if mask else 0.0
+
+        def lower(mask: int) -> float:
+            return max(diam(mask) / 2 * (1 - 1e-12) - slack, 0.0)
 
     square = objective.combiner is Combiner.SUM_SQUARES
     join = max if objective.combiner is Combiner.MAX else operator.add
 
     def term(mask: int) -> float:
         value = measure(mask)
+        return value * value if square else value
+
+    def bound(mask: int) -> float:
+        value = lower(mask)
         return value * value if square else value
 
     @functools.cache
@@ -639,13 +705,18 @@ def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
             regions.update(dict.fromkeys(level))
         best_value, best_masks = math.inf, ()
         for R in regions:
-            # the objective is at least R's own term: prune before recursing
+            # the objective is at least R's own term, which is at least its
+            # bound; at j = 2 the rest is one cluster, whose term is at least
+            # its bound: prune before computing a ball or recursing
+            if bound(R) >= best_value:
+                continue
             value = term(R)
+            if value >= best_value or j == 2 and join(value, bound(U & ~R)) >= best_value:
+                continue
+            rest_value, rest = best(U & ~R, j - 1)
+            value = join(value, rest_value)
             if value < best_value:
-                rest_value, rest = best(U & ~R, j - 1)
-                value = join(value, rest_value)
-                if value < best_value:
-                    best_value, best_masks = value, (R,) + rest
+                best_value, best_masks = value, (R,) + rest
         return best_value, best_masks
 
     _, masks = best((1 << n) - 1, k)
@@ -658,10 +729,13 @@ def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
 
 
 def _birkhoff_coords(plane: NormedPlane, pts: np.ndarray) -> np.ndarray:
-    """Coordinates of pts in the basis xhat = (1, 0), yhat, where xhat is
-    Birkhoff orthogonal to yhat."""
+    """Coordinates of pts - pts[0] in the basis xhat = (1, 0), yhat, where
+    xhat is Birkhoff orthogonal to yhat.  Moving the points to pts[0] first
+    makes the rounding of the coordinates scale with the spread of the
+    points rather than with their offset, as the seed band of ``_zones``
+    does."""
     yhat = np.asarray(birkhoff_orthogonal(plane, (1.0, 0.0)), dtype=float)
-    return np.linalg.solve(np.column_stack([(1.0, 0.0), yhat]), pts.T).T
+    return np.linalg.solve(np.column_stack([(1.0, 0.0), yhat]), (pts - pts[0]).T).T
 
 
 def _x_order(C: np.ndarray) -> np.ndarray:

@@ -37,6 +37,10 @@ class NonFinitePoint(NormClustError):
     """A point coordinate is NaN or infinite."""
 
 
+class NonFiniteResult(NormClustError):
+    """A result of finite points overflows a float."""
+
+
 class EmptyCluster(NormClustError):
     pass
 

@@ -9,12 +9,13 @@ the plane's own gauge.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, NonFinitePoint
+from .errors import EmptyInput, NonFinitePoint, NonFiniteResult
 from .norm import (
     NormedPlane,
     Point,
@@ -252,10 +253,14 @@ def antipodal_pairs(poly: ConvexPolygon) -> Iterable[tuple[Point, Point]]:
 
 
 def diameter(plane: NormedPlane, points) -> tuple[float, tuple[Point, Point]]:
-    """Normed diameter with an attaining pair, via rotating calipers."""
+    """Normed diameter with an attaining pair, via rotating calipers; raises
+    NonFiniteResult when the diameter overflows a float."""
     pts = list(points)
     check_finite(pts)
-    return polygon_diameter(plane, convex_hull(pts))
+    d, pair = polygon_diameter(plane, convex_hull(pts))
+    if d == math.inf:
+        raise NonFiniteResult("the diameter does not fit in a float")
+    return d, pair
 
 
 def polygon_diameter(plane: NormedPlane, polygon: ConvexPolygon) -> tuple[float, tuple[Point, Point]]:

@@ -38,7 +38,13 @@ from normclust import (
     two_arc_plane,
 )
 from normclust import geometry
-from normclust.errors import BadBounds, DegenerateBasis, NonFinitePoint, TooFewPoints
+from normclust.errors import (
+    BadBounds,
+    DegenerateBasis,
+    NonFinitePoint,
+    NonFiniteResult,
+    TooFewPoints,
+)
 from normclust.norm import birkhoff_orthogonal, pairwise_distances
 from normclust.oracle import brute_min_enclosing_ball
 
@@ -414,7 +420,8 @@ def _meb_points(draw):
 
 
 class TestMinEnclosingBallProperties:
-    @pytest.mark.parametrize("plane", [E, TA], ids=["euclidean", "two_arc"])
+    @pytest.mark.parametrize("plane", [E, TA, L1, LI, random_polygon_plane(71)],
+                             ids=["euclidean", "two_arc", "l1", "linf", "polygon"])
     @settings(max_examples=150, deadline=None)
     @given(pts=_meb_points(), k=st.integers(-60, 60))
     # near-duplicates far from the origin relative to their spread
@@ -435,6 +442,23 @@ class TestMinEnclosingBallProperties:
         s = 2.0 ** k
         assert min_enclosing_ball(plane, pts * s) == (Point(c.x * s, c.y * s), r * s)
 
+    @pytest.mark.parametrize("plane", [E, TA, L1], ids=["euclidean", "two_arc", "l1"])
+    def test_no_overflow(self, plane):
+        # the differences of the points overflow, the radius does not
+        big = np.array([(1e308, 0.0), (-1e308, 0.0), (0.0, 1e308)])
+        c, r = min_enclosing_ball(plane, big)
+        assert math.isfinite(r)
+        assert float(gauge(plane, big - np.array(c)).max()) <= r
+        halves = big[:, None, :] / 2 - big[None, :, :] / 2
+        assert r >= float(gauge(plane, halves).max()) * (1 - 1e-12)
+        if plane is E:
+            assert r == pytest.approx(1e308, rel=1e-15)
+
+    @pytest.mark.parametrize("plane", [E, L1], ids=["euclidean", "l1"])
+    def test_radius_beyond_floats(self, plane):
+        with pytest.raises(NonFiniteResult):
+            min_enclosing_ball(plane, [(1.7e308, 1.7e308), (-1.7e308, -1.7e308)])
+
     @pytest.mark.parametrize("plane, n", [(TA, 40), (E, 2000)], ids=["two_arc", "euclidean"])
     def test_large(self, plane, n):
         pts = np.random.default_rng(97).uniform(-10, 10, size=(n, 2))
@@ -449,17 +473,28 @@ class TestMinEnclosingBallProperties:
 
 class TestKCluster:
     def test_k2_matches_avis(self, norm_suite):
+        # the max of two diameters is the spanning-tree split: checked by the
+        # oracle where its budget allows, by avis beyond
         rng = np.random.default_rng(59)
         for _, plane in norm_suite[:4]:
             pts = rng.uniform(-10, 10, size=(9, 2))
             v, _ = k_cluster_minimize(plane, pts, 2, MAXDIAM)
-            a, _ = avis_min_max_2cluster(plane, pts)
-            assert v == pytest.approx(a, abs=1e-9)
-        # on-line points past the first six; more points than an int64 mask holds
-        for pts in (COLLINEAR, COLLINEAR[::-1], rng.uniform(-10, 10, size=(70, 2))):
+            w, _ = brute_force_k_partition(plane, pts, 2, MAXDIAM)
+            assert v == pytest.approx(w, abs=1e-9)
+        # on-line points past the first six
+        for pts in (COLLINEAR, COLLINEAR[::-1]):
             v, _ = k_cluster_minimize(E, pts, 2, MAXDIAM)
-            a, _ = avis_min_max_2cluster(E, pts)
-            assert v == pytest.approx(a, abs=1e-9)
+            w, _ = brute_force_k_partition(E, pts, 2, MAXDIAM)
+            assert v == pytest.approx(w, abs=1e-9)
+        pts = rng.uniform(-10, 10, size=(70, 2))
+        v, _ = k_cluster_minimize(E, pts, 2, MAXDIAM)
+        a, split = avis_min_max_2cluster(E, pts)
+        assert v == pytest.approx(a, abs=1e-9)
+        # the sum enumerates over more points than an int64 mask holds
+        obj = Objective(Combiner.SUM, Measure.DIAMETER)
+        v, part = k_cluster_minimize(E, pts, 2, obj)
+        assert v == part.value(obj) <= split.value(obj)
+        assert sorted(i for c in part.clusters for i in c) == list(range(70))
 
     def test_collinear_outlier(self):
         for pts in (COLLINEAR, COLLINEAR[::-1]):
@@ -489,9 +524,10 @@ class TestKCluster:
         # ties on the 4x4 lattice go to the first region in dissection
         # order, which chunking the point pairs must not change
         pts = [(x, y) for x in range(4) for y in range(4)]
-        v, part = k_cluster_minimize(E, pts, 2, MAXDIAM)
+        obj = Objective(Combiner.SUM, Measure.DIAMETER)
+        v, part = k_cluster_minimize(E, pts, 2, obj)
         monkeypatch.setattr(geometry, "_CHUNK", 32)
-        assert k_cluster_minimize(E, pts, 2, MAXDIAM) == (v, part)
+        assert k_cluster_minimize(E, pts, 2, obj) == (v, part)
 
     def test_radius_measure(self):
         rng = np.random.default_rng(67)
@@ -505,6 +541,21 @@ class TestKCluster:
             r = min_enclosing_ball(E, pts[list(c)])[1] if c else 0.0
             assert m == pytest.approx(r, abs=1e-12)
         assert part.value(obj) == pytest.approx(v, abs=1e-12)
+
+    @pytest.mark.parametrize("plane", [L1, LI], ids=["l1", "linf"])
+    @pytest.mark.parametrize("scale", [2.0 ** -20, 1.0, 2.0 ** 20])
+    def test_radius_measure_polygon_norms(self, plane, scale):
+        # seven points on four locations; the half-diameter bound skips balls
+        rng = np.random.default_rng(71)
+        for k in (2, 3):
+            for _ in range(2):
+                some = rng.uniform(-10, 10, size=(4, 2))
+                pts = np.vstack([some, some[rng.integers(0, 4, size=3)]]) * scale
+                for combiner in Combiner:
+                    obj = Objective(combiner, Measure.RADIUS)
+                    v, _ = k_cluster_minimize(plane, pts, k, obj)
+                    w, _ = brute_force_k_partition(plane, pts, k, obj)
+                    assert v == pytest.approx(w, rel=1e-9)
 
     def test_too_few(self):
         with pytest.raises(TooFewPoints):

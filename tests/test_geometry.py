@@ -18,7 +18,7 @@ from normclust import (
     stabbing_line,
     two_arc_plane,
 )
-from normclust.errors import EmptyInput
+from normclust.errors import EmptyInput, NonFiniteResult
 from normclust import geometry
 from normclust.geometry import (
     line_dissections,
@@ -125,6 +125,13 @@ class TestDiameter:
                 D = pairwise_distances(plane, pts)
                 assert diameter(plane, pts)[0] == pytest.approx(float(D.max()), abs=1e-9)
 
+
+    @PLANES
+    def test_beyond_floats(self, plane):
+        # 2e308 apart: their difference overflows
+        with pytest.raises(NonFiniteResult):
+            diameter(plane, [(1e308, 0.0), (-1e308, 0.0)])
+        assert math.isfinite(diameter(plane, [(1e308, 0.0), (-7e307, 0.0)])[0])
 
     @PLANES
     def test_thin_spikes(self, plane):
