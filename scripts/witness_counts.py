@@ -5,8 +5,10 @@ For the Euclidean, L1, L-infinity and two-arc norms, draws cluster pairs
 with the acceptance suite's criterion-1 generator (1-12 points per cluster,
 uniform in [-10, 10]^2, one ``numpy.random.default_rng(seed)`` stream per
 norm), multiplies every coordinate by each scale in turn and separates the
-pair.  Prints one row per norm and scale: how often each witness answered,
-the number of ``NormClustError``s, and the number of splits that raised a
+pair; then moves the unit-scale pairs by 1e12 along both axes (the row
+labelled +1e+12), where the coordinates are 5e10 times the spread.  Prints
+one row per norm and scale or shift: how often each witness answered, the
+number of ``NormClustError``s, and the number of splits that raised a
 diameter, diam(A') > diam(A) or diam(B') > diam(B) by more than 1e-9 of it.
 The diameters here are the largest pairwise distance, not the library's
 hull calipers.  The last column is a digest of the row's answers (witness,
@@ -35,6 +37,9 @@ from normclust.errors import NormClustError
 from normclust.norm import pairwise_distances
 
 SCALES = (1e-7, 1e-4, 1.0, 1e5)
+SHIFTS = (1e12,)
+# (label, scale, shift) of each row
+ROWS = [(f"{s:6.0e}", s, 0.0) for s in SCALES] + [(f"+{t:.0e}", 1.0, t) for t in SHIFTS]
 NORMS = (("euclidean", euclidean_plane()), ("l1", l1_plane()), ("linf", linf_plane()),
          ("two_arc", two_arc_plane(10.0, 5 * np.sqrt(13))))
 
@@ -52,10 +57,10 @@ def criterion_1_pairs(seed: int, n: int) -> list:
     return pairs
 
 
-def counts(plane, pairs, scale) -> tuple[Counter, str]:
+def counts(plane, pairs, scale, shift) -> tuple[Counter, str]:
     out, digest = Counter(), hashlib.sha256()
     for a, b in pairs:
-        a, b = a * scale, b * scale
+        a, b = a * scale + shift, b * scale + shift
         try:
             res = separate_clusters(plane, a, b)
         except NormClustError as exc:
@@ -82,9 +87,9 @@ def main() -> int:
     wrong = 0
     for name, plane in NORMS:
         pairs = criterion_1_pairs(args.seed, args.pairs)
-        for scale in SCALES:
-            row, digest = counts(plane, pairs, scale)
-            print(f"{name:10s} {scale:6.0e} " + " ".join(f"{row[c]:15d}" for c in columns) + f" {digest}")
+        for label, scale, shift in ROWS:
+            row, digest = counts(plane, pairs, scale, shift)
+            print(f"{name:10s} {label:>6s} " + " ".join(f"{row[c]:15d}" for c in columns) + f" {digest}")
             wrong += row["errors"] + row["grew"]
     return 1 if wrong else 0
 

@@ -61,7 +61,6 @@ from .clustering import (
     Measure,
     Objective,
     Partition,
-    ZoneAudit,
     Zones,
     avis_min_max_2cluster,
     constrained_2cluster,

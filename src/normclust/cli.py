@@ -225,6 +225,12 @@ def _cmd_diameter(args, plane):
     return {"points": len(pts)}, result, 0
 
 
+# --verify's re-checks allow this share of the bound: the re-check and the
+# solver may round the same distance differently (math.hypot against
+# np.hypot differ by an ulp)
+_REL = 1e-9
+
+
 def _cmd_separate(args, plane):
     a = load_points(args.a)
     b = load_points(args.b)
@@ -247,9 +253,9 @@ def _cmd_separate(args, plane):
         "invariants": {
             "union_preserved": sorted(map(tuple, res.a_prime + res.b_prime))
             == sorted(map(tuple, tuple(a) + tuple(b))),
-            "diam_a_ok": dap <= da + 1e-9,
-            "diam_b_ok": dbp <= db + 1e-9,
-            "perimeter_ok": after <= before + 1e-9,
+            "diam_a_ok": dap <= da * (1 + _REL),
+            "diam_b_ok": dbp <= db * (1 + _REL),
+            "perimeter_ok": after <= before * (1 + _REL),
         },
     }
     if args.verify and not all(result["invariants"].values()):
@@ -265,7 +271,7 @@ def _cmd_cluster2(args, plane):
         # rotating calipers, independent of the spanning-tree split
         for c in part.clusters:
             dd = diameter(plane, [pts[i] for i in c])[0] if c else 0.0
-            if dd > d_star + 1e-9:
+            if dd > d_star * (1 + _REL):
                 raise VerificationFailed(f"cluster2: a cluster of diameter {dd} exceeds d* = {d_star}")
     result = {"d_star": d_star, "partition": _partition_doc(part)}
     return {"points": len(pts)}, result, 0

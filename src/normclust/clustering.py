@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -92,14 +92,6 @@ class Zones:
     south: tuple[int, ...]
     east: tuple[int, ...]
     seed: tuple[int, ...]  # points on the segment aa', pre-assigned to A
-
-
-@dataclass
-class ZoneAudit:
-    """Collects the zone-diameter checks made while exploring baselines."""
-
-    checks: int = 0
-    violations: list = field(default_factory=list)
 
 
 # --------------------------------------------------------------------------
@@ -669,7 +661,7 @@ def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
     if objective.measure is Measure.DIAMETER:
         measure = lower = diam
     else:
-        slack = 64 * np.finfo(float).eps * float(np.abs(pts).max())
+        slack = 64 * math.ulp(1.0) * float(np.abs(pts).max())
 
         @functools.cache
         def measure(mask: int) -> float:
@@ -720,6 +712,8 @@ def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
         return best_value, best_masks
 
     _, masks = best((1 << n) - 1, k)
+    if not masks:  # no clustering has a finite objective
+        raise NonFiniteResult("the objective of every clustering overflows a float")
     part = Partition(tuple(tuple(_bits(m)) for m in masks), tuple(measure(m) for m in masks))
     return part.value(objective), part
 
@@ -729,13 +723,16 @@ def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
 
 
 def _birkhoff_coords(plane: NormedPlane, pts: np.ndarray) -> np.ndarray:
-    """Coordinates of pts - pts[0] in the basis xhat = (1, 0), yhat, where
-    xhat is Birkhoff orthogonal to yhat.  Moving the points to pts[0] first
-    makes the rounding of the coordinates scale with the spread of the
-    points rather than with their offset, as the seed band of ``_zones``
-    does."""
+    """Coordinates of (pts - pts[0]) / 2^e in the basis xhat = (1, 0),
+    yhat, where xhat is Birkhoff orthogonal to yhat and 2^e bounds the
+    points' coordinates, so that no difference overflows; the zones read
+    only orders and signs, which the exact scaling keeps.  Moving the points
+    to pts[0] first makes the rounding of the coordinates scale with the
+    spread of the points rather than with their offset, as the seed band of
+    ``_zones`` does."""
     yhat = np.asarray(birkhoff_orthogonal(plane, (1.0, 0.0)), dtype=float)
-    return np.linalg.solve(np.column_stack([(1.0, 0.0), yhat]), (pts - pts[0]).T).T
+    q = np.ldexp(pts, -math.frexp(float(np.abs(pts).max()))[1])
+    return np.linalg.solve(np.column_stack([(1.0, 0.0), yhat]), (q - q[0]).T).T
 
 
 def _x_order(C: np.ndarray) -> np.ndarray:
@@ -824,7 +821,7 @@ class _ThreeClustering:
             self.below[u] = seen
             seen |= 1 << u
 
-    def probe(self, d: float, audit: Optional[ZoneAudit] = None) -> Optional[tuple[int, int, int]]:
+    def probe(self, d: float) -> Optional[tuple[int, int, int]]:
         """Three location bitsets (A, B, C) of diameter <= d, or None."""
         if not d >= 0:
             return None
@@ -852,8 +849,6 @@ class _ThreeClustering:
         for r, (seed, north, south) in enumerate(self.zones, start=1):
             if _wide(far, seed):
                 continue
-            if audit is not None:
-                self._audit(far, d, r, (north, south), audit)
             # cases 1 and 2: a full zone joins A
             for zone, other in ((north, south), (south, north)):
                 held = seed | zone
@@ -876,18 +871,6 @@ class _ThreeClustering:
             if groups is not None:
                 return groups
         return None
-
-    def _audit(self, far, d, r, zones, audit: ZoneAudit) -> None:
-        """The zone-diameter property: the locations of a zone within d of
-        both a and a' = r are pairwise within d."""
-        near = ~(far[0] | far[r])
-        for zone in zones:
-            audit.checks += 1
-            inner = zone & near
-            if _wide(far, inner):
-                wide = _mask_diam(self.DW, list(_bits(inner)))
-                if wide > d + 1e-9:
-                    audit.violations.append((tuple(self.W[0]), tuple(self.W[r]), d, wide))
 
     def partition(self, groups, d: float) -> Partition:
         """The point partition of location bitsets, checked against d."""
@@ -917,12 +900,11 @@ def hr_zones(plane: NormedPlane, points, a, a_prime) -> Zones:
     return Zones(north, south, east, seed)
 
 
-def hr_feasible_3cluster(plane: NormedPlane, points, d: float, *,
-                         audit: Optional[ZoneAudit] = None) -> Optional[Partition]:
+def hr_feasible_3cluster(plane: NormedPlane, points, d: float) -> Optional[Partition]:
     """Partition S into A, B, C with diameters <= d, or None (the zone
     algorithm of ``_ThreeClustering``)."""
     inst = _ThreeClustering(plane, points)
-    groups = inst.probe(d, audit)
+    groups = inst.probe(d)
     return None if groups is None else inst.partition(groups, d)
 
 
@@ -936,8 +918,7 @@ def _fourth_farthest_first(D: np.ndarray) -> float:
     return float(near.max())
 
 
-def min_max_3cluster(plane: NormedPlane, points, *,
-                     audit: Optional[ZoneAudit] = None) -> tuple[float, Partition]:
+def min_max_3cluster(plane: NormedPlane, points) -> tuple[float, Partition]:
     """Minimize the largest of the three cluster diameters: binary search
     with the feasibility probe over the pairwise distances in [r4, d2],
     where d2 is the optimal 2-clustering's value (a 3-split with an empty
@@ -953,7 +934,7 @@ def min_max_3cluster(plane: NormedPlane, points, *,
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        groups = inst.probe(float(values[mid]), audit)
+        groups = inst.probe(float(values[mid]))
         if groups is not None:
             best, hi = groups, mid
         else:

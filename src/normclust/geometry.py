@@ -1,9 +1,13 @@
 """Planar primitives: hulls, normed diameters and perimeters, an exact
-orientation predicate, lines, stabbing lines, and line dissections (every
-split of a point set by a line) with their subset diameters.
+sign predicate, lines, stabbing lines, and line dissections (every split of
+a point set by a line) with their subset diameters.
 
 The convex hull is norm-independent; diameter and perimeter are measured in
-the plane's own gauge.
+the plane's own gauge.  Every sign on input points, a turn, a side or the
+rotating calipers' comparison of two edge directions, is decided exactly by
+one predicate, ``cross_sign`` (Shewchuk's float filter, then integers).  No
+comparison here has a tolerance band, so no hull, side or diameter pair
+depends on where the points lie.
 """
 
 from __future__ import annotations
@@ -70,17 +74,6 @@ class OrientedLine:
 # --------------------------------------------------------------------------
 
 
-def _collinear_eps(pts: Sequence[Point]) -> float:
-    """Band below which a cross product of two differences of ``pts`` counts
-    as zero.  The rounding error of a difference grows with the coordinates'
-    magnitude, and a cross product is a difference times a difference no
-    longer than the set's extent, so the band is proportional to both; it
-    scales exactly when the input is scaled by a power of two."""
-    xs, ys = zip(*pts)
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    return 1e-12 * max(x1, -x0, y1, -y0) * max(x1 - x0, y1 - y0)
-
-
 def convex_hull(points) -> ConvexPolygon:
     """Monotone chain, strict (collinear vertices dropped), with every turn
     decided exactly: each vertex of the true hull is kept and no other
@@ -102,40 +95,45 @@ def hull_indices(points: np.ndarray) -> list[int]:
     return [first[v] for v in _monotone_chain(sorted(first))]
 
 
-# Shewchuk's bound on the error of the float turn (orient2d's ccwerrboundA):
-# (3 + 16u) u times the sum of the two products' magnitudes, u = 2^-53, plus
-# 2^-1072 for an underflow of the products.
+# Shewchuk's bound on the error of a float cross product of two differences
+# (orient2d's ccwerrboundA): (3 + 16u) u times the sum of the two products'
+# magnitudes, u = 2^-53, plus 2^-1072 for an underflow of the products.
 _TURN_ERR = (3 + 16 * 2.0 ** -53) * 2.0 ** -53
 _TURN_TINY = 2.0 ** -1072
 
 
-def orient(o, a, p) -> int:
-    """The exact sign of the turn o -> a -> p: 1 when p is left of the line
-    from o to a, -1 when it is right of it, 0 when the three are collinear.
-    A float turn beyond Shewchuk's bound keeps its sign; any other is
-    settled with the coordinates (floats or ints) as integers over their
-    largest power-of-two denominator.  A non-finite one raises
-    NonFinitePoint."""
-    left = (a[0] - o[0]) * (p[1] - o[1])
-    right = (a[1] - o[1]) * (p[0] - o[0])
+def cross_sign(a, b, c, d) -> int:
+    """The exact sign of the cross product (b - a) x (d - c): 1 when d - c
+    turns counterclockwise from b - a, -1 when clockwise, 0 when the two are
+    parallel.  A float product beyond Shewchuk's bound keeps its sign (the
+    bound covers two products of rounded differences, whichever points
+    they come from); any other is settled with the coordinates (floats or
+    ints) as integers over their largest power-of-two denominator.  A
+    non-finite one raises NonFinitePoint."""
+    left = (b[0] - a[0]) * (d[1] - c[1])
+    right = (b[1] - a[1]) * (d[0] - c[0])
     det = left - right
     if abs(det) > _TURN_ERR * (abs(left) + abs(right)) + _TURN_TINY:
         return 1 if det > 0 else -1
     # both products have a zero factor, as on a lattice: a float difference
     # is zero only when the coordinates are equal
-    if (a[0] == o[0] or p[1] == o[1]) and (a[1] == o[1] or p[0] == o[0]):
+    if (b[0] == a[0] or d[1] == c[1]) and (b[1] == a[1] or d[0] == c[0]):
         return 0
     try:
-        (ox, dox), (oy, doy) = o[0].as_integer_ratio(), o[1].as_integer_ratio()
-        (ax, dax), (ay, day) = a[0].as_integer_ratio(), a[1].as_integer_ratio()
-        (px, dpx), (py, dpy) = p[0].as_integer_ratio(), p[1].as_integer_ratio()
+        nums, dens = zip(*(v.as_integer_ratio() for v in (*a, *b, *c, *d)))
     except (ValueError, OverflowError):
         raise NonFinitePoint("point coordinates must be finite") from None
-    den = max(dox, doy, dax, day, dpx, dpy)
-    ox, oy, ax, ay = ox * (den // dox), oy * (den // doy), ax * (den // dax), ay * (den // day)
-    px, py = px * (den // dpx), py * (den // dpy)
-    turn = (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
+    top = max(dens)
+    ax, ay, bx, by, cx, cy, dx, dy = (q * (top // r) for q, r in zip(nums, dens))
+    turn = (bx - ax) * (dy - cy) - (by - ay) * (dx - cx)
     return (turn > 0) - (turn < 0)
+
+
+def orient(o, a, p) -> int:
+    """The exact sign of the turn o -> a -> p: 1 when p is left of the line
+    from o to a, -1 when it is right of it, 0 when the three are collinear
+    (``cross_sign(o, a, o, p)``)."""
+    return cross_sign(o, a, o, p)
 
 
 def orient_lines(pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -196,60 +194,37 @@ def _monotone_chain(uniq: list) -> list:
     return verts
 
 
-def _chains(poly: ConvexPolygon):
-    """Split a CCW hull into lower and upper x-monotone chains."""
-    verts = poly.vertices
-    lo = min(range(len(verts)), key=lambda i: verts[i])
-    hi = max(range(len(verts)), key=lambda i: verts[i])
-    lower = []
-    i = lo
-    while True:
-        lower.append(verts[i])
-        if i == hi:
-            break
-        i = (i + 1) % len(verts)
-    upper = []
-    i = hi
-    while True:
-        upper.append(verts[i])
-        if i == lo:
-            break
-        i = (i + 1) % len(verts)
-    upper.reverse()  # leftmost -> rightmost along the top
-    return upper, lower
-
-
 def antipodal_pairs(poly: ConvexPolygon) -> Iterable[tuple[Point, Point]]:
-    """Rotating calipers; on slope ties the cross pairs are emitted too."""
-    if len(poly) == 1:
-        yield poly.vertices[0], poly.vertices[0]
+    """Rotating calipers (Shamos, 1978): two parallel supporting lines turn
+    half a turn around the counterclockwise hull, starting along edge 0, and
+    each pair of vertices they touch is yielded.  One line runs along the
+    edges 0 .. h-1, where v[h] is the first vertex from which the next edge
+    no longer moves away from edge 0's line, the other along h .. n-1.
+    Whichever line meets its next edge first moves on: the first line when
+    (v[i+1] - v[i]) x (v[j+1] - v[j]) < 0, the second when > 0, and both
+    when the two edges are exactly parallel, whose ends are then paired
+    crosswise too.  That yields every antipodal pair of vertices, and a
+    normed diameter is attained at one: a support functional of the unit
+    ball at p - q, for a farthest pair p, q, is largest at p and smallest at
+    q over the polygon.  Every comparison is exact (``cross_sign``)."""
+    v = poly.vertices
+    n = len(v)
+    if n < 3:
+        yield v[0], v[-1]
         return
-    if len(poly) == 2:
-        yield poly.vertices[0], poly.vertices[1]
-        return
-    U, L = _chains(poly)
-    eps = _collinear_eps(poly.vertices)
-    i, j = 0, len(L) - 1
-    while i < len(U) - 1 or j > 0:
-        yield U[i], L[j]
-        if i == len(U) - 1:
-            j -= 1
-        elif j == 0:
-            i += 1
-        else:
-            du = (U[i + 1].x - U[i].x, U[i + 1].y - U[i].y)
-            dl = (L[j].x - L[j - 1].x, L[j].y - L[j - 1].y)
-            c = du[1] * dl[0] - dl[1] * du[0]
-            if c > eps:
-                i += 1
-            elif c < -eps:
-                j -= 1
-            else:
-                yield U[i + 1], L[j]
-                yield U[i], L[j - 1]
-                i += 1
-                j -= 1
-    yield U[i], L[j]
+    h = 1
+    while cross_sign(v[0], v[1], v[h], v[(h + 1) % n]) > 0:
+        h += 1
+    i, j = 0, h
+    while i < h or j < n:
+        yield v[i], v[j % n]
+        turn = 1 if i == h else -1 if j == n else cross_sign(v[i], v[i + 1], v[j], v[(j + 1) % n])
+        if turn == 0:
+            yield v[i + 1], v[j]
+            yield v[i], v[(j + 1) % n]
+        i += turn <= 0
+        j += turn >= 0
+    yield v[h], v[0]
 
 
 def diameter(plane: NormedPlane, points) -> tuple[float, tuple[Point, Point]]:

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DegenerateBody,
     NonFinitePoint,
+    NonFiniteResult,
     NotConvex,
     NotSymmetric,
     OriginNotInterior,
@@ -326,9 +327,31 @@ def dist(plane: NormedPlane, p, q):
 def pairwise_distances(plane: NormedPlane, points, others=None) -> np.ndarray:
     """The (n, m) matrix of gauge(points[i] - others[j]); others defaults to
     points.  Each entry depends only on its two points, so it is the same
-    bits in every matrix that holds the pair."""
+    bits in every matrix that holds the pair.  A distance between finite
+    points too large for a float raises NonFiniteResult."""
     arr = as_array(points)
     ref = arr if others is None else as_array(others)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _distance_matrix(plane, arr, ref)
+    except FloatingPointError:
+        pass
+    if not (np.isfinite(arr).all() and np.isfinite(ref).all()):
+        raise NonFinitePoint("point coordinates must be finite")
+    # a difference, a facet product or a two-arc sum of squares overflowed
+    # where the distance may fit: the entries that overflow again at half
+    # scale, which is exact
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _distance_matrix(plane, arr, ref)
+        i, j = np.nonzero(~(out < math.inf))
+        out[i, j] = 2 * gauge(plane, arr[i] / 2 - ref[j] / 2)
+    if not (out < math.inf).all():
+        raise NonFiniteResult("a distance between the points does not fit in a float")
+    return out
+
+
+def _distance_matrix(plane: NormedPlane, arr: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``pairwise_distances``' kernel, in whatever error state the caller set."""
     desc = plane.descriptor
     if isinstance(desc, TwoArcNorm):
         diff = arr[:, None, :] - ref[None, :, :]

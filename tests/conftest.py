@@ -7,11 +7,13 @@ from normclust import (
     convex_hull,
     euclidean_plane,
     gauge,
+    hr_zones,
     l1_plane,
     linf_plane,
     polygon_plane,
     two_arc_plane,
 )
+from normclust.errors import DegenerateBasis
 from normclust.norm import _circle_circle, _on_twoarc_arc, _twoarc_sphere_arcs
 
 TWO_ARC_C = 10.0
@@ -107,3 +109,33 @@ def random_clusters(rng, max_n=12, lo=-10.0, hi=10.0):
     na = int(rng.integers(1, max_n + 1))
     nb = int(rng.integers(1, max_n + 1))
     return rng.uniform(lo, hi, size=(na, 2)), rng.uniform(lo, hi, size=(nb, 2))
+
+
+def zone_diameter_checks(plane, pts, D, thresholds):
+    """The zone-diameter property of the 3-clustering's zones (Hagauer and
+    Rote): with a the point that precedes every other in the zones' x-order,
+    for every baseline a' after a and every threshold d, the points of the
+    north (south) zone within d of both a and a' are pairwise within d.
+    Returns the number of (threshold, baseline, zone) checks and the
+    violations (a, a', d, the zone part's diameter)."""
+    pts = [(float(x), float(y)) for x, y in pts]
+    for a in range(len(pts)):
+        try:
+            zones = [(b, hr_zones(plane, pts, pts[a], pts[b]))
+                     for b in range(len(pts)) if pts[b] != pts[a]]
+        except DegenerateBasis:  # some point precedes pts[a]
+            continue
+        break
+    else:
+        raise AssertionError("no point precedes the others")
+    checks, violations = 0, []
+    for d in thresholds:
+        for b, z in zones:
+            near = (D[a] <= d) & (D[b] <= d)
+            for zone in (z.north, z.south):
+                checks += 1
+                inner = [i for i in zone if near[i]]
+                wide = float(D[np.ix_(inner, inner)].max(initial=0.0))
+                if wide > d + 1e-9:
+                    violations.append((pts[a], pts[b], float(d), wide))
+    return checks, violations

@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a PASS line with its measured runtime; run with ``pytest -s``
-(or read the -v report) to see them.  Criterion 7 audits the zone-diameter
-property over the same runs as criterion 4, so those share a cached sweep.
+(or read the -v report) to see them.  Criterion 7 checks the zone-diameter
+property on the instances and thresholds of criterion 4, so those share a
+cached sweep.
 """
 
 import io
@@ -16,9 +17,9 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from conftest import zone_diameter_checks
 from normclust import (
     Combiner,
-    ZoneAudit,
     Measure,
     Objective,
     avis_min_max_2cluster,
@@ -145,7 +146,7 @@ def _criterion4_sweep(norm_suite):
     if "result" in _C4_CACHE:
         return _C4_CACHE["result"]
     rng = np.random.default_rng(4)
-    audit = ZoneAudit()
+    checks, violations = 0, []
     t0 = time.monotonic()
     mismatches = []
     for trial in range(200):
@@ -157,16 +158,18 @@ def _criterion4_sweep(norm_suite):
         iu, ju = np.triu_indices(n, k=1)
         thresholds = np.concatenate([[0.0], np.unique(D[iu, ju])])
         for d in thresholds:
-            part = hr_feasible_3cluster(plane, pts, float(d), audit=audit)
+            part = hr_feasible_3cluster(plane, pts, float(d))
             feasible = part is not None
             if feasible != (want <= d):
                 mismatches.append((trial, float(d)))
             if part is not None and max(part.measures) > d + 1e-9:
                 mismatches.append((trial, float(d)))
-        got, _ = min_max_3cluster(plane, pts, audit=audit)
+        got, _ = min_max_3cluster(plane, pts)
         if abs(got - want) > 1e-9:
             mismatches.append((trial, "optimum"))
-    _C4_CACHE["result"] = (mismatches, audit, time.monotonic() - t0)
+        found = zone_diameter_checks(plane, pts, D, thresholds)
+        checks, violations = checks + found[0], violations + found[1]
+    _C4_CACHE["result"] = (mismatches, (checks, violations), time.monotonic() - t0)
     return _C4_CACHE["result"]
 
 
@@ -178,10 +181,10 @@ def test_criterion_4_three_clustering(norm_suite):
 
 
 def test_criterion_7_zone_diameter_property(norm_suite):
-    _, audit, elapsed = _criterion4_sweep(norm_suite)
-    assert audit.checks > 1000
-    assert audit.violations == []
-    _report("criterion 7 (zone-diameter property)", 0.0, f"{audit.checks} checks")
+    _, (checks, violations), elapsed = _criterion4_sweep(norm_suite)
+    assert checks > 1000
+    assert violations == []
+    _report("criterion 7 (zone-diameter property)", 0.0, f"{checks} checks")
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ ALLOWED = {
     "bh_membership_oracle": "the oracle's reference for ball-hull membership",
     "brute_force_k_partition": "the oracle's exhaustive reference for k-clustering",
     "feasible_2cluster": "documented API: 2-clustering at a fixed diameter bound",
-    "hr_zones": "TestZones pins the zone rule that criterion 7 audits",
+    "hr_zones": "criterion 7 checks the zone-diameter property on its zones; TestZones pins them",
     "minimal_arcs": "documented API: the d-minimal arcs between two points",
     "stabbing_line": "bench/tracing.py looks it up by its name for --trace 1",
 }

@@ -3,6 +3,7 @@ import json
 import math
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from normclust import cli
@@ -149,6 +150,16 @@ class TestSubcommands:
     def test_verify_flag(self, square_csv):
         rc, _ = run_cli(["cluster2", "--points", square_csv, "--verify", "--json"])
         assert rc == 0
+
+    def test_verify_far_out(self, tmp_path):
+        # the spanning-tree split and the calipers round d* = 16138235083.91169
+        # one ulp apart, which an absolute band of 1e-9 took for a failure
+        pts = np.random.default_rng(92).uniform(-1, 1, (12, 2)) * 1e10
+        path = tmp_path / "far.csv"
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()))
+        rc, out = run_cli(["cluster2", "--points", str(path), "--verify", "--json"])
+        assert rc == 0
+        assert json.loads(out)["result"]["d_star"] == pytest.approx(16138235083.911692, rel=1e-15)
 
 
 @pytest.mark.parametrize("command", [

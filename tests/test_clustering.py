@@ -8,10 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
-from conftest import grid_meb_oracle, random_polygon_plane
+from conftest import grid_meb_oracle, random_polygon_plane, zone_diameter_checks
 from normclust import (
     Combiner,
-    ZoneAudit,
     Measure,
     Objective,
     Point,
@@ -139,6 +138,11 @@ class TestAvis:
     def test_two_points(self):
         d, _ = avis_min_max_2cluster(E, [(0, 0), (5, 5)])
         assert d == 0.0
+
+    def test_distances_beyond_floats(self):
+        # L1 distance 2e308 between finite points
+        with pytest.raises(NonFiniteResult):
+            avis_min_max_2cluster(L1, [(-1e308, 0), (0, 1e308), (0, 0)])
 
     def test_too_few(self):
         with pytest.raises(TooFewPoints):
@@ -561,6 +565,18 @@ class TestKCluster:
         with pytest.raises(TooFewPoints):
             k_cluster_minimize(E, [(0, 0)], 2, MAXDIAM)
 
+    @pytest.mark.parametrize("plane, pts, combiner", [
+        # a distance overflows
+        (L1, [(1e308, 0), (-1e308, 0), (0, 1e308), (0, -1e308)], Combiner.SUM),
+        (E, [(1e308, 0), (-1e308, 0), (0, 1)], Combiner.SUM_SQUARES),
+        # the distances fit, but every 2-split has a cluster whose square does not
+        (E, [(1e160, 0), (-1e160, 0), (0, 1e160), (0, -1e160)], Combiner.SUM_SQUARES),
+    ], ids=["l1-sum", "euclidean-squares", "euclidean-squares-finite-distances"])
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_objective_beyond_floats(self, plane, pts, combiner, measure):
+        with pytest.raises(NonFiniteResult):
+            k_cluster_minimize(plane, pts, 2, Objective(combiner, measure))
+
     def test_k4_small(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(-10, 10, size=(8, 2))
@@ -699,6 +715,21 @@ class TestHR3:
         d, _ = min_max_3cluster(E, THREE_PAIRS)
         assert d == pytest.approx(0.1)
 
+    def test_min_max_distances_beyond_floats(self):
+        with pytest.raises(NonFiniteResult):
+            min_max_3cluster(L1, [(-1e308, 0), (0, 1e308), (0, 0), (1, 1)])
+
+    def test_min_max_far_apart_two_arc(self):
+        # differences overflow, two-arc distances do not: the zones' basis
+        # coordinates are scaled down before the points are moved to the
+        # first one
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            pts = rng.uniform(-1, 1, size=(int(rng.integers(4, 9)), 2)) * 1.7e308
+            want, _ = brute_force_k_partition(TA, pts, 3, MAXDIAM)
+            assert math.isfinite(want)
+            assert min_max_3cluster(TA, pts)[0] == want
+
     def test_min_max_collinear_zero(self):
         d, part = min_max_3cluster(E, [(0, 0), (1, 0), (3, 0)])
         assert d == 0.0
@@ -739,16 +770,19 @@ class TestHR3:
 
     def test_min_max_matches_oracle(self, norm_suite):
         rng = np.random.default_rng(79)
-        audit = ZoneAudit()
+        checks = 0
         for _, plane in norm_suite:
             for _ in range(4):
                 n = int(rng.integers(3, 10))
                 pts = rng.uniform(-10, 10, size=(n, 2))
-                got, _ = min_max_3cluster(plane, pts, audit=audit)
+                got, _ = min_max_3cluster(plane, pts)
                 want, _ = brute_force_k_partition(plane, pts, 3, MAXDIAM)
                 assert got == pytest.approx(want, abs=1e-9)
-        assert audit.checks > 0
-        assert audit.violations == []
+                D = pairwise_distances(plane, pts)
+                found, violations = zone_diameter_checks(plane, pts, D, np.unique(D))
+                assert violations == []
+                checks += found
+        assert checks > 0
 
     def test_duplicates(self):
         pts = [(0, 0), (0, 0), (5, 0), (5, 0), (2.5, 4)]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normclust import (
     Point,
@@ -21,13 +22,14 @@ from normclust import (
 from normclust.errors import EmptyInput, NonFiniteResult
 from normclust import geometry
 from normclust.geometry import (
+    cross_sign,
     line_dissections,
     line_splits,
     line_through,
     point_in_convex,
     subset_diameters,
 )
-from normclust.norm import pairwise_distances
+from normclust.norm import gauge_scalar, pairwise_distances
 
 E = euclidean_plane()
 L1 = l1_plane()
@@ -141,6 +143,103 @@ class TestDiameter:
         assert value == pytest.approx(float(pairwise_distances(plane, np.array(SPIKE)).max()), rel=1e-15)
         if plane is not TA:
             assert value == 10.0
+
+
+@st.composite
+def _hull_sets(draw):
+    """Points whose hulls stress the calipers: lattice points (duplicates,
+    collinear triples, parallel edges), centrally symmetric polygons (every
+    edge exactly parallel to its opposite), collinear runs or uniform reals;
+    scaled by 2^k, k in [-60, 60], and moved by up to 2^40 times their
+    spread."""
+    kind = draw(st.sampled_from(["lattice", "symmetric", "collinear", "uniform"]))
+    if kind == "lattice":
+        coord = st.integers(-4, 4)
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=14))
+    elif kind == "symmetric":
+        m = draw(st.integers(1, 8))
+        turn = draw(st.floats(0, 1))
+        half = [(math.cos(math.pi * (i + turn) / m), math.sin(math.pi * (i + turn) / m)) for i in range(m)]
+        pts = half + [(-x, -y) for x, y in half]
+    elif kind == "collinear":
+        (x, y), (dx, dy) = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4))), draw(
+            st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]))
+        pts = [(x + t * dx, y + t * dy) for t in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=8))]
+    else:
+        real = st.floats(-1, 1, allow_nan=False)
+        pts = draw(st.lists(st.tuples(real, real), min_size=1, max_size=14))
+    pts = np.array(pts, float)
+    spread = float(np.ptp(pts, axis=0).max()) or 1.0
+    shift = np.array(draw(st.tuples(*[st.floats(-2.0 ** 40, 2.0 ** 40)] * 2))) * spread
+    if draw(st.booleans()):
+        shift[:] = 0.0
+    return np.ldexp(pts + shift, draw(st.integers(-60, 60)))
+
+
+class TestCalipers:
+    @settings(max_examples=300, deadline=None)
+    @given(pts=_hull_sets())
+    def test_diameter_is_the_largest_vertex_pair(self, norm_suite, pts):
+        # the calipers' value is exactly the all-pairs maximum of the same
+        # gauge over the hull's vertices, and their pair attains it
+        verts = convex_hull(pts).vertices
+        for _, plane in norm_suite:
+            value, (p, q) = diameter(plane, pts)
+            assert value == max(gauge_scalar(plane, b.x - a.x, b.y - a.y) for a in verts for b in verts)
+            assert value == gauge_scalar(plane, q.x - p.x, q.y - p.y)
+
+    def test_far_offset(self, norm_suite):
+        # 3-24 points in [-1, 1]^2 moved by 1e12: a slope band proportional
+        # to the offset had taken non-parallel edges for parallel ones
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            pts = rng.uniform(-1, 1, size=(int(rng.integers(3, 25)), 2)) + 1e12
+            verts = convex_hull(pts).vertices
+            for _, plane in norm_suite:
+                assert diameter(plane, pts)[0] == max(
+                    gauge_scalar(plane, b.x - a.x, b.y - a.y) for a in verts for b in verts)
+
+
+class TestCrossSign:
+    def test_parallel_lattice_edges(self):
+        # parallel edges far apart and far out: exactly 0, both ways round
+        a, b = (1e15 + 1, 3.0), (1e15 + 4, 9.0)
+        c, d = (-7e15, 1.0), (-7e15 + 1, 3.0)
+        assert cross_sign(a, b, c, d) == cross_sign(b, a, c, d) == cross_sign(c, d, a, b) == 0
+        assert cross_sign((0, 0), (2, 2), (5, -1), (3, -3)) == 0
+        assert cross_sign((0.5, 0.25), (0.5, 0.75), (3, 8), (3, -1)) == 0
+
+    def test_sign_inside_the_float_filter(self):
+        # 3 * fl(1/3) rounds to 1, but is below it: the float product is 0
+        third = 1 / 3
+        assert 3 * third == 1.0
+        assert cross_sign((0, 0), (1, third), (0, 0), (3, 1)) == 1
+        assert cross_sign((0, 0), (3, 1), (0, 0), (1, third)) == -1
+
+    def test_near_parallel_far_out(self):
+        # edges one ulp from parallel, 1e12 out, where a slope band
+        # proportional to the coordinates took them for parallel
+        base = 1e12
+        a, b = (base, base), (base + 3, base + 1)
+        c, d = (base + 7, base - 5), (np.nextafter(base + 10, 0), base - 4)
+        assert cross_sign(a, b, c, d) == _fraction_cross(a, b, c, d) == 1
+
+    def test_against_fractions(self):
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            a, b, c = (tuple(p) for p in rng.uniform(-1, 1, size=(3, 2)) * 10.0 ** rng.integers(-8, 9))
+            # d - c a rounded multiple of b - a: near parallel, often within the filter
+            t = rng.uniform(-3, 3)
+            d = (c[0] + t * (b[0] - a[0]), c[1] + t * (b[1] - a[1]))
+            assert cross_sign(a, b, c, d) == _fraction_cross(a, b, c, d)
+            assert geometry.orient(a, b, c) == cross_sign(a, b, a, c) == _fraction_cross(a, b, a, c)
+
+
+def _fraction_cross(a, b, c, d) -> int:
+    """The sign of (b - a) x (d - c) in exact rational arithmetic."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = (map(Fraction, map(float, q)) for q in (a, b, c, d))
+    cross = (bx - ax) * (dy - cy) - (by - ay) * (dx - cx)
+    return (cross > 0) - (cross < 0)
 
 
 class TestPerimeter:

@@ -24,6 +24,7 @@ from normclust.norm import gauge_scalar, pairwise_distances
 from normclust.errors import (
     DegenerateBody,
     NonFinitePoint,
+    NonFiniteResult,
     NotConvex,
     NotSymmetric,
     OriginNotInterior,
@@ -119,6 +120,25 @@ class TestGauge:
                 np.testing.assert_array_equal(got, want)
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("plane", PLANES, ids=["euclidean", "l1", "linf", "two_arc"])
+    def test_pairwise_beyond_floats(self, plane):
+        # the difference of these two overflows, and so does their distance,
+        # but on the two-arc norm, whose unit ball reaches 15 along x
+        pair = [(-1e308, 0), (1e308, 0)]
+        if plane is TA:
+            assert pairwise_distances(plane, pair)[0, 1] == 2 * gauge(plane, (1e308, 0))
+        else:
+            with pytest.raises(NonFiniteResult):
+                pairwise_distances(plane, pair)
+            with pytest.raises(NonFiniteResult):
+                pairwise_distances(plane, [(0, 0), pair[0]], pair[1:])
+        # a distance that fits, although for L-infinity a facet product does not
+        D = pairwise_distances(plane, [(1e308, 0), (-7e307, 0), (0, 0)])
+        assert D[0, 1] == D[1, 0] == 2 * gauge(plane, (0.85e308, 0))
+        if plane is L1:  # the difference fits, its L1 length does not
+            with pytest.raises(NonFiniteResult):
+                pairwise_distances(plane, [(-1e308, 0), (0, 1e308)])
 
     def test_two_arc_counterexample_pair(self):
         # the anchor pair of the counterexample is farther apart than 1.1

@@ -16,6 +16,7 @@ from normclust import (
     find_bad_structure,
     gauge,
     l1_plane,
+    linf_plane,
     perimeter_check,
     separate_clusters,
     side_of,
@@ -344,6 +345,22 @@ class TestSmallScale:
         assert all(side_of(res.line, p) is not Side.LEFT for p in res.b_prime)
         # the same witness as at unit scale
         assert res.witness is separate_clusters(plane, *_seed_77_pair(index)).witness
+
+
+class TestLargeOffset:
+    # moved by 1e12, these pairs came back with a wider cluster (by 0.6 %,
+    # 1.7 % and 0.5 %) while the calipers had a slope band proportional to
+    # the coordinates
+    @pytest.mark.parametrize("plane, index", [(L1, 134), (linf_plane(), 156), (TA, 14)],
+                             ids=["l1-134", "linf-156", "two_arc-14"])
+    def test_seed_77_pairs(self, plane, index):
+        A, B = (c + 1e12 for c in _seed_77_pair(index))
+        res = separate_clusters(plane, A, B)
+        assert sorted(res.a_prime + res.b_prime) == sorted(Point(*p) for p in np.vstack([A, B]).tolist())
+        assert _pairwise_diameter(plane, res.a_prime) <= _pairwise_diameter(plane, A) * (1 + 1e-9)
+        assert _pairwise_diameter(plane, res.b_prime) <= _pairwise_diameter(plane, B) * (1 + 1e-9)
+        assert all(side_of(res.line, p) is not Side.RIGHT for p in res.a_prime)
+        assert all(side_of(res.line, p) is not Side.LEFT for p in res.b_prime)
 
 
 # instances (found by seeded search) with at least two bad pairs whose
