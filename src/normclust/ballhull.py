@@ -263,14 +263,16 @@ def ball_hull(plane: NormedPlane, points, d: float) -> BallHull:
     check_finite(pts)
     if not pts:
         raise EmptyInput("ball hull of an empty set")
-    if d <= 0:
+    if not d > 0:  # NaN fails too
         raise NormClustError("radius must be positive")
     return _bh_from_candidates(plane, pts, d, {})
 
 
 def bh_contains(plane: NormedPlane, hull: BallHull, x, tol: float = 1e-9) -> bool:
-    """Closed membership in the hull region, with a band of ``tol * d``."""
+    """Closed membership in the hull region, with a band of ``tol * d``;
+    raises NonFinitePoint for a probe that is not finite."""
     px, py = float(x[0]), float(x[1])
+    check_finite([(px, py)])
     d = hull.radius
     band = tol * d
     if len(hull.vertices) == 1:
@@ -367,7 +369,7 @@ def build_tree(plane: NormedPlane, points, d: float) -> BallHullTree:
     check_finite(pts)
     if not pts:
         raise EmptyInput("tree of an empty set")
-    if d <= 0:
+    if not d > 0:  # NaN fails too
         raise NormClustError("radius must be positive")
     return BallHullTree(plane, d, pts, [True] * len(pts))
 

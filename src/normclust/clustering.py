@@ -345,7 +345,7 @@ def constrained_2cluster(plane: NormedPlane, points, d1: float, d2: float
     every point chooses S1 first, then S2, and no pair longer than d1 (d2)
     may share S1 (S2).
     """
-    if d2 > d1 or d2 < 0 or d1 < 0:
+    if not d1 >= d2 >= 0:  # NaN fails too
         raise BadBounds("need d1 >= d2 >= 0")
     pts = finite_points(points)
     n = len(pts)
@@ -528,19 +528,20 @@ def _polygon_center(plane: NormedPlane, pts: np.ndarray) -> np.ndarray:
     """The center of a minimal ball for a polygon norm.
 
     B(c, r) holds the points exactly when c lies in every half-plane
-    n_f . c >= h_f - r b_f, for each facet f of the unit ball (normal n_f,
-    offset b_f) and h_f the points' largest n_f . s.  By Helly's theorem the
-    half-planes meet when every three do.  Three facets have weights alpha
-    with sum alpha_i n_i = 0 (alpha_i the cross product of the other two
-    normals), unique up to a factor; by Farkas' lemma their half-planes miss
-    each other exactly when alpha can be taken >= 0 and sum alpha_i (h_i -
-    r b_i) > 0.  So the least radius is the largest sum alpha h / sum alpha
-    b over the triples with alpha >= 0 (linear programming duality, with
-    the triples as the dual bases).  Where the best triple has three
-    nonzero weights, its half-planes meet in one point, the center; where
-    it has two, two opposite facets, the center is the middle of the
-    stretch of their common line inside every other half-plane."""
-    N, b = plane._normals, plane._offsets
+    n_f . c >= h_f - r, for each facet f of the unit ball (polar row n_f,
+    so n_f . z = 1 on the facet) and h_f the points' largest n_f . s.  By
+    Helly's theorem the half-planes meet when every three do.  Three facets
+    have weights alpha with sum alpha_i n_i = 0 (alpha_i the cross product of
+    the other two rows), unique up to a factor; by Farkas' lemma their
+    half-planes miss each other exactly when alpha can be taken >= 0 and
+    sum alpha_i (h_i - r) > 0.  So the least radius is the largest
+    sum alpha h / sum alpha over the triples with alpha >= 0 (linear
+    programming duality, with the triples as the dual bases).  Where the
+    best triple has three nonzero weights, its half-planes meet in one
+    point, the center; where it has two, two opposite facets, the center is
+    the middle of the stretch of their common line inside every other
+    half-plane."""
+    N = plane._polar
     h = (pts @ N.T).max(axis=0)
     T = np.array(list(itertools.combinations(range(len(N)), 3)))
     n = N[T]
@@ -548,12 +549,12 @@ def _polygon_center(plane: NormedPlane, pts: np.ndarray) -> np.ndarray:
                       for j, k in ((1, 2), (2, 0), (0, 1))], axis=1)
     alpha *= np.sign(alpha.sum(axis=1, keepdims=True))
     dual = np.flatnonzero((alpha >= 0).all(axis=1) & (alpha.sum(axis=1) > 0))
-    bound = (alpha[dual] * h[T[dual]]).sum(axis=1) / (alpha[dual] * b[T[dual]]).sum(axis=1)
+    bound = (alpha[dual] * h[T[dual]]).sum(axis=1) / alpha[dual].sum(axis=1)
     pick = int(bound.argmax())
     best, weights = dual[pick], alpha[dual[pick]]
-    line = h - bound[pick] * b  # n_f . c >= line_f, with equality on the tight facets
+    line = h - bound[pick]  # n_f . c >= line_f, with equality on the tight facets
     if (weights > 0).all():
-        # weights[i] is the cross product of the other two normals: keep the
+        # weights[i] is the cross product of the other two rows: keep the
         # best-conditioned pair
         pair = np.delete(T[best], weights.argmax())
         return np.linalg.solve(N[pair], line[pair])

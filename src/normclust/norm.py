@@ -105,12 +105,13 @@ NormDescriptor = Union[EuclideanNorm, PolygonNorm, TwoArcNorm]
 class NormedPlane:
     descriptor: NormDescriptor
     tolerance: float = DEFAULT_TOL
-    # polygon-only caches of the reduced polygon: facet normals and offsets as
-    # arrays, and as float (nx, ny, b) triples and (x, y) vertices for the
-    # scalar kernels; edge i runs from vertex i to vertex i + 1
-    _normals: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _offsets: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _facets: tuple | None = field(default=None, repr=False, compare=False)
+    # Gauge coefficients, fixed at validation.  Polygon: the facets' polar
+    # rows u_f = n_f / b_f (n_f . z = b_f on facet f) as an (m, 2) array and
+    # as (s, rows), rows the float (ux, uy) / s and s the least power of two
+    # >= 1 taking them below 1; its vertices, edge f from vertex f to f + 1.
+    # Two-arc: (c / a, r / a, 1 / sqrt(a)) with a = r^2 - c^2.
+    _polar: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _coef: tuple | None = field(default=None, repr=False, compare=False)
     _verts: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -138,8 +139,11 @@ def validate_norm(descriptor: NormDescriptor, tolerance: float = DEFAULT_TOL) ->
 
     Raises NotSymmetric, NotConvex, OriginNotInterior or DegenerateBody when
     the descriptor does not define a symmetric convex body with the origin
-    strictly inside.
+    strictly inside, and DegenerateBody for a tolerance that is not finite
+    and >= 0.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise DegenerateBody("tolerance must be finite and >= 0")
     if isinstance(descriptor, EuclideanNorm):
         return NormedPlane(descriptor, tolerance)
 
@@ -147,9 +151,10 @@ def validate_norm(descriptor: NormDescriptor, tolerance: float = DEFAULT_TOL) ->
         c, r = descriptor.center_height, descriptor.radius
         if not (math.isfinite(c) and math.isfinite(r)):
             raise DegenerateBody("two-arc parameters must be finite")
-        if c <= 0 or r <= c:
-            raise DegenerateBody("two-arc norm requires R > c > 0")
-        return NormedPlane(descriptor, tolerance)
+        a = r * r - c * c
+        if not (c > 0 and r > c and 0 < a < math.inf):
+            raise DegenerateBody("two-arc norm requires R > c > 0 and R^2 - c^2 a positive float")
+        return NormedPlane(descriptor, tolerance, _coef=(c / a, r / a, 1 / math.sqrt(a)))
 
     if isinstance(descriptor, PolygonNorm):
         verts = as_array([tuple(v) for v in descriptor.vertices])
@@ -183,12 +188,13 @@ def validate_norm(descriptor: NormDescriptor, tolerance: float = DEFAULT_TOL) ->
         offsets = np.einsum("ij,ij->i", normals, reduced)
         if np.any(offsets <= tol_len * np.sqrt(np.einsum("ij,ij->i", normals, normals))):
             raise OriginNotInterior("origin must be strictly inside the unit ball")
+        polar = normals / offsets[:, None]
+        s = math.ldexp(1.0, max(0, math.frexp(float(np.abs(polar).max()))[1]))
         plane = NormedPlane(
             PolygonNorm(tuple(Point(*v) for v in verts)),
             tolerance,
-            _normals=normals,
-            _offsets=offsets,
-            _facets=tuple(zip(*normals.T.tolist(), offsets.tolist())),
+            _polar=polar,
+            _coef=(s, tuple(map(tuple, (polar / s).tolist()))),
             _verts=tuple(map(tuple, corners)),
         )
         _spot_check(plane)
@@ -237,63 +243,51 @@ def two_arc_plane(center_height: float, radius: float, tolerance: float = DEFAUL
 
 # --------------------------------------------------------------------------
 # gauge and distances
+#
+# One formula per family on NormedPlane's coefficients: hypot(x, y);
+# s max(0, max_f (u_f / s) . v) on a polygon (s, a power of two, changes no
+# bit); kc |y| + hypot(ky y, kx x) on a two-arc norm, which is the lens's
+# (c |y| + sqrt(c^2 y^2 + a (x^2 + y^2))) / a as c^2 y^2 + a (x^2 + y^2) =
+# r^2 y^2 + a x^2.  Nothing is squared and no product exceeds |v| or the
+# gauge, so a gauge that fits a float does not overflow.  gauge, gauge_scalar
+# and pairwise_distances use the same IEEE operations and agree bit for bit,
+# but for math.hypot in the Euclidean gauge_scalar, an ulp off np.hypot.
 
 
 def gauge(plane: NormedPlane, v):
     """Minkowski gauge of ``v``: the smallest t > 0 with v in t * unit ball.
 
-    Accepts a single vector or an array of shape (..., 2); broadcasts.
+    Accepts a single vector, evaluated by gauge_scalar, or an array of shape
+    (..., 2); broadcasts.
     """
     arr = as_array(v)
-    single = arr.ndim == 1
+    if arr.ndim == 1:
+        return gauge_scalar(plane, float(arr[0]), float(arr[1]))
     pts = arr.reshape(-1, 2)
+    return _gauge_xy(plane, pts[:, 0].copy(), pts[:, 1].copy()).reshape(arr.shape[:-1])
+
+
+def _gauge_xy(plane: NormedPlane, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gauges of the vectors (x, y), elementwise, in whatever error state
+    the caller set; x may be overwritten."""
     desc = plane.descriptor
     if isinstance(desc, EuclideanNorm):
-        out = np.hypot(pts[:, 0], pts[:, 1])
-    elif isinstance(desc, PolygonNorm):
-        out = np.max((pts @ plane._normals.T) / plane._offsets, axis=1)
-        out = np.maximum(out, 0.0)
-    else:
-        s = np.einsum("ij,ij->i", pts, pts)
-        scale = None
-        idx = _out_of_range(s)
-        if idx is not None and pts[idx].any():  # not only zero vectors
-            m = np.abs(pts[idx]).max(axis=1)
-            fix = (m > 0) & (m < np.inf)
-            idx, m = idx[fix], m[fix]
-            pts, s, scale = pts.copy(), s.copy(), np.ones(len(s))
-            pts[idx] /= m[:, None]
-            s[idx] = np.einsum("ij,ij->i", pts[idx], pts[idx])
-            scale[idx] = m
-        h, r = desc.center_height, desc.radius
-        a = r * r - h * h
-        hy = h * np.abs(pts[:, 1])
-        out = (hy + np.sqrt(hy * hy + a * s)) / a
-        if scale is not None:
-            out *= scale
-    out = out.reshape(arr.shape[:-1])
-    return float(out) if single else out
-
-
-# Sums of squares outside (_SQ_LO, _SQ_HI) lose digits or overflow in the
-# two-arc gauge; those vectors are scaled to max(|vx|, |vy|) = 1 first.
-_SQ_LO, _SQ_HI = 1e-280, 1e280
-
-
-def _out_of_range(s: np.ndarray) -> np.ndarray | None:
-    """Indices of the sums of squares outside (_SQ_LO, _SQ_HI), None if none.
-
-    One vector, the common call, takes no array reduction; a distance matrix,
-    whose diagonal is 0, takes one pass per side that needs it.
-    """
-    if len(s) <= 1:
-        return None if not len(s) or _SQ_LO < s[0] < _SQ_HI else np.arange(1)
-    low, high = not s.min() > _SQ_LO, not s.max() < _SQ_HI  # NaN sets both
-    if not (low or high):
-        return None
-    if low and high:
-        return np.flatnonzero((s <= _SQ_LO) | (s >= _SQ_HI))
-    return np.flatnonzero(s <= _SQ_LO if low else s >= _SQ_HI)
+        return np.hypot(x, y, out=x)
+    if isinstance(desc, TwoArcNorm):
+        kc, ky, kx = plane._coef
+        return np.hypot(ky * y, kx * x) + kc * np.abs(y)
+    scale, rows = plane._coef
+    if x.ndim == 1:  # gauge(): every facet at once, a (len(x), facets) product
+        u = plane._polar / scale
+        out = (x[:, None] * u[:, 0] + y[:, None] * u[:, 1]).max(axis=1, initial=0.0)
+    else:  # a distance matrix: one facet at a time, with no (n, m, facets) product
+        out, t, s = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
+        for ux, uy in rows:
+            np.multiply(x, ux, out=t)
+            t += np.multiply(y, uy, out=s)
+            np.maximum(out, t, out=out)
+    out *= scale
+    return out
 
 
 def gauge_scalar(plane: NormedPlane, vx: float, vy: float) -> float:
@@ -301,22 +295,16 @@ def gauge_scalar(plane: NormedPlane, vx: float, vy: float) -> float:
     desc = plane.descriptor
     if isinstance(desc, EuclideanNorm):
         return math.hypot(vx, vy)
-    if isinstance(desc, PolygonNorm):
-        best = 0.0
-        for nx, ny, b in plane._facets:
-            t = (nx * vx + ny * vy) / b
-            if t > best:
-                best = t
-        return best
-    s = vx * vx + vy * vy
-    if not _SQ_LO < s < _SQ_HI:
-        m = max(abs(vx), abs(vy))
-        if 0.0 < m < math.inf:
-            return m * gauge_scalar(plane, vx / m, vy / m)
-    h, r = desc.center_height, desc.radius
-    a = r * r - h * h
-    hy = h * abs(vy)
-    return (hy + math.sqrt(hy * hy + a * s)) / a
+    if isinstance(desc, TwoArcNorm):
+        kc, ky, kx = plane._coef
+        return kc * abs(vy) + abs(complex(ky * vy, kx * vx))  # libm hypot, as np.hypot
+    scale, rows = plane._coef
+    best = 0.0
+    for ux, uy in rows:
+        t = ux * vx + uy * vy
+        if t > best:
+            best = t
+    return scale * (best if t == t else t)  # NaN in, NaN out, as np.maximum gives
 
 
 def dist(plane: NormedPlane, p, q):
@@ -338,9 +326,8 @@ def pairwise_distances(plane: NormedPlane, points, others=None) -> np.ndarray:
         pass
     if not (np.isfinite(arr).all() and np.isfinite(ref).all()):
         raise NonFinitePoint("point coordinates must be finite")
-    # a difference, a facet product or a two-arc sum of squares overflowed
-    # where the distance may fit: the entries that overflow again at half
-    # scale, which is exact
+    # a difference or a product overflowed where the distance may fit: the
+    # entries that overflow again at half scale, which is exact
     with np.errstate(over="ignore", invalid="ignore"):
         out = _distance_matrix(plane, arr, ref)
         i, j = np.nonzero(~(out < math.inf))
@@ -352,23 +339,7 @@ def pairwise_distances(plane: NormedPlane, points, others=None) -> np.ndarray:
 
 def _distance_matrix(plane: NormedPlane, arr: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """``pairwise_distances``' kernel, in whatever error state the caller set."""
-    desc = plane.descriptor
-    if isinstance(desc, TwoArcNorm):
-        diff = arr[:, None, :] - ref[None, :, :]
-        return gauge(plane, diff.reshape(-1, 2)).reshape(len(arr), len(ref))
-    dx = arr[:, None, 0] - ref[None, :, 0]
-    dy = arr[:, None, 1] - ref[None, :, 1]
-    if isinstance(desc, EuclideanNorm):
-        return np.hypot(dx, dy, out=dx)
-    # one facet at a time, so no (n^2, facets) product is formed
-    out = np.zeros_like(dx)
-    t = np.empty_like(dx)
-    for nx, ny, b in plane._facets:
-        np.multiply(dx, nx, out=t)
-        t += ny * dy
-        t /= b
-        np.maximum(out, t, out=out)
-    return out
+    return _gauge_xy(plane, arr[:, None, 0] - ref[None, :, 0], arr[:, None, 1] - ref[None, :, 1])
 
 
 def boundary_point(plane: NormedPlane, direction) -> Point:
@@ -394,10 +365,11 @@ def _outward_normals(plane: NormedPlane, bp: np.ndarray) -> list[np.ndarray]:
     if isinstance(desc, EuclideanNorm):
         return [bp / np.linalg.norm(bp)]
     if isinstance(desc, PolygonNorm):
-        res = np.abs(plane._normals @ bp - plane._offsets)
-        scale = np.linalg.norm(plane._normals, axis=1) * np.linalg.norm(bp)
+        polar = plane._polar
+        res = np.abs(polar @ bp - 1.0)
+        scale = np.linalg.norm(polar, axis=1) * np.linalg.norm(bp)
         active = np.nonzero(res <= 1e3 * tol * scale)[0]
-        out = [plane._normals[i] / np.linalg.norm(plane._normals[i]) for i in active]
+        out = [polar[i] / np.linalg.norm(polar[i]) for i in active]
         return out if out else [bp / np.linalg.norm(bp)]
     h, r = desc.center_height, desc.radius
     out = []
@@ -510,20 +482,22 @@ def _on_twoarc_arc(z, center, arc, eps):
 def _polygon_components(plane: NormedPlane, u, d: float, eps: float) -> list:
     """Ends of the components of S(0, d) cap S(u, d) for a polygon norm.
 
-    Edge i of S(0, d) lies where n_i . z = d b_i, so its points are
-    -n_i . u / |n_i| outside the halfplane of edge i of S(u, d), and
-    symmetrically for S(u, d): only edges of S(0, d) with n_i . u above
+    Edge i of S(0, d) lies where n_i . z = d b_i, with n_i the outward
+    normal (y_(i+1) - y_i, x_i - x_(i+1)) of the unit ball's edge, so its
+    points are -n_i . u / |n_i| outside the halfplane of edge i of S(u, d),
+    and symmetrically for S(u, d): only edges of S(0, d) with n_i . u above
     -band |n_i|, and edges of S(u, d) with it below band |n_i|, are tested,
     where band = 4 eps bounds how far from an edge of the other sphere a hit
     can lie (no pruning when an edge is shorter than eps).
     """
     ux, uy = u
-    verts, facets = plane._verts, plane._facets
+    verts = plane._verts
     m = len(verts)
-    norms = [math.hypot(nx, ny) for nx, ny, _ in facets]
+    normals = [(y2 - y1, x1 - x2) for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1])]
+    norms = [math.hypot(nx, ny) for nx, ny in normals]
     band = 4 * eps if d * min(norms) > eps else math.inf
     mine, theirs = [], []
-    for i, (nx, ny, _) in enumerate(facets):
+    for i, (nx, ny) in enumerate(normals):
         sigma = nx * ux + ny * uy
         slack = band * norms[i]
         (x1, y1), (x2, y2) = verts[i], verts[i + 1 - m]

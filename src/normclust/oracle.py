@@ -135,17 +135,18 @@ def brute_min_enclosing_ball(plane: NormedPlane, points) -> tuple[Point, float]:
     optimal one.
 
     Polygon norm: the vertices of the feasible region of the LP in (c, r),
-    i.e. every three facet constraints n_f . c + r b_f >= max_s n_f . s held
-    with equality.  Strictly convex norms: every pair midpoint and every
-    center with three points on its sphere, O(n^3) candidates.
+    i.e. every three facet constraints n_f . c + r >= max_s n_f . s (n_f
+    the polar rows) held with equality.  Strictly convex norms: every pair
+    midpoint and every center with three points on its sphere, O(n^3)
+    candidates.
     """
     pts = as_array([tuple(p) for p in points])
     n = len(pts)
     desc = plane.descriptor
     centers = [pts[0]]  # the answer for a single point
     if isinstance(desc, PolygonNorm):
-        M = np.column_stack([plane._normals, plane._offsets])
-        far = (pts @ plane._normals.T).max(axis=0)
+        M = np.column_stack([plane._polar, np.ones(len(plane._polar))])
+        far = (pts @ plane._polar.T).max(axis=0)
         idx = np.array(list(itertools.combinations(range(len(M)), 3)))
         bases, rhs = M[idx], far[idx]
         ok = np.abs(np.linalg.det(bases)) > 1e-12 * np.prod(np.linalg.norm(bases, axis=2), axis=1)
@@ -177,16 +178,10 @@ def _center_set_polygon_exact(plane: NormedPlane, pts: np.ndarray, d: float):
     vertices are exactly the feasible pairwise intersections of the boundary
     lines, which avoids any polygon-ring bookkeeping on degenerate input.
     """
-    N, b = plane._normals, plane._offsets
+    N = plane._polar
     uniq = np.unique(pts, axis=0)
-    rows = []
-    offs = []
-    for s in uniq:
-        for f in range(len(N)):
-            rows.append(N[f])
-            offs.append(float(N[f] @ s) + d * b[f])
-    A = np.array(rows)
-    off = np.array(offs)
+    A = np.tile(N, (len(uniq), 1))  # row (s, f): n_f . c <= n_f . s + d
+    off = (uniq @ N.T).ravel() + d
     scale = max(1.0, float(np.abs(uniq).max()), d)
     tol = 1e-9 * scale * np.linalg.norm(A, axis=1)
     m = len(A)
@@ -314,6 +309,9 @@ class CenterSetOracle:
         return hi
 
     def interval(self, x) -> tuple[float, float]:
+        """Bounds on max over covering centers c of gauge(x - c); x is in
+        bh(S, d) exactly when that max is <= d, and a point of S gives
+        (0, 0)."""
         scale = max(1.0, float(np.abs(self.pts).max()))
         xa = np.asarray([float(x[0]), float(x[1])])
         if float(np.min(np.abs(self.pts - xa).max(axis=1))) <= 1e-12 * scale:
@@ -329,17 +327,6 @@ class CenterSetOracle:
         if lo > self.d - band:
             return False
         raise Undecidable(f"membership bounds [{lo}, {hi}] straddle d = {self.d}")
-
-
-def bh_membership_interval(plane: NormedPlane, points, d: float, x
-                           ) -> tuple[float, float]:
-    """Tight bounds on max over covering centers c of gauge(x - c).
-
-    x is in bh(S, d) exactly when that max is <= d.  x coinciding with a
-    point of S short-circuits to (0, 0): points of S belong to every
-    covering ball.
-    """
-    return CenterSetOracle(plane, points, d).interval(x)
 
 
 def bh_membership_oracle(plane: NormedPlane, points, d: float, x,

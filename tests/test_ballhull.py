@@ -22,8 +22,14 @@ from normclust import (
 )
 from normclust.ballhull import _BUCKET as B
 from normclust.ballhull import OVERFULL
-from normclust.errors import NoBallContainsS, NotPresent, TooFarApart, Undecidable
-from normclust.oracle import bh_membership_interval
+from normclust.errors import (
+    NoBallContainsS,
+    NonFinitePoint,
+    NormClustError,
+    NotPresent,
+    TooFarApart,
+)
+from normclust.oracle import CenterSetOracle
 
 E = euclidean_plane()
 L1 = l1_plane()
@@ -108,6 +114,17 @@ class TestBallHull:
         with pytest.raises(NoBallContainsS):
             ball_hull(E, [(0, 0), (10, 0)], 1.0)
 
+    @pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+    def test_nan_radius(self, plane):
+        with pytest.raises(NormClustError, match="radius must be positive"):
+            ball_hull(plane, [(0, 0), (1, 0), (0, 1)], math.nan)
+
+    @pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
+    def test_contains_non_finite_probe(self, x):
+        for pts in ([(0, 0)], [(0, 0), (1, 0), (0, 1)]):
+            with pytest.raises(NonFinitePoint):
+                bh_contains(E, ball_hull(E, pts, 2.0), x)
+
     def test_membership_against_oracle(self, norm_suite):
         rng = np.random.default_rng(8)
         for _, plane in norm_suite:
@@ -118,12 +135,10 @@ class TestBallHull:
                 h = ball_hull(plane, pts, d)
                 lo, hi = pts.min(0) - 0.5 * d, pts.max(0) + 0.5 * d
                 probes = rng.uniform(lo, hi, size=(60, 2))
+                oracle = CenterSetOracle(plane, pts, d)
                 for x in probes:
                     got = bh_contains(plane, h, x, tol=1e-9)
-                    try:
-                        want_lo, want_hi = bh_membership_interval(plane, pts, d, x)
-                    except Undecidable:
-                        continue
+                    want_lo, want_hi = oracle.interval(x)
                     if want_lo > d + 1e-7:
                         assert not got
                     elif want_hi < d - 1e-7:
@@ -165,6 +180,11 @@ class TestTree:
         t = build_tree(E, [(1, 1)], 1.0)
         assert t.root.vertices == (Point(1, 1),)
         assert query_far_point(t, (1, 1)) is None
+
+    @pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+    def test_nan_radius(self, plane):
+        with pytest.raises(NormClustError, match="radius must be positive"):
+            build_tree(plane, [(0, 0), (1, 0), (0, 1)], math.nan)
 
     def test_root_matches_direct_n8(self):
         rng = np.random.default_rng(21)

@@ -322,6 +322,11 @@ class TestConstrained2:
         with pytest.raises(BadBounds):
             constrained_2cluster(E, SQ, 1.0, 2.0)
 
+    @pytest.mark.parametrize("d1, d2", [(math.nan, math.nan), (math.nan, 0.5), (2.0, math.nan)])
+    def test_nan_bounds(self, d1, d2):
+        with pytest.raises(BadBounds):
+            constrained_2cluster(E, SQ, d1, d2)
+
     def test_roles_respected(self, norm_suite):
         rng, lattice = np.random.default_rng(47), np.random.default_rng(48)
         cases = []

@@ -14,6 +14,7 @@ from normclust import (
     euclidean_plane,
     gauge,
     l1_plane,
+    linf_plane,
     norm_perimeter,
     side_of,
     stabbing_line,
@@ -33,8 +34,9 @@ from normclust.norm import gauge_scalar, pairwise_distances
 
 E = euclidean_plane()
 L1 = l1_plane()
+LI = linf_plane()
 TA = two_arc_plane(10.0, 5 * math.sqrt(13))
-PLANES = pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+PLANES = pytest.mark.parametrize("plane", [E, L1, LI, TA], ids=["euclidean", "l1", "linf", "two_arc"])
 
 # (1e-12, +-5) lie 5 from the chord between the other two points, but their
 # turns are 1e-11, below the 1e-10 that a band of 1e-12 * extent^2 would
@@ -133,7 +135,9 @@ class TestDiameter:
         # 2e308 apart: their difference overflows
         with pytest.raises(NonFiniteResult):
             diameter(plane, [(1e308, 0.0), (-1e308, 0.0)])
-        assert math.isfinite(diameter(plane, [(1e308, 0.0), (-7e307, 0.0)])[0])
+        value = diameter(plane, [(1e308, 0.0), (-7e307, 0.0)])[0]
+        # 1.7e308 along x, and 1.7e308 / 15 on the two-arc norm
+        assert value == (pytest.approx(1.7e308 / 15, rel=1e-15) if plane is TA else 1.7e308)
 
     @PLANES
     def test_thin_spikes(self, plane):

@@ -68,6 +68,17 @@ class TestValidate:
         with pytest.raises((OriginNotInterior, DegenerateBody)):
             polygon_plane([(1, 0), (1, 1e-15), (-1, 0), (-1, -1e-15)])
 
+    @pytest.mark.parametrize("make, tol", [
+        (euclidean_plane, math.nan),
+        (euclidean_plane, math.inf),
+        (euclidean_plane, -1e-9),
+        (l1_plane, math.nan),
+        (lambda tol: two_arc_plane(10.0, 20.0, tol), math.nan),
+    ], ids=["euclidean-nan", "euclidean-inf", "euclidean-negative", "l1-nan", "two_arc-nan"])
+    def test_tolerance_finite_nonnegative(self, make, tol):
+        with pytest.raises(DegenerateBody):
+            make(tol)
+
     def test_two_arc_bad_params(self):
         with pytest.raises(DegenerateBody):
             two_arc_plane(5.0, 3.0)  # R <= c
@@ -115,11 +126,35 @@ class TestGauge:
         pts = np.vstack([pts, pts[:5], 1e6 + rng.uniform(0, 1e-3, size=(10, 2))])
         for _, plane in norm_suite:
             want = gauge(plane, pts[:, None, :] - pts[None, :, :])
-            got = pairwise_distances(plane, pts)
+            np.testing.assert_array_equal(pairwise_distances(plane, pts), want)
+
+    def test_scalar_matches_array(self, norm_suite):
+        # bit for bit on polygon and two-arc norms, from 1e-150 to 1e150;
+        # the Euclidean scalar kernel is math.hypot, within an ulp of np.hypot
+        rng = np.random.default_rng(43)
+        v = rng.normal(size=(3000, 2)) * 10.0 ** rng.uniform(-150, 150, size=(3000, 1))
+        for _, plane in norm_suite:
+            want = gauge(plane, v)
+            got = np.array([gauge_scalar(plane, x, y) for x, y in v.tolist()])
             if plane.descriptor.kind == "euclidean":
-                np.testing.assert_array_equal(got, want)
+                np.testing.assert_allclose(got, want, rtol=4e-16, atol=0)
             else:
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                np.testing.assert_array_equal(got, want)
+
+    def test_linf_beyond_squares(self):
+        # L-infinity's polar rows are unit vectors: no product overflows
+        assert gauge(LI, (1.7e308, 0)) == 1.7e308
+        assert gauge_scalar(LI, 0.0, -1.7e308) == 1.7e308
+
+    def test_thin_polygon_beyond_squares(self):
+        # polar rows of about 500, taken below 1 by a power of two, so no
+        # product overflows where the gauge fits
+        plane = polygon_plane([(1, 1), (-1e-3, 1e-3), (-1, -1), (1e-3, -1e-3)])
+        v = (1e306, 1e306)
+        want = 2.0 ** 1000 * gauge(plane, (1e306 / 2.0 ** 1000, 1e306 / 2.0 ** 1000))
+        assert want == pytest.approx(1e306, rel=1e-12)
+        assert gauge(plane, v) == want == gauge(plane, [v])[0]
+        assert pairwise_distances(plane, [(0, 0), v])[1, 0] == want
 
     @pytest.mark.parametrize("plane", PLANES, ids=["euclidean", "l1", "linf", "two_arc"])
     def test_pairwise_beyond_floats(self, plane):
