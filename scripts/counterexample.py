@@ -7,8 +7,12 @@ Usage: python scripts/counterexample.py [out.svg]
 
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
+
+# this checkout's src/ first, as bench/run.py does, so no install is needed
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from normclust import constrained_2cluster, dist, exhaustive_separable_2cluster, two_arc_plane
 from normclust.ballhull import _sphere_point

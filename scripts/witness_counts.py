@@ -21,9 +21,14 @@ Usage: python scripts/witness_counts.py [--seed 77] [--pairs 200]
 
 import argparse
 import hashlib
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
+
+# this checkout's src/ first, as bench/run.py does, so no install is needed
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from normclust import (
     SeparationWitness,

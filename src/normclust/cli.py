@@ -290,13 +290,13 @@ def _cmd_cluster3(args, plane):
     pts = load_points(args.points)
     if args.d is not None:
         part = cl.hr_feasible_3cluster(plane, pts, args.d)
-        params = {"points": len(pts), "d": args.d, "seed": args.seed}
+        params = {"points": len(pts), "d": args.d}
         if part is None:
             return params, {"feasible": False}, 1
         return params, {"feasible": True, "partition": _partition_doc(part)}, 0
     d_star, part = cl.min_max_3cluster(plane, pts)
     result = {"d_star": d_star, "partition": _partition_doc(part)}
-    return {"points": len(pts), "seed": args.seed}, result, 0
+    return {"points": len(pts)}, result, 0
 
 
 def _cmd_clusterk(args, plane):
@@ -381,16 +381,16 @@ def _cmd_plot(args, plane):
 # --------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, points: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, *, points: bool = True, verify: bool = False) -> None:
     p.add_argument("--norm", default="euclidean",
                    help="euclidean | l1 | linf | path to a JSON descriptor")
     if points:
         p.add_argument("--points", required=True, help="CSV point file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument("--verify", action="store_true",
-                   help="re-check the reported measures before printing")
+    if verify:
+        p.add_argument("--verify", action="store_true",
+                       help="re-check the reported measures before printing")
 
 
 @functools.cache
@@ -409,11 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separate", help="split two clusters without diameter increase")
     p.add_argument("--a", required=True, help="CSV point file for cluster A")
     p.add_argument("--b", required=True, help="CSV point file for cluster B")
-    _add_common(p, points=False)
+    _add_common(p, points=False, verify=True)
     p.set_defaults(func=_cmd_separate)
 
     p = sub.add_parser("cluster2", help="min-max 2-clustering")
-    _add_common(p)
+    _add_common(p, verify=True)
     p.set_defaults(func=_cmd_cluster2)
 
     p = sub.add_parser("cluster2c", help="2-clustering with per-cluster diameter bounds")

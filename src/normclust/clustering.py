@@ -320,6 +320,8 @@ def feasible_2cluster(plane: NormedPlane, points, d: float) -> Optional[Partitio
     witness; a valid split can always be realized by a line as well, so
     absence here is definitive.
     """
+    if math.isnan(d):  # a negative d is a bound no split meets
+        raise BadBounds("d is NaN")
     d_star, part = _tree_split(plane, finite_points(points))
     return part if d >= d_star else None
 
@@ -904,6 +906,8 @@ def hr_zones(plane: NormedPlane, points, a, a_prime) -> Zones:
 def hr_feasible_3cluster(plane: NormedPlane, points, d: float) -> Optional[Partition]:
     """Partition S into A, B, C with diameters <= d, or None (the zone
     algorithm of ``_ThreeClustering``)."""
+    if math.isnan(d):  # a negative d is a bound no partition meets
+        raise BadBounds("d is NaN")
     inst = _ThreeClustering(plane, points)
     groups = inst.probe(d)
     return None if groups is None else inst.partition(groups, d)

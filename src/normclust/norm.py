@@ -18,6 +18,7 @@ from .errors import (
     DegenerateBody,
     NonFinitePoint,
     NonFiniteResult,
+    NormClustError,
     NotConvex,
     NotSymmetric,
     OriginNotInterior,
@@ -589,8 +590,10 @@ def sphere_sphere_intersection(plane: NormedPlane, p, q, d: float) -> SphereInte
     the max norm): it scales with the spheres, not with their distance from
     the origin, and the ulps cover the rounding of q - p and of the move back.
     Coincident centres give no components: the two spheres are one, not at
-    most two segments.  So does a radius d <= 0.
+    most two segments.  So does a radius d <= 0; a NaN radius raises.
     """
+    if math.isnan(d):
+        raise NormClustError("radius must be positive")
     px, py = float(p[0]), float(p[1])
     qx, qy = float(q[0]), float(q[1])
     if not d > 0 or (px == qx and py == qy):

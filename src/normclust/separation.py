@@ -27,13 +27,14 @@ from .geometry import (
     ConvexPolygon,
     OrientedLine,
     convex_hull,
+    cross_sign,
     horizontal_line,
     line_dissections,
     line_splits,
     line_through,
     norm_perimeter,
+    orient,
     orient_lines,
-    point_in_convex,
     polygon_diameter,
     signed_offset,
     subset_diameters,
@@ -163,40 +164,31 @@ def boundary_crossings(conv_a: ConvexPolygon, conv_b: ConvexPolygon) -> Crossing
 # piece decomposition
 
 
-def _walk(hull: ConvexPolygon, pos1, pos2, p1: Point, p2: Point):
-    """Boundary polyline from p1 (at pos1) CCW to p2 (at pos2)."""
+def _walk(hull: ConvexPolygon, pos1, pos2, p1: Point, p2: Point) -> list[Point]:
+    """Boundary polyline from p1 (at pos1) CCW to p2 (at pos2): the vertices
+    that end edges i1 .. i2 - 1, once round when p2 is behind p1 on one edge."""
     verts = hull.vertices
-    n = len(verts)
     (i1, t1), (i2, t2) = pos1, pos2
-    pts = [p1]
-    if i1 == i2 and t2 >= t1:
-        pts.append(p2)
-        return pts
-    i = i1
-    while True:
-        nxt = (i + 1) % n
-        pts.append(verts[nxt])
-        i = nxt
-        if i == i2:
-            break
-        if len(pts) > 2 * n + 2:
-            raise NormClustError("boundary walk failed to terminate")
-    pts.append(p2)
-    return pts
+    steps = 0 if i1 == i2 and t2 >= t1 else (i2 - i1) % len(verts) or len(verts)
+    return [p1] + [verts[(i1 + s) % len(verts)] for s in range(1, steps + 1)] + [p2]
 
 
-def _polyline_midpoint(pts: Sequence[Point]) -> Point:
-    lens = [math.hypot(q.x - p.x, q.y - p.y) for p, q in zip(pts, pts[1:])]
-    target = sum(lens) / 2
-    if target <= 0:
-        return pts[0]
-    acc = 0.0
-    for p, q, l in zip(pts, pts[1:], lens):
-        if acc + l >= target:
-            s = (target - acc) / l if l > 0 else 0.0
-            return Point(p.x + s * (q.x - p.x), p.y + s * (q.y - p.y))
-        acc += l
-    return pts[-1]
+def _turns(va, vb, c: _Crossing) -> tuple[int, int]:
+    """Which run is the outer one into and out of crossing c: -1 for A's, 1
+    for B's, 0 for parallel edges; out of c, A's when its edge turns
+    clockwise from B's (one exact ``cross_sign`` each way).  Where c is an
+    end vertex of the recorded edges (exact ``orient``), the runs pass it
+    along the neighbouring edges.  Raises NormClustError for recorded edges
+    that do not meet."""
+    a0, a1, a2, a3 = (va[(c.ia + s) % len(va)] for s in range(-1, 3))
+    b0, b1, b2, b3 = (vb[(c.ib + s) % len(vb)] for s in range(-1, 3))
+    at_a1, at_a2 = orient(b1, b2, a1), orient(b1, b2, a2)
+    at_b1, at_b2 = orient(a1, a2, b1), orient(a1, a2, b2)
+    if at_a1 * at_a2 > 0 or at_b1 * at_b2 > 0:
+        raise NormClustError("a crossing whose edges do not meet")
+    a_in, a_out = (a0, a1) if at_a1 == 0 else (a1, a2), (a2, a3) if at_a2 == 0 else (a1, a2)
+    b_in, b_out = (b0, b1) if at_b1 == 0 else (b1, b2), (b2, b3) if at_b2 == 0 else (b1, b2)
+    return cross_sign(*a_in, *b_in), cross_sign(*b_out, *a_out)
 
 
 def decompose_pieces(crossings: CrossingSequence) -> list[Piece]:
@@ -207,25 +199,36 @@ def decompose_pieces(crossings: CrossingSequence) -> list[Piece]:
     chain and one B chain of the hulls' intersection, and the crossings lie
     in the same cyclic order on both hulls (O'Rourke, Chien, Olson and
     Naddor, 1982).  So the A run c1 -> c2 and the counterclockwise B run
-    c1 -> c2 bound one piece: an A piece when the A run lies outside
-    conv(B), a B piece when it lies inside."""
+    c1 -> c2 bound one piece.  Its owner is the outer run, the one that
+    leaves the other hull at c1 and enters it at c2 (``_turns``, one exact
+    turn at each end); the inner run bends inwards, so the piece is the hull
+    of the owner's run.  A run along the other hull's edge lies on both
+    boundaries and takes the owner that alternates with the next run."""
     if len(crossings) < 2:
         raise NoOverlap("hulls are disjoint or nested")
-    hull_a, hull_b = crossings.hull_a, crossings.hull_b
+    va, vb = crossings.hull_a.vertices, crossings.hull_b.vertices
     recs = list(crossings.records)
     m = len(recs)
     if m % 2 != 0:
         raise NormClustError("odd crossing count; tangential configuration")
 
-    pieces_ccw = []
-    for k in range(m):
-        c1, c2 = recs[k], recs[(k + 1) % m]
-        walk_a = _walk(hull_a, (c1.ia, c1.ta), (c2.ia, c2.ta), c1.point, c2.point)
-        walk_b = _walk(hull_b, (c1.ib, c1.tb), (c2.ib, c2.tb), c1.point, c2.point)
-        owner = "B" if point_in_convex(hull_b, _polyline_midpoint(walk_a)) else "A"
-        pieces_ccw.append((owner, tuple(walk_a) + tuple(reversed(walk_b[1:-1])), c1, c2))
-    if any(pieces_ccw[k][0] == pieces_ccw[k - 1][0] for k in range(m)):
+    turns = [_turns(va, vb, c) for c in recs]
+    owners = [turns[k][1] or turns[(k + 1) % m][0] for k in range(m)]
+    if any(turns[k][1] * turns[(k + 1) % m][0] < 0 for k in range(m)):
+        raise NormClustError("a run is outer at one end and inner at the other")
+    last = next((k for k in range(m) if owners[k]), 0)
+    for k in range(last - 1, last - m, -1):
+        owners[k] = owners[k] or -owners[k + 1]
+    if 0 in owners or any(o == owners[k - 1] for k, o in enumerate(owners)):
         raise NormClustError("crossing runs do not alternate")
+    pieces_ccw = []
+    for k, owner in enumerate(owners):
+        c1, c2 = recs[k], recs[(k + 1) % m]
+        if owner < 0:
+            walk = _walk(crossings.hull_a, (c1.ia, c1.ta), (c2.ia, c2.ta), c1.point, c2.point)
+        else:
+            walk = _walk(crossings.hull_b, (c1.ib, c1.tb), (c2.ib, c2.tb), c1.point, c2.point)
+        pieces_ccw.append(("A" if owner < 0 else "B", walk, c1, c2))
 
     # clockwise presentation: reverse, rotate to start at an A piece
     pieces_cw = list(reversed(pieces_ccw))
@@ -234,17 +237,19 @@ def decompose_pieces(crossings: CrossingSequence) -> list[Piece]:
 
     out: list[Piece] = []
     counts = {"A": 0, "B": 0}
-    for owner, cycle, c1, c2 in pieces_cw:
-        out.append(
-            Piece(
-                owner=owner,
-                index=counts[owner],
-                polygon=convex_hull(cycle),
-                entry_point=c2.point,  # clockwise entry = CCW-end crossing
-                exit_point=c1.point,
-            )
-        )
+    for owner, walk, c1, c2 in pieces_cw:
+        # the clockwise entry is the counterclockwise end crossing
+        out.append(Piece(owner, counts[owner], convex_hull(walk), entry_point=c2.point, exit_point=c1.point))
         counts[owner] += 1
+    # crossings are found within float bands, which merge or miss contacts
+    # closer than a band: a piece then reaching into the other hull is refused
+    na, nb = len(va), len(vb)
+    ends = np.concatenate([(np.arange(na) + 1) % na, na + (np.arange(nb) + 1) % nb])
+    left = orient_lines(as_array(va + vb), np.arange(na + nb), ends) > 0
+    inner = np.concatenate([left[na:, :na].all(axis=0), left[:na, na:].all(axis=0)]).tolist()
+    inside = {v for v, flag in zip(va + vb, inner) if flag}
+    if any(v in inside for p in out for v in p.polygon.vertices):
+        raise NormClustError("a piece reaches inside the other hull")
     return out
 
 
@@ -298,12 +303,11 @@ def find_bad_structure(plane: NormedPlane, pieces: Sequence[Piece], diam_a: floa
 _SLACK = 5e-10  # a split may raise a diameter by this share of it
 
 
-def _hull_or_none(pts) -> ConvexPolygon | None:
-    return convex_hull(pts) if pts else None
-
-
-def _perimeter(plane, hull: ConvexPolygon | None) -> float:
-    return 0.0 if hull is None else norm_perimeter(plane, hull)
+def _side(plane, pts) -> tuple:
+    """A split side as the selector reads it: (points, hull or None for no
+    points, norm perimeter of the hull)."""
+    hull = convex_hull(pts) if pts else None
+    return pts, hull, 0.0 if hull is None else norm_perimeter(plane, hull)
 
 
 def _fits(plane, hull_a, hull_b, diam_a, diam_b) -> bool:
@@ -323,35 +327,42 @@ def _split_line(hull_a, hull_b) -> OrientedLine | None:
     return line.reversed() if hull_a is None else line
 
 
+def _cheapest_split(plane, pairs, diam_a, diam_b, below: float = math.inf):
+    """(A', B', line) for the first of the (A side, B side) ``pairs`` (see
+    ``_side``), by perimeter sum below ``below``, whose hulls fit the
+    diameter bounds and have a ``_split_line``; None when none does.  Only
+    the pairs reached are checked."""
+    for (a_pts, hull_a, perim_a), (b_pts, hull_b, perim_b) in sorted(
+            pairs, key=lambda pair: pair[0][2] + pair[1][2]):
+        if not perim_a + perim_b < below:
+            break
+        line = _split_line(hull_a, hull_b) if _fits(plane, hull_a, hull_b, diam_a, diam_b) else None
+        if line is not None:
+            return a_pts, b_pts, line
+    return None
+
+
 def _fallback_split(plane, union, diam_a, diam_b):
     """Among the line dissections of the union that raise neither diameter,
     the one with the smallest resulting hull-perimeter sum (one at least as
     good as the constructive answer always exists)."""
     D = pairwise_distances(plane, as_array([tuple(p) for p in union]))
-    sides = {}  # points, hull and perimeter of a side by its row; a complement is often a row too
+    sides = {}  # a side by its row; a complement is often a row too
 
     def side(row):
         key = row.tobytes()
         if key not in sides:
-            pts = tuple(p for p, keep in zip(union, row) if keep)
-            hull = _hull_or_none(pts)
-            sides[key] = (pts, hull, _perimeter(plane, hull))
+            sides[key] = _side(plane, tuple(p for p, keep in zip(union, row) if keep))
         return sides[key]
 
     rows = line_dissections(union)
     fit = ((subset_diameters(D, rows) <= diam_a * (1 + _SLACK))
            & (subset_diameters(D, ~rows) <= diam_b * (1 + _SLACK)))
-    best = None
-    for row in rows[fit]:
-        (a_pts, hull_a, perim_a), (b_pts, hull_b, perim_b) = side(row), side(~row)
-        after = perim_a + perim_b
-        if (best is None or after < best[0]) and _fits(plane, hull_a, hull_b, diam_a, diam_b):
-            best = (after, a_pts, b_pts, hull_a, hull_b)
     # a line dissection's sides are decided exactly, so its line exists
-    line = None if best is None else _split_line(best[3], best[4])
-    if line is None:
+    split = _cheapest_split(plane, [(side(row), side(~row)) for row in rows[fit]], diam_a, diam_b)
+    if split is None:
         raise NormClustError("no valid separable split found (unexpected)")
-    return best[1], best[2], line
+    return split
 
 
 def _splitting_line(pieces, records, groups) -> OrientedLine:
@@ -371,25 +382,18 @@ def _splitting_line(pieces, records, groups) -> OrientedLine:
     b_first = min(all_bad_b, key=disp)
     b_last = max(partners, key=disp)
 
-    pc_first = pieces[piece_pos[("B", b_first)]]
-    pc_last = pieces[piece_pos[("B", b_last)]]
-    u_before = pc_first.entry_point
-    u_after = pc_last.exit_point
-    if u_before == u_after:
+    pc_first, pc_last = pieces[piece_pos[("B", b_first)]], pieces[piece_pos[("B", b_last)]]
+    if pc_first.entry_point == pc_last.exit_point:
         raise NormClustError("degenerate splitting line")
-    line = line_through(u_before, u_after)
+    line = line_through(pc_first.entry_point, pc_last.exit_point)
 
     # B' lives on the side of B_first's piece
-    ref, ref_off = None, 0.0
-    for v in pc_first.polygon.vertices + pc_last.polygon.vertices:
-        off = signed_offset(line, v)
-        if abs(off) > abs(ref_off):
-            ref, ref_off = v, off
-    if ref is None or ref_off == 0.0:
+    verts = pc_first.polygon.vertices + pc_last.polygon.vertices
+    ref_off = max((signed_offset(line, v) for v in verts), key=abs)
+    if ref_off == 0.0:
         raise NormClustError("cannot orient the splitting line")
-    sgn = 1.0 if ref_off > 0 else -1.0
     # orient so that the A' side is the closed left side
-    return line.reversed() if sgn > 0 else line
+    return line.reversed() if ref_off > 0 else line
 
 
 def _split_assignments(union, line):
@@ -418,24 +422,17 @@ def _group_split(plane, union, crossings, diam_a, diam_b):
     records, groups = find_bad_structure(plane, pieces, diam_a)
     if not records:
         raise NormClustError("no bad pairs but the union diameter grew")
-    fits = []
-    for a_pts, b_pts in _split_assignments(union, _splitting_line(pieces, records, groups)):
-        hull_a, hull_b = _hull_or_none(a_pts), _hull_or_none(b_pts)
-        if _fits(plane, hull_a, hull_b, diam_a, diam_b):
-            fits.append((_perimeter(plane, hull_a) + _perimeter(plane, hull_b), a_pts, b_pts, hull_a, hull_b))
     # boundaries cross here, so the hull interiors overlap and the
     # perimeter sum must drop strictly; on flat-sided norms the rule's
     # line may hit a chord of half the intersection's perimeter, and then
-    # the fallback finds a strictly decreasing split instead.  The line is
-    # sought for the best split first, and for the next only if it has none.
+    # the fallback finds a strictly decreasing split instead
     before = norm_perimeter(plane, crossings.hull_a) + norm_perimeter(plane, crossings.hull_b)
-    for after, a_pts, b_pts, hull_a, hull_b in sorted(fits, key=lambda fit: fit[0]):
-        if not before - after > 1e-9 * before:
-            break
-        line = _split_line(hull_a, hull_b)
-        if line is not None:
-            return a_pts, b_pts, line
-    raise NormClustError("group split found no separable split that lowers the perimeter sum")
+    splits = _split_assignments(union, _splitting_line(pieces, records, groups))
+    split = _cheapest_split(plane, [(_side(plane, a_pts), _side(plane, b_pts)) for a_pts, b_pts in splits],
+                            diam_a, diam_b, before - 1e-9 * before)
+    if split is None:
+        raise NormClustError("group split found no separable split that lowers the perimeter sum")
+    return split
 
 
 def _disjoint_line(hull_a: ConvexPolygon, hull_b: ConvexPolygon) -> OrientedLine | None:
@@ -506,8 +503,7 @@ def _separate_ordered(plane, a_points, hull_a, diam_a, b_points, hull_b, diam_b)
                     SeparationWitness.GROUP_SPLIT)
         except NormClustError:
             pass
-    a_pts, b_pts, line = _fallback_split(plane, union, diam_a, diam_b)
-    return (a_pts, b_pts, line, SeparationWitness.FALLBACK_SPLIT)
+    return (*_fallback_split(plane, union, diam_a, diam_b), SeparationWitness.FALLBACK_SPLIT)
 
 
 def separate_clusters(plane: NormedPlane, a_points, b_points) -> SeparationResult:
@@ -522,14 +518,10 @@ def separate_clusters(plane: NormedPlane, a_points, b_points) -> SeparationResul
     hull_a, hull_b = convex_hull(a_list), convex_hull(b_list)
     a = (a_list, hull_a, polygon_diameter(plane, hull_a)[0])
     b = (b_list, hull_b, polygon_diameter(plane, hull_b)[0])
-    swapped = b[2] > a[2]
-    big, small = (b, a) if swapped else (a, b)
-    big_p, small_p, line, witness = _separate_ordered(plane, *big, *small)
-    if swapped:
-        a_prime, b_prime = small_p, big_p
-        line = line.reversed()
-    else:
-        a_prime, b_prime = big_p, small_p
+    if b[2] > a[2]:
+        b_prime, a_prime, line, witness = _separate_ordered(plane, *b, *a)
+        return SeparationResult(tuple(a_prime), tuple(b_prime), line.reversed(), witness)
+    a_prime, b_prime, line, witness = _separate_ordered(plane, *a, *b)
     return SeparationResult(tuple(a_prime), tuple(b_prime), line, witness)
 
 
@@ -538,7 +530,7 @@ def perimeter_check(plane: NormedPlane, a_points, b_points,
     """(before, after) hull-perimeter sums; after <= before, strictly when the
     hull interiors meet."""
     def perimeter(pts):
-        return _perimeter(plane, _hull_or_none(list(pts)))
+        return _side(plane, list(pts))[2]
 
     return (perimeter(a_points) + perimeter(b_points),
             perimeter(result.a_prime) + perimeter(result.b_prime))

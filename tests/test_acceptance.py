@@ -351,14 +351,14 @@ def test_criterion_9_cli_determinism(tmp_path, twoarc_counterexample):
         ["diameter", "--points", files[0], "--json"],
         ["diameter", "--points", files[1], "--norm", "l1", "--json"],
         ["diameter", "--points", ce_pts.as_posix(), "--norm", str(norm_file), "--json"],
-        ["separate", "--a", a_file, "--b", b_file, "--json", "--seed", "1"],
+        ["separate", "--a", a_file, "--b", b_file, "--json"],
         ["separate", "--a", files[2], "--b", files[3], "--norm", "linf", "--json"],
-        ["cluster2", "--points", files[0], "--json", "--seed", "2"],
+        ["cluster2", "--points", files[0], "--json"],
         ["cluster2", "--points", files[4], "--norm", "l1", "--json"],
         ["cluster2c", "--points", files[2], "--d1", "12", "--d2", "9", "--json"],
         ["cluster2c", "--points", ce_pts.as_posix(), "--norm", str(norm_file),
          "--d1", "1.1", "--d2", "1.0", "--json"],
-        ["cluster3", "--points", files[0], "--json", "--seed", "3"],
+        ["cluster3", "--points", files[0], "--json"],
         ["cluster3", "--points", files[3], "--d", "8.0", "--json"],
         ["clusterk", "--points", files[1], "--k", "2", "--objective", "sum",
          "--measure", "diameter", "--json"],

@@ -98,6 +98,8 @@ class TestSubcommands:
         assert json.loads(out)["result"]["d_star"] == pytest.approx(0.1)
         rc, out = run_cli(["cluster3", "--points", str(pts), "--d", "0.05", "--json"])
         assert rc == 1
+        # a NaN bound is an input error, not an infeasible one
+        assert main(["cluster3", "--points", str(pts), "--d", "nan", "--json"]) == 2
 
     def test_clusterk(self, square_csv):
         rc, out = run_cli([
@@ -150,6 +152,15 @@ class TestSubcommands:
     def test_verify_flag(self, square_csv):
         rc, _ = run_cli(["cluster2", "--points", square_csv, "--verify", "--json"])
         assert rc == 0
+
+    @pytest.mark.parametrize("argv", [["cluster3", "--verify"], ["mineball", "--verify"],
+                                      ["cluster2", "--seed", "7"]])
+    def test_flags_nothing_reads_are_rejected(self, square_csv, argv, capsys):
+        # --verify belongs to separate and cluster2 only; no subcommand has --seed
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--points", square_csv, "--json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_verify_far_out(self, tmp_path):
         # the spanning-tree split and the calipers round d* = 16138235083.91169
@@ -221,8 +232,8 @@ class TestVerifyFailure:
 class TestDeterminism:
     def test_byte_identical_json(self, square_csv, twoarc_json):
         cases = [
-            ["cluster2", "--points", square_csv, "--json", "--seed", "7"],
-            ["cluster3", "--points", square_csv, "--json", "--seed", "7"],
+            ["cluster2", "--points", square_csv, "--json"],
+            ["cluster3", "--points", square_csv, "--json"],
             ["mineball", "--points", square_csv, "--norm", twoarc_json, "--json"],
             ["diameter", "--points", square_csv, "--norm", "l1", "--json"],
         ]

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
@@ -109,6 +109,12 @@ class TestFeasible2:
 
     def test_square_d09(self):
         assert feasible_2cluster(E, SQ, 0.9) is None
+
+    def test_nan_bound(self):
+        # a NaN d is no bound; a negative one is a bound no split meets
+        with pytest.raises(BadBounds):
+            feasible_2cluster(E, SQ, math.nan)
+        assert feasible_2cluster(E, SQ, -1.0) is None
 
     def test_matches_brute_force(self, norm_suite):
         rng = np.random.default_rng(41)
@@ -447,7 +453,9 @@ class TestMinEnclosingBallProperties:
         assert abs(r - r_brute) <= 1e-9 * r_brute + ulps
         _, r_reversed = min_enclosing_ball(plane, pts[::-1])
         assert abs(r - r_reversed) <= 1e-12 * r + ulps
-        # a power-of-two scaling is exact, and so is the answer's
+        # a power-of-two scaling is exact, and so is the answer's, unless
+        # the scaled points leave the normal range and lose bits
+        assume(np.array_equal(np.ldexp(np.ldexp(pts, k), -k), pts))
         s = 2.0 ** k
         assert min_enclosing_ball(plane, pts * s) == (Point(c.x * s, c.y * s), r * s)
 
@@ -715,6 +723,12 @@ class TestHR3:
         pts = [(0, 0), (2, 0), (1, math.sqrt(3)), (1, 0.6)]
         # all four mutually farther than 0.5 apart: no 3-split at 0.5
         assert hr_feasible_3cluster(E, pts, 0.5) is None
+
+    def test_nan_bound(self):
+        # a NaN d is no bound; a negative one is a bound no partition meets
+        with pytest.raises(BadBounds):
+            hr_feasible_3cluster(E, THREE_PAIRS, math.nan)
+        assert hr_feasible_3cluster(E, THREE_PAIRS, -1.0) is None
 
     def test_min_max_far_pairs(self):
         d, _ = min_max_3cluster(E, THREE_PAIRS)

@@ -25,6 +25,7 @@ from normclust.errors import (
     DegenerateBody,
     NonFinitePoint,
     NonFiniteResult,
+    NormClustError,
     NotConvex,
     NotSymmetric,
     OriginNotInterior,
@@ -301,6 +302,13 @@ class TestSphereSphere:
 
     def test_empty(self):
         assert sphere_sphere_intersection(E, (0, 0), (5, 0), 2.0).empty
+
+    @pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+    def test_nan_radius(self, plane):
+        # the error ball_hull raises; a radius d <= 0 gives no components
+        with pytest.raises(NormClustError, match="radius must be positive"):
+            sphere_sphere_intersection(plane, (0, 0), (1, 0), math.nan)
+        assert sphere_sphere_intersection(plane, (0, 0), (1, 0), -1.0).empty
 
     def test_components_on_both_spheres(self, norm_suite):
         rng = np.random.default_rng(11)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from normclust import (
     Point,
@@ -22,8 +22,8 @@ from normclust import (
     side_of,
     two_arc_plane,
 )
-from normclust.errors import EmptyCluster, NoOverlap
-from normclust.geometry import line_through, signed_offset
+from normclust.errors import EmptyCluster, NoOverlap, NormClustError
+from normclust.geometry import line_through, orient, signed_offset
 from normclust.norm import pairwise_distances
 from normclust.oracle import hulls_interiors_overlap
 from normclust.separation import _split_assignments
@@ -294,6 +294,42 @@ def _cluster(draw):
         steps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
         return [(ax + t * dx, ay + t * dy) for t in steps]
     return draw(st.lists(_real, min_size=1, max_size=8))
+
+
+@st.composite
+def _two_hulls(draw):
+    """Two hulls of three or more vertices, both of lattice points (shared
+    vertices, collinear edges) or both of uniform reals, B taking some of
+    A's points as well."""
+    coord = draw(st.sampled_from([_lattice, _real]))
+    a = draw(st.lists(coord, min_size=3, max_size=8))
+    b = draw(st.lists(st.one_of(coord, st.sampled_from(a)), min_size=3, max_size=8))
+    ha, hb = convex_hull(a), convex_hull(b)
+    assume(not ha.degenerate and not hb.degenerate)
+    return ha, hb
+
+
+class TestPieceProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(hulls=_two_hulls())
+    def test_owners(self, hulls):
+        # whenever the decomposition returns, the owner of each piece is the
+        # hull whose run lies outside the other: no vertex of a piece but
+        # its two crossings is inside the other hull
+        ha, hb = hulls
+        crossings = boundary_crossings(ha, hb)
+        try:
+            pieces = decompose_pieces(crossings)
+        except NormClustError:
+            return
+        owners = [p.owner for p in pieces]
+        assert len(pieces) == len(crossings)
+        assert all(owner != owners[k - 1] for k, owner in enumerate(owners))
+        for piece in pieces:
+            other = (hb if piece.owner == "A" else ha).vertices
+            for v in piece.polygon.vertices:
+                if v not in (piece.entry_point, piece.exit_point):
+                    assert min(orient(other[i - 1], other[i], v) for i in range(len(other))) <= 0
 
 
 class TestSeparationProperties:
