@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BadBounds,
     EmptyInput,
     NoBallContainsS,
     NonFinitePoint,
@@ -208,7 +209,7 @@ def _bh_from_candidates(
     # A gauge at most d, with a band relative to d for the pair extremes and
     # one for the rounding of coordinates far from the origin in each
     # difference; both scale with the input.
-    spread = 8 * max(max(abs(v.x), abs(v.y)) for v in verts) * 2.0 ** -52
+    spread = max(max(abs(v.x), abs(v.y)) for v in verts) * 2.0 ** -49  # 8 ulps, no overflow
     lim = d * (1 + 1e-9) + gauge_scalar(plane, spread, spread)
 
     # arc-clipping: drop any vertex inside the pair-hull of its neighbours
@@ -270,7 +271,9 @@ def ball_hull(plane: NormedPlane, points, d: float) -> BallHull:
 
 def bh_contains(plane: NormedPlane, hull: BallHull, x, tol: float = 1e-9) -> bool:
     """Closed membership in the hull region, with a band of ``tol * d``;
-    raises NonFinitePoint for a probe that is not finite."""
+    raises NonFinitePoint for a non-finite probe, BadBounds for a NaN or negative tol."""
+    if not tol >= 0:
+        raise BadBounds("tol must be a number >= 0")
     px, py = float(x[0]), float(x[1])
     check_finite([(px, py)])
     d = hull.radius

@@ -386,12 +386,16 @@ def _euclid_circumcenter(a, b, c):
     a2, b2, c2 = a[0] ** 2 + a[1] ** 2, b[0] ** 2 + b[1] ** 2, c[0] ** 2 + c[1] ** 2
     ux = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
     uy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
-    return np.array([ux, uy])
+    return ux, uy
 
 
 # sign patterns (g0, g1, g2): which of its two circles each point of a triple
 # lies on, in the order of itertools.product((1.0, -1.0), repeat=3)
 _SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+# an enclosing-ball input or scan of more points than this runs as array passes;
+# Welzl's orders of fewer are made once: a seeded generator costs as much as a short ball
+_SCAN_CUT = 32
+_SHORT_ORDERS = [tuple(np.random.default_rng(0).permutation(n).tolist()) for n in range(_SCAN_CUT + 1)]
 
 
 def _twoarc_fit(s, g0, g1, g2, h, R, r):
@@ -462,24 +466,12 @@ def _twoarc_triple_candidates(desc: TwoArcNorm, tri: np.ndarray) -> list[tuple[n
     return out
 
 
-def _pair_ball(plane: NormedPlane, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
-    return (p + q) / 2, gauge_scalar(plane, float(p[0] - q[0]), float(p[1] - q[1])) / 2
-
-
-def _smallest_cover(plane: NormedPlane, Q: np.ndarray, balls) -> Optional[tuple[np.ndarray, float]]:
-    """The smallest of the balls (c, r) that covers the points Q, or None."""
-    best = None
-    for c, r in balls:
-        if (best is None or r < best[1]) and float(gauge(plane, Q - c).max()) <= r * (1 + 1e-9):
-            best = (c, r)
-    return best
-
-
-def _welzl_center(plane: NormedPlane, pts: np.ndarray) -> np.ndarray:
+def _welzl_center(plane: NormedPlane, pts, reach) -> tuple[float, float]:
     """The center of Welzl's minimal ball ("Smallest enclosing disks (balls
     and ellipsoids)", 1991) for a strictly convex norm, where the ball is
     unique and a point outside the ball of the points before it lies on the
-    sphere of the ball of all of them.
+    sphere of the ball of all of them; pts are float pairs, an array past
+    _SCAN_CUT, and reach is the gauge on floats.
 
     Three nested loops over the points in one fixed pseudo-random order
     (expected linear time, deterministic output): a point outside the
@@ -487,27 +479,44 @@ def _welzl_center(plane: NormedPlane, pts: np.ndarray) -> np.ndarray:
     boundary points is their midpoint ball; through three, the Euclidean
     circumcircle or the smallest two-arc candidate that covers the points
     seen so far, else the smallest covering pair ball of the three."""
-    P = pts[np.random.default_rng(0).permutation(len(pts))]
-    desc = plane.descriptor
+    A = pts[np.random.default_rng(0).permutation(len(pts))] if len(pts) > _SCAN_CUT else None
+    P = A.tolist() if A is not None else [pts[t] for t in _SHORT_ORDERS[len(pts)]]
 
-    def first_outside(c, r, lo, hi) -> Optional[int]:
-        if lo >= hi:
-            return None
-        out = gauge(plane, P[lo:hi] - c) > r * (1 + 1e-12)
-        k = int(out.argmax())
-        return lo + k if out[k] else None
+    def first_outside(c, r, lo, hi, slack=1e-12, more=()) -> Optional[int]:
+        # the first t of range(lo, hi), then of more, with P[t] outside
+        # B(c, r (1 + slack)); one array pass over a long range, with the same bits
+        (cx, cy), lim = c, r * (1 + slack)
+        if hi - lo > _SCAN_CUT:
+            out = gauge(plane, A[lo:hi] - c) > lim
+            if out.any():
+                return lo + int(out.argmax())
+            lo = hi
+        for t in itertools.chain(range(lo, hi), more):
+            x, y = P[t]
+            if reach(x - cx, y - cy) > lim:
+                return t
+        return None
+
+    def pair_ball(a, b):
+        (ax, ay), (bx, by) = P[a], P[b]
+        return ((ax + bx) / 2, (ay + by) / 2), gauge_scalar(plane, ax - bx, ay - by) / 2
 
     def triple_ball(i, j, k):
-        if isinstance(desc, EuclideanNorm):
+        if isinstance(plane.descriptor, EuclideanNorm):
             c = _euclid_circumcenter(P[i], P[j], P[k])
-            found = [] if c is None else [(c, float(gauge(plane, P[i] - c)))]
+            found = [] if c is None else [(c, gauge_scalar(plane, P[i][0] - c[0], P[i][1] - c[1]))]
         else:
-            found = _twoarc_triple_candidates(desc, P[[i, j, k]])
-        Q = np.vstack([P[:k + 1], P[[i, j]]])
-        ball = _smallest_cover(plane, Q, found)
+            tri = np.array([P[i], P[j], P[k]])
+            found = [(c.tolist(), r) for c, r in _twoarc_triple_candidates(plane.descriptor, tri)]
+
+        def cover(balls):  # the smallest ball that covers P[:k + 1], P[i] and P[j], the first of equals
+            return min((b for b in balls if first_outside(*b, 0, k + 1, 1e-9, (i, j)) is None),
+                       key=operator.itemgetter(1), default=None)
+
+        ball = cover(found)
         if ball is None:  # a numerically degenerate triple
-            pairs = [_pair_ball(plane, P[a], P[b]) for a, b in ((i, j), (i, k), (j, k))]
-            ball = _smallest_cover(plane, Q, pairs) or min(pairs, key=operator.itemgetter(1))
+            pairs = [pair_ball(a, b) for a, b in ((i, j), (i, k), (j, k))]
+            ball = cover(pairs) or min(pairs, key=operator.itemgetter(1))
         return ball
 
     c, r = P[0], 0.0
@@ -516,7 +525,7 @@ def _welzl_center(plane: NormedPlane, pts: np.ndarray) -> np.ndarray:
         c, r = P[i], 0.0
         j = first_outside(c, r, 0, i)
         while j is not None:
-            c, r = _pair_ball(plane, P[i], P[j])
+            c, r = pair_ball(i, j)
             k = first_outside(c, r, 0, j)
             while k is not None:
                 c, r = triple_ball(i, j, k)
@@ -582,24 +591,41 @@ def min_enclosing_ball(plane: NormedPlane, points) -> tuple[Point, float]:
     an extent of at most 1.  The scalings are exact and no difference
     overflows, so the answer scales exactly with the input and its rounding
     scales with the spread of the points rather than with their offset.  A
-    radius too large for a float raises NonFiniteResult."""
+    radius too large for a float raises NonFiniteResult.  Up to _SCAN_CUT
+    points, all but the polygon norms run on Python floats, which beat
+    numpy's per-call cost; both paths give the same bits."""
     pts = finite_points(points)
     if len(pts) == 0:
         raise EmptyInput("no points")
-    top = math.frexp(float(np.abs(pts).max()))[1]
-    q = np.ldexp(pts, -top)
-    spread = math.frexp(float(np.abs(q - q[0]).max()))[1]
-    unit = np.ldexp(q - q[0], -spread)
-    if not unit.any():
+    polygon = isinstance(plane.descriptor, PolygonNorm)
+    if arrays := polygon or len(pts) > _SCAN_CUT:
+        top = math.frexp(float(np.abs(pts).max()))[1]
+        q = np.ldexp(pts, -top)
+        spread = math.frexp(extent := float(np.abs(q - q[0]).max()))[1]
+        (x0, y0), unit = q[0].tolist(), np.ldexp(q - q[0], -spread)
+    else:
+        rows = pts.tolist()
+        top = math.frexp(max(max(abs(x), abs(y)) for x, y in rows))[1]
+        q = [(math.ldexp(x, -top), math.ldexp(y, -top)) for x, y in rows]
+        x0, y0 = q[0]
+        spread = math.frexp(extent := max(max(abs(x - x0), abs(y - y0)) for x, y in q))[1]
+        unit = [(math.ldexp(x - x0, -spread), math.ldexp(y - y0, -spread)) for x, y in q]
+    if extent == 0.0:
         return Point(float(pts[0][0]), float(pts[0][1])), 0.0
-    find = _polygon_center if isinstance(plane.descriptor, PolygonNorm) else _welzl_center
-    center = find(plane, unit)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        c = np.ldexp(q[0] + np.ldexp(center, spread), top)
-        r = float(gauge(plane, pts - c).max())
-    if not (math.isfinite(r) and np.isfinite(c).all()):
+    # the array kernel's bits: abs(complex) is libm's hypot, as np.hypot (math.hypot is not)
+    reach = ((lambda vx, vy: abs(complex(vx, vy))) if isinstance(plane.descriptor, EuclideanNorm)
+             else functools.partial(gauge_scalar, plane))
+    cx, cy = _polygon_center(plane, unit).tolist() if polygon else _welzl_center(plane, unit, reach)
+    try:  # math.ldexp and reach raise OverflowError where numpy gives inf
+        cx, cy = math.ldexp(x0 + math.ldexp(cx, spread), top), math.ldexp(y0 + math.ldexp(cy, spread), top)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            r = (float(gauge(plane, pts - (cx, cy)).max()) if arrays
+                 else max(reach(x - cx, y - cy) for x, y in rows))
+    except OverflowError:
+        r = math.inf
+    if not math.isfinite(r):
         raise NonFiniteResult("the enclosing ball does not fit in floats")
-    return Point(float(c[0]), float(c[1])), r
+    return Point(cx, cy), r
 
 
 # --------------------------------------------------------------------------
@@ -664,11 +690,11 @@ def k_cluster_minimize(plane: NormedPlane, points, k: int, objective: Objective
     if objective.measure is Measure.DIAMETER:
         measure = lower = diam
     else:
-        slack = 64 * math.ulp(1.0) * float(np.abs(pts).max())
+        slack, coords = 64 * math.ulp(1.0) * float(np.abs(pts).max()), pts.tolist()
 
         @functools.cache
         def measure(mask: int) -> float:
-            return min_enclosing_ball(plane, pts[list(_bits(mask))])[1] if mask else 0.0
+            return min_enclosing_ball(plane, [coords[i] for i in _bits(mask)])[1] if mask else 0.0
 
         def lower(mask: int) -> float:
             return max(diam(mask) / 2 * (1 - 1e-12) - slack, 0.0)

@@ -281,7 +281,8 @@ def signed_offset(line: OrientedLine, p) -> float:
 
 
 def side_of(line: OrientedLine, p) -> Side:
-    """The side of the line that p lies on, decided exactly (``orient``)."""
+    """The side of the line that p lies on, exactly (``orient``); NonFinitePoint if p is not finite."""
+    check_finite([p])
     return Side(orient(line.anchor, line.through, (float(p[0]), float(p[1]))))
 
 

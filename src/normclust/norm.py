@@ -345,13 +345,15 @@ def _distance_matrix(plane: NormedPlane, arr: np.ndarray, ref: np.ndarray) -> np
 
 def boundary_point(plane: NormedPlane, direction) -> Point:
     """Intersection of the ray from the origin through ``direction`` with the
-    unit sphere."""
-    d = as_array(direction)
-    check_finite([d])
-    g = gauge(plane, d)
+    unit sphere, from the direction scaled exactly by a power of two to [1/2, 1)."""
+    vx, vy = as_array(direction).tolist()
+    check_finite([(vx, vy)])
+    e = -math.frexp(max(abs(vx), abs(vy)))[1]
+    vx, vy = math.ldexp(vx, e), math.ldexp(vy, e)
+    g = gauge_scalar(plane, vx, vy)
     if not g > 0:
         raise ZeroDirection("direction must be nonzero")
-    return Point(float(d[0] / g), float(d[1] / g))
+    return Point(vx / g, vy / g)
 
 
 # --------------------------------------------------------------------------
@@ -599,7 +601,14 @@ def sphere_sphere_intersection(plane: NormedPlane, p, q, d: float) -> SphereInte
     if not d > 0 or (px == qx and py == qy):
         return SphereIntersection(())
     desc = plane.descriptor
-    s = math.ldexp(1.0, math.frexp(d)[1])
+    try:
+        s = math.ldexp(1.0, math.frexp(d)[1])
+    except OverflowError:  # d >= 2^1023: the spheres at half scale, which is exact, doubled
+        half = sphere_sphere_intersection(plane, (px / 2, py / 2), (qx / 2, qy / 2), d / 2)
+        ends = [(2 * g.a.x, 2 * g.a.y, 2 * g.b.x, 2 * g.b.y) for g in half.components]
+        if not all(map(math.isfinite, itertools.chain.from_iterable(ends))):
+            raise NonFiniteResult("the intersection does not fit in floats") from None
+        return SphereIntersection(tuple(Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in ends))
     far = max(abs(px), abs(py), abs(qx), abs(qy))
     eps = (1e3 * plane.tolerance * max(d, abs(qx - px), abs(qy - py)) + 4 * math.ulp(far)) / s
     u, r = ((qx - px) / s, (qy - py) / s), d / s

@@ -6,10 +6,10 @@ enumeration works straight off the pairwise distance matrix, enclosing balls
 come from a sweep over every basis, ball-hull membership goes through
 inner/outer polygonal approximations of the center set, and whether two
 hulls' interiors overlap comes from the area of their clipped intersection.
-The only shared primitives are the gauge itself and the two basis solvers of
-the strictly convex enclosing balls (the Euclidean circumcenter and the
-two-arc three-point root find), which are validated separately against a
-grid search.
+The only shared primitives are the gauge itself and the two-arc three-point
+root find of the strictly convex enclosing balls, which is validated
+separately against a grid search; the Euclidean circumcenter is the oracle's
+own.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .clustering import (
     Measure,
     Objective,
     Partition,
-    _euclid_circumcenter,
     _twoarc_triple_candidates,
 )
 
@@ -156,9 +155,11 @@ def brute_min_enclosing_ball(plane: NormedPlane, points) -> tuple[Point, float]:
             centers.append((pts[i] + pts[j]) / 2)
         for i, j, k in itertools.combinations(range(n), 3):
             if isinstance(desc, EuclideanNorm):
-                c = _euclid_circumcenter(pts[i], pts[j], pts[k])
-                if c is not None:
-                    centers.append(c)
+                # a + u with (b - a) . u = |b - a|^2 / 2, (c - a) . u = |c - a|^2 / 2 (Cramer)
+                (bx, by), (cx, cy) = (pts[j] - pts[i]).tolist(), (pts[k] - pts[i]).tolist()
+                if abs(det := bx * cy - by * cx) > 1e-12 * (abs(bx) + abs(by)) * (abs(cx) + abs(cy)):
+                    e, f = (bx * bx + by * by) / 2, (cx * cx + cy * cy) / 2
+                    centers.append(pts[i] + np.array([e * cy - by * f, bx * f - e * cx]) / det)
             else:
                 centers.extend(c for c, _ in _twoarc_triple_candidates(desc, pts[[i, j, k]]))
     C = np.array(centers)

@@ -23,6 +23,7 @@ from normclust import (
 from normclust.ballhull import _BUCKET as B
 from normclust.ballhull import OVERFULL
 from normclust.errors import (
+    BadBounds,
     NoBallContainsS,
     NonFinitePoint,
     NormClustError,
@@ -124,6 +125,29 @@ class TestBallHull:
         for pts in ([(0, 0)], [(0, 0), (1, 0), (0, 1)]):
             with pytest.raises(NonFinitePoint):
                 bh_contains(E, ball_hull(E, pts, 2.0), x)
+
+    def test_radius_of_2_to_the_1023(self):
+        # the pair extremes need a sphere intersection whose radius has no
+        # power of two above it in the floats, and the rounding band of the
+        # covering test overflowed at these coordinates, so that every pair
+        # extreme covered and (0, 1) stayed a vertex
+        pts = [(1e308, 0.0), (-1e308, 0.0), (0.0, 1.0)]
+        d = 1.5e308
+        h = ball_hull(L1, pts, d)
+        assert h.vertices == (Point(-1e308, 0.0), Point(1e308, 0.0))
+        assert sorted(h.support_centers) == [Point(0.0, -5e307), Point(0.0, 5e307)]
+        for c in h.support_centers:
+            assert all(gauge(L1, (x / 2 - c.x / 2, y / 2 - c.y / 2)) <= d / 2 * (1 + 1e-9) for x, y in pts)
+        assert all(bh_contains(L1, h, p) for p in pts)
+        tree = build_tree(L1, pts, d)
+        assert tree.root == h
+        assert query_far_point(tree, (0.0, 0.0)) is None
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9])
+    def test_contains_bad_tol(self, tol):
+        h = ball_hull(E, [(0, 0), (1, 0), (0, 1)], 1.0)
+        with pytest.raises(BadBounds):
+            bh_contains(E, h, (5, 5), tol=tol)
 
     def test_membership_against_oracle(self, norm_suite):
         rng = np.random.default_rng(8)

@@ -36,7 +36,7 @@ from normclust import (
     separate_clusters,
     two_arc_plane,
 )
-from normclust import geometry
+from normclust import clustering, geometry
 from normclust.errors import (
     BadBounds,
     DegenerateBasis,
@@ -486,6 +486,15 @@ class TestMinEnclosingBallProperties:
         assert float(gauge(plane, pts - np.array(c)).max()) <= r * (1 + 1e-9)
         assert r >= float(pairwise_distances(plane, pts).max()) / 2 * (1 - 1e-12)
         assert elapsed < 30
+
+    @pytest.mark.parametrize("plane", [E, TA], ids=["euclidean", "two_arc"])
+    def test_array_passes_same_bits(self, plane, monkeypatch):
+        # short inputs and scans run on Python floats, long ones as array passes
+        rng = np.random.default_rng(29)
+        sets = [rng.uniform(-10, 10, (int(rng.integers(3, 25)), 2)) + rng.choice([0.0, 1e6]) for _ in range(12)]
+        on_floats = [min_enclosing_ball(plane, p) for p in sets]
+        monkeypatch.setattr(clustering, "_SCAN_CUT", 1)
+        assert [min_enclosing_ball(plane, p) for p in sets] == on_floats
 
 
 class TestKCluster:

@@ -20,7 +20,7 @@ from normclust import (
     stabbing_line,
     two_arc_plane,
 )
-from normclust.errors import EmptyInput, NonFiniteResult
+from normclust.errors import EmptyInput, NonFinitePoint, NonFiniteResult
 from normclust import geometry
 from normclust.geometry import (
     cross_sign,
@@ -294,6 +294,13 @@ class TestLines:
         assert side_of(vertical, (1e5, -7)) is Side.ON
         for line, p in ((diagonal, (0.5, 0.5 + half_ulp)), (vertical, (np.nextafter(1e5, 2e5), 7))):
             assert side_of(line, p).value == _fraction_turn(line.anchor, line.through, p)
+
+    @pytest.mark.parametrize("p", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_side_of_non_finite(self, p):
+        # (nan, 0) was ON the x-axis: its float turn is NaN and the lattice
+        # shortcut saw one zero difference per product
+        with pytest.raises(NonFinitePoint):
+            side_of(line_through((0, 0), (1, 0)), p)
 
     def test_point_in_convex(self):
         # the spike's sides are 1e-12 from its axis over a height of 10: the

@@ -194,6 +194,14 @@ class TestBoundaryPoint:
         bp = boundary_point(TA, (1, 0))
         assert bp.x == pytest.approx(15.0) and bp.y == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("plane", [E, L1, two_arc_plane(1, 2)], ids=["euclidean", "l1", "two_arc"])
+    def test_unit_gauge_at_every_scale(self, plane):
+        # a subnormal direction keeps its bits: (5e-324, 0) gave gauge 0.577
+        # on the two-arc norm and ZeroDirection on L1
+        for v in (5e-324, 1e-320, 2.0 ** -1022, 1e-300, 1e-8, 1.0, 1e8, 1e300, 1e308):
+            for direction in ((v, 0.0), (0.0, -v), (v, v), (-v, v / 3)):
+                assert gauge(plane, boundary_point(plane, direction)) == pytest.approx(1.0, abs=1e-15)
+
     def test_zero_direction(self):
         with pytest.raises(ZeroDirection):
             boundary_point(E, (0, 0))
@@ -309,6 +317,29 @@ class TestSphereSphere:
         with pytest.raises(NormClustError, match="radius must be positive"):
             sphere_sphere_intersection(plane, (0, 0), (1, 0), math.nan)
         assert sphere_sphere_intersection(plane, (0, 0), (1, 0), -1.0).empty
+
+    @pytest.mark.parametrize("plane", [E, L1], ids=["euclidean", "l1"])
+    def test_radius_of_2_to_the_1023(self, plane):
+        # no power of two above d fits a float: the half-scale answer, doubled
+        d, q = 1.5e308, (0.0, 1e308)
+        si = sphere_sphere_intersection(plane, (0.0, 0.0), q, d)
+        assert si.components
+        for z in si.all_extremes():
+            for c in ((0.0, 0.0), q):
+                assert gauge(plane, (z.x / 2 - c[0] / 2, z.y / 2 - c[1] / 2)) == pytest.approx(d / 2, rel=1e-12)
+
+    def test_radius_of_2_to_the_1023_coincident(self):
+        # centres within the relative band of coincident, as at d = 1e300
+        assert sphere_sphere_intersection(E, (0.0, 0.0), (1.0, 0.0), 1.5e308).empty
+
+    def test_radius_of_2_to_the_1023_overflow(self):
+        # TA's sphere of radius d reaches x = 15 d, past the float range
+        with pytest.raises(NonFiniteResult):
+            sphere_sphere_intersection(TA, (0.0, 0.0), (0.0, 1e308), 1.5e308)
+
+    def test_radius_of_2_to_the_1023_l1(self):
+        si = sphere_sphere_intersection(L1, (1e308, 0.0), (0.0, 1.0), 1.5e308)
+        assert si.all_extremes() == [Point(5e307, -1e308), Point(5e307, 1e308)]
 
     def test_components_on_both_spheres(self, norm_suite):
         rng = np.random.default_rng(11)
