@@ -76,19 +76,24 @@ class BallHull:
 
 
 def _pair_extremes(plane, p: Point, q: Point, d: float) -> list[Point]:
+    """The extreme points of S(p, d) cap S(q, d).  The Euclidean formula
+    runs where |q - p| is finite and d^2 a normal float; its centres are
+    then within d < 2^512 of the midpoint, so finite.  Elsewhere the scaled
+    sphere kernel, which raises NonFiniteResult for a centre beyond the
+    floats."""
     if isinstance(plane.descriptor, EuclideanNorm):
         dx, dy = q.x - p.x, q.y - p.y
         dd = math.hypot(dx, dy)
-        if dd <= 1e-15 * d or dd > 2 * d:
-            return []
-        h2 = d * d - dd * dd / 4
-        mx, my = p.x + dx / 2, p.y + dy / 2
-        if h2 <= 1e-15 * d * d:
-            return [Point(mx, my)]
-        h = math.sqrt(max(h2, 0.0)) / dd
-        return [Point(mx - dy * h, my + dx * h), Point(mx + dy * h, my - dx * h)]
-    si = sphere_sphere_intersection(plane, p, q, d)
-    return si.all_extremes()
+        if dd < math.inf and 2.0 ** -1022 <= d * d < math.inf:
+            if dd <= 1e-15 * d or dd > 2 * d:
+                return []
+            h2 = d * d - dd * dd / 4
+            mx, my = p.x + dx / 2, p.y + dy / 2
+            if h2 <= 1e-15 * d * d:
+                return [Point(mx, my)]
+            h = math.sqrt(max(h2, 0.0)) / dd
+            return [Point(mx - dy * h, my + dx * h), Point(mx + dy * h, my - dx * h)]
+    return sphere_sphere_intersection(plane, p, q, d).all_extremes()
 
 
 def _signed_depth(p: Point, q: Point, z: Point) -> float:
@@ -198,7 +203,8 @@ def _bh_from_candidates(
         key = (u, w) if u <= w else (w, u)
         if key not in extremes:
             u, w = key
-            if gauge_scalar(plane, w.x - u.x, w.y - u.y) > 2 * d * (1 + 1e-12):
+            # at half scale, which is exact, so that neither side overflows
+            if gauge_scalar(plane, w.x / 2 - u.x / 2, w.y / 2 - u.y / 2) > d * (1 + 1e-12):
                 extremes[key] = None
             else:
                 # a tuple of points holds no container the garbage collector

@@ -258,7 +258,9 @@ def _tree_split(plane: NormedPlane, pts: np.ndarray) -> tuple[float, Partition]:
 
     The argument needs every vertex of the hull in H: ``hull_indices``
     decides each turn exactly, so none is lost to an orientation band,
-    whose width would depend on where the points lie.  The float gauge may
+    whose width would depend on where the points lie.  On large inputs it
+    chains only the points not certainly inside an octagon of input points,
+    which loses no vertex and costs O(n) numpy work.  The float gauge may
     order two pairs within a rounding error epsilon of each other
     differently from the true one; the tree is then maximal within epsilon,
     and the argument above still splits every pair longer than d* +

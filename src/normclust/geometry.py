@@ -5,14 +5,16 @@ a point set by a line) with their subset diameters.
 The convex hull is norm-independent; diameter and perimeter are measured in
 the plane's own gauge.  Every sign on input points, a turn, a side or the
 rotating calipers' comparison of two edge directions, is decided exactly by
-one predicate, ``cross_sign`` (Shewchuk's float filter, then integers).  No
-comparison here has a tolerance band, so no hull, side or diameter pair
-depends on where the points lie.
+one predicate, ``cross_sign`` (Shewchuk's float filter, then integers); the
+hulls' interior filter uses the float filter alone and drops only the
+points it finds certainly inside.  No comparison here has a tolerance band,
+so no hull, side or diameter pair depends on where the points lie.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -77,8 +79,21 @@ class OrientedLine:
 def convex_hull(points) -> ConvexPolygon:
     """Monotone chain, strict (collinear vertices dropped), with every turn
     decided exactly: each vertex of the true hull is kept and no other
-    point.  A NaN or infinite coordinate raises NonFinitePoint."""
-    pts = [Point(float(p[0]), float(p[1])) for p in points]
+    point.  The vertices run counterclockwise from the lexicographic
+    minimum.  From ``_FILTER_CUT`` points on, the points strictly inside an
+    octagon of input points are dropped first (``_hull_candidates``), which
+    changes no vertex.  A NaN or infinite coordinate raises NonFinitePoint."""
+    if not isinstance(points, (list, tuple, np.ndarray)):
+        points = list(points)
+    if len(points) >= _FILTER_CUT:
+        if isinstance(points, np.ndarray):
+            arr = as_array(points)
+        else:  # a few times faster than np.asarray on a list of tuples
+            flat = itertools.chain.from_iterable((p[0], p[1]) for p in points)
+            arr = np.fromiter(flat, float, 2 * len(points)).reshape(-1, 2)
+        pts = list(map(Point._make, arr[_hull_candidates(arr)].tolist()))
+    else:
+        pts = [Point(float(p[0]), float(p[1])) for p in points]
     if not pts:
         raise EmptyInput("convex hull of an empty set")
     uniq = sorted(set(pts))
@@ -89,10 +104,61 @@ def convex_hull(points) -> ConvexPolygon:
 
 def hull_indices(points: np.ndarray) -> list[int]:
     """The vertices of the convex hull of a nonempty (n, 2) float array, as
-    indices into it: the first index of each vertex's location."""
-    pts = list(map(tuple, points.tolist()))
-    first = dict(zip(reversed(pts), range(len(pts) - 1, -1, -1)))
+    indices into it: the first index of each vertex's location, in
+    ``convex_hull``'s order.  From ``_FILTER_CUT`` points on, only the
+    candidates of ``_hull_candidates`` are chained; every copy of every
+    vertex is one of them, so the first index is the same.  A NaN or
+    infinite coordinate raises NonFinitePoint."""
+    if len(points) >= _FILTER_CUT:
+        idx = _hull_candidates(points)
+        pts = list(map(tuple, points[idx].tolist()))
+        first = dict(zip(reversed(pts), reversed(idx.tolist())))
+    else:
+        pts = list(map(tuple, points.tolist()))
+        first = dict(zip(reversed(pts), range(len(pts) - 1, -1, -1)))
+    if len(first) <= 2:
+        check_finite(first)  # from three locations on, every one is in a turn
     return [first[v] for v in _monotone_chain(sorted(first))]
+
+
+# The eight directions whose extreme points span the filter's octagon.
+_OCTAGON = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
+                     (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+
+# Points from which the hulls filter their input first.  30 uniform sets of
+# each size, with and without the filter, interleaved in one process, 2-vCPU
+# Xeon, medians: at n = 48, 64, 80, 96, 128, hull_indices took 56, 73, 96,
+# 118, 148 us unfiltered and 89, 92, 94, 102, 104 us filtered, convex_hull of
+# a list 84, 114, 146, 179, 237 us and 95, 104, 109, 119, 125 us.  At n =
+# 1500 and 20,000 hull_indices took 2.0-3.1 and 34-38 ms unfiltered, 0.22-0.25
+# and 1.0-1.4 ms filtered.
+_FILTER_CUT = 80
+
+
+def _hull_candidates(arr: np.ndarray) -> np.ndarray:
+    """The ascending indices of the points of a finite (n, 2) float array
+    that may be hull vertices: all but those strictly inside Q, the hull of
+    the extreme points in the eight ``_OCTAGON`` directions (Akl and
+    Toussaint, "A fast convex hull algorithm", IPL 7, 1978).  Q's vertices
+    are input points, so a point strictly inside it is strictly inside the
+    hull and no vertex; every copy of a vertex is kept.  A point is dropped
+    only where each edge of Q turns left to it beyond Shewchuk's bound, as
+    in ``cross_sign``; an overflowing or NaN turn keeps it.  A non-finite
+    coordinate raises NonFinitePoint."""
+    if not np.isfinite(arr).all():
+        raise NonFinitePoint("point coordinates must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # such turns keep their point
+        picks = (_OCTAGON @ arr.T).argmax(axis=1)
+        q = _monotone_chain(sorted(set(map(tuple, arr[picks].tolist()))))
+        if len(q) < 3:
+            return np.arange(len(arr))
+        x, y = np.ascontiguousarray(arr.T)
+        inside = np.ones(len(arr), dtype=bool)
+        for (ax, ay), (bx, by) in zip(q, q[1:] + q[:1]):
+            left = (bx - ax) * (y - ay)
+            right = (by - ay) * (x - ax)
+            inside &= left - right > _TURN_ERR * (np.abs(left) + np.abs(right)) + _TURN_TINY
+    return np.flatnonzero(~inside)
 
 
 # Shewchuk's bound on the error of a float cross product of two differences
@@ -116,8 +182,9 @@ def cross_sign(a, b, c, d) -> int:
     if abs(det) > _TURN_ERR * (abs(left) + abs(right)) + _TURN_TINY:
         return 1 if det > 0 else -1
     # both products have a zero factor, as on a lattice: a float difference
-    # is zero only when the coordinates are equal
-    if (b[0] == a[0] or d[1] == c[1]) and (b[1] == a[1] or d[0] == c[0]):
+    # is zero only when the coordinates are equal, and det is then 0, where
+    # a coordinate that is not finite makes it NaN or infinite
+    if det == 0 and (b[0] == a[0] or d[1] == c[1]) and (b[1] == a[1] or d[0] == c[0]):
         return 0
     try:
         nums, dens = zip(*(v.as_integer_ratio() for v in (*a, *b, *c, *d)))
@@ -230,9 +297,7 @@ def antipodal_pairs(poly: ConvexPolygon) -> Iterable[tuple[Point, Point]]:
 def diameter(plane: NormedPlane, points) -> tuple[float, tuple[Point, Point]]:
     """Normed diameter with an attaining pair, via rotating calipers; raises
     NonFiniteResult when the diameter overflows a float."""
-    pts = list(points)
-    check_finite(pts)
-    d, pair = polygon_diameter(plane, convex_hull(pts))
+    d, pair = polygon_diameter(plane, convex_hull(points))
     if d == math.inf:
         raise NonFiniteResult("the diameter does not fit in a float")
     return d, pair
@@ -251,13 +316,22 @@ def polygon_diameter(plane: NormedPlane, polygon: ConvexPolygon) -> tuple[float,
 
 
 def norm_perimeter(plane: NormedPlane, polygon: ConvexPolygon) -> float:
-    """Sum of gauge lengths of the edges (a 2-vertex polygon counts both ways)."""
+    """Sum of gauge lengths of the edges (a 2-vertex polygon counts both ways);
+    raises NonFiniteResult when the perimeter overflows a float."""
     verts = polygon.vertices
     if len(verts) < 2:
         return 0.0
-    arr = as_array(verts)
-    edges = np.roll(arr, -1, axis=0) - arr
-    return float(np.sum(gauge(plane, edges)))
+    closed = as_array(verts + verts[:1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(gauge(plane, closed[1:] - closed[:-1]).sum())
+        if total < math.inf:
+            return total
+        # an edge may overflow where the sum fits: at half scale, doubled
+        half = closed / 2
+        total = 2 * float(gauge(plane, half[1:] - half[:-1]).sum())
+    if total < math.inf:
+        return total
+    raise NonFiniteResult("the perimeter does not fit in a float")
 
 
 # --------------------------------------------------------------------------

@@ -298,7 +298,10 @@ def gauge_scalar(plane: NormedPlane, vx: float, vy: float) -> float:
         return math.hypot(vx, vy)
     if isinstance(desc, TwoArcNorm):
         kc, ky, kx = plane._coef
-        return kc * abs(vy) + abs(complex(ky * vy, kx * vx))  # libm hypot, as np.hypot
+        try:
+            return kc * abs(vy) + abs(complex(ky * vy, kx * vx))  # libm hypot, as np.hypot
+        except OverflowError:  # the hypot is beyond the floats: inf, as np.hypot gives
+            return math.inf
     scale, rows = plane._coef
     best = 0.0
     for ux, uy in rows:
@@ -592,7 +595,8 @@ def sphere_sphere_intersection(plane: NormedPlane, p, q, d: float) -> SphereInte
     the max norm): it scales with the spheres, not with their distance from
     the origin, and the ulps cover the rounding of q - p and of the move back.
     Coincident centres give no components: the two spheres are one, not at
-    most two segments.  So does a radius d <= 0; a NaN radius raises.
+    most two segments.  So does a radius d <= 0; a NaN radius raises, and
+    an end beyond the floats raises NonFiniteResult.
     """
     if math.isnan(d):
         raise NormClustError("radius must be positive")
@@ -630,6 +634,8 @@ def sphere_sphere_intersection(plane: NormedPlane, p, q, d: float) -> SphereInte
     moved = [
         (Point(px + s * a[0], py + s * a[1]), Point(px + s * b[0], py + s * b[1])) for a, b in ends
     ]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(itertools.chain.from_iterable(moved)))):
+        raise NonFiniteResult("the intersection does not fit in floats")
     if len(moved) > 1:
         moved.sort(key=lambda ab: (min(ab), max(ab)))
     return SphereIntersection(tuple(Segment(a, b) for a, b in moved))

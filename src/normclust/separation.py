@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyCluster, NoOverlap, NormClustError
+from .errors import EmptyCluster, NoOverlap, NonFiniteResult, NormClustError
 from .geometry import (
     ConvexPolygon,
     OrientedLine,
@@ -528,9 +528,13 @@ def separate_clusters(plane: NormedPlane, a_points, b_points) -> SeparationResul
 def perimeter_check(plane: NormedPlane, a_points, b_points,
                     result: SeparationResult) -> tuple[float, float]:
     """(before, after) hull-perimeter sums; after <= before, strictly when the
-    hull interiors meet."""
+    hull interiors meet.  Raises NonFiniteResult when a sum overflows a
+    float."""
     def perimeter(pts):
         return _side(plane, list(pts))[2]
 
-    return (perimeter(a_points) + perimeter(b_points),
-            perimeter(result.a_prime) + perimeter(result.b_prime))
+    before = perimeter(a_points) + perimeter(b_points)
+    after = perimeter(result.a_prime) + perimeter(result.b_prime)
+    if not max(before, after) < math.inf:
+        raise NonFiniteResult("a perimeter sum does not fit in a float")
+    return before, after

@@ -18,6 +18,7 @@ from normclust import (
     minimal_arcs,
     query_far_point,
     sample_arc,
+    sphere_sphere_intersection,
     two_arc_plane,
 )
 from normclust.ballhull import _BUCKET as B
@@ -26,6 +27,7 @@ from normclust.errors import (
     BadBounds,
     NoBallContainsS,
     NonFinitePoint,
+    NonFiniteResult,
     NormClustError,
     NotPresent,
     TooFarApart,
@@ -142,6 +144,43 @@ class TestBallHull:
         tree = build_tree(L1, pts, d)
         assert tree.root == h
         assert query_far_point(tree, (0.0, 0.0)) is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_euclidean_pairs_beyond_squares(self):
+        # d * d and the pair's difference overflow, and 2d is inf: the pair
+        # extremes came out NaN and nothing filtered them.  The hull is the
+        # lens of the far pair, whose arcs are centered at (0, +-sqrt(1.2^2 -
+        # 1) 1e308) and reach 1.2e308 - 0.66e308 above and below the chord
+        pts = [(-1e308, 0.0), (1e308, 0.0), (0.0, 1.0)]
+        d = 1.2e308
+        h = ball_hull(E, pts, d)
+        assert h.vertices == (Point(-1e308, 0.0), Point(1e308, 0.0))
+        assert len(h.support_centers) == 2
+        for c, sign in zip(sorted(h.support_centers, key=lambda c: c.y), (-1, 1)):
+            assert abs(c.x) <= 1e-15 * d and c.y == pytest.approx(sign * math.sqrt(0.44) * 1e308, rel=1e-14)
+        assert all(bh_contains(E, h, p) for p in pts + [(0.0, 0.53e308), (0.0, -0.53e308)])
+        assert not bh_contains(E, h, (0.0, 0.54e308))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+    def test_euclidean_radius_below_squares(self, scale):
+        # d * d underflows: the hull is the unit-scale one, scaled, where it
+        # lost a vertex or raised NoBallContainsS
+        pts = [(0.0, 0.0), (2.0, 0.0), (1.0, 0.5)]
+        unit = ball_hull(E, pts, 2.0)
+        h = ball_hull(E, [(scale * x, scale * y) for x, y in pts], 2.0 * scale)
+        assert len(h.vertices) == len(unit.vertices) == 3
+        got = sorted((c.x / scale, c.y / scale) for c in h.support_centers)
+        np.testing.assert_allclose(got, sorted(unit.support_centers), rtol=1e-12)
+
+    @pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+    def test_center_beyond_floats(self, plane):
+        # the centers of this pair's lens lie beyond x = 1.7e308 + 0.1e308
+        pair = [(1.7e308, -0.5e308), (1.7e308, 0.5e308)]
+        d = 0.6e308 * gauge(plane, (0.0, 1.0))
+        with pytest.raises(NonFiniteResult):
+            sphere_sphere_intersection(plane, *pair, d)
+        with pytest.raises(NonFiniteResult):
+            ball_hull(plane, pair, d)
 
     @pytest.mark.parametrize("tol", [math.nan, -1e-9])
     def test_contains_bad_tol(self, tol):

@@ -16,6 +16,7 @@ from normclust import (
     l1_plane,
     linf_plane,
     norm_perimeter,
+    perimeter_check,
     side_of,
     stabbing_line,
     two_arc_plane,
@@ -31,6 +32,7 @@ from normclust.geometry import (
     subset_diameters,
 )
 from normclust.norm import gauge_scalar, pairwise_distances
+from normclust.separation import SeparationResult, SeparationWitness
 
 E = euclidean_plane()
 L1 = l1_plane()
@@ -81,6 +83,14 @@ class TestConvexHull:
         with pytest.raises(EmptyInput):
             convex_hull([])
 
+    @pytest.mark.parametrize("pts", [[(1, -2), (math.nan, -2), (-1, -2)], [(0, -math.inf), (0, 0), (0, -1)],
+                                     [(0, math.nan), (0, math.nan)]])
+    def test_non_finite_on_a_line(self, pts):
+        # both products of each turn here have a zero factor; two points make no turn
+        for call in (convex_hull, lambda p: diameter(E, p), lambda p: geometry.hull_indices(np.array(p, float))):
+            with pytest.raises(NonFinitePoint):
+                call(pts)
+
     @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (2.0 ** -40, 0.0), (2.0 ** 40, 0.0), (1.0, 1.0)],
                              ids=["unit", "2^-40", "2^40", "shifted"])
     def test_thin_spikes(self, scale, shift):
@@ -109,6 +119,86 @@ class TestConvexHull:
                 a, b = v[i], v[(i + 1) % len(v)]
                 cross = (b.x - a.x) * (pts[:, 1] - a.y) - (b.y - a.y) * (pts[:, 0] - a.x)
                 assert cross.min() > -1e-7
+
+
+@st.composite
+def _filter_sets(draw):
+    """Point sets on both sides of the hulls' filter cut, rows shuffled:
+    uniform reals, lattice squares and diamonds (points on the octagon's
+    edges), a few locations copied many times (duplicated hull vertices),
+    all-collinear lattice runs (two-vertex hulls) and slivers a few ulps
+    wide around a line, each scaled by 2^k, k in [-60, 60]; or reals near
+    +-1e308, where the filter's sums, differences and products overflow."""
+    cut = geometry._FILTER_CUT
+    n = draw(st.integers(1, 3 * cut))
+    kind = draw(st.sampled_from(["uniform", "lattice", "diamond", "duplicate", "collinear", "sliver", "huge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "uniform":
+        pts = rng.uniform(-1, 1, (n, 2))
+    elif kind in ("lattice", "diamond"):
+        pts = rng.integers(-draw(st.integers(1, 6)), draw(st.integers(1, 6)) + 1, (n, 2)).astype(float)
+        if kind == "diamond":  # turned by 45 degrees, exactly
+            pts = np.column_stack([pts[:, 0] - pts[:, 1], pts[:, 0] + pts[:, 1]])
+    elif kind == "duplicate":
+        base = rng.uniform(-1, 1, (draw(st.integers(1, 12)), 2))
+        pts = base[rng.integers(0, len(base), n)]
+    elif kind == "collinear":
+        start, step = rng.integers(-50, 51, 2), draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -3)]))
+        pts = (start + np.outer(rng.integers(-1000, 1001, n), step)).astype(float)
+    elif kind == "sliver":  # a few ulps off a line, far out: turns within the float bound
+        base, d = 1e5 * rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+        pts = base + rng.uniform(0, 1, (n, 1)) * d + rng.integers(-3, 4, (n, 2)) * np.spacing(1e5)
+    else:
+        pts = rng.uniform(-1, 1, (n, 2)) * draw(st.sampled_from([1e308, 1.7e308, 1.79e308]))
+        return pts[rng.permutation(n)]
+    return np.ldexp(pts, draw(st.integers(-60, 60)))[rng.permutation(n)]
+
+
+def _chain_all(pts):
+    """The hull over every point, unfiltered: ``convex_hull``'s vertices and
+    ``hull_indices``' first indices."""
+    first = {}
+    for i, p in enumerate(map(tuple, pts.tolist())):
+        first.setdefault(p, i)
+    verts = geometry._monotone_chain(sorted(first))
+    return [Point(*v) for v in verts], [first[v] for v in verts]
+
+
+class TestHullFilter:
+    @settings(max_examples=300, deadline=None)
+    @given(pts=_filter_sets())
+    def test_same_as_the_chain_over_all_points(self, pts):
+        verts, first = _chain_all(pts)
+        assert list(convex_hull(pts).vertices) == verts
+        assert list(convex_hull(pts.tolist()).vertices) == verts
+        assert geometry.hull_indices(pts) == first
+
+    def test_turn_within_the_float_bound(self):
+        # p is right of b -> c, so a hull vertex, but its float turn to b -> c
+        # is positive: only Shewchuk's bound keeps it through the filter
+        a, b, c = (-0.027391336361037258, 1.0765279389179532), (-1.0585044742296272, -0.28767311991619526), \
+            (1.05556350102754, -0.6140783541812027)
+        p = (0.4722671245557333, -0.5240192867167094)
+        assert (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0]) > 0 > cross_sign(b, c, b, p)
+        w = np.random.default_rng(6).uniform(0.1, 1, (2 * geometry._FILTER_CUT, 3))
+        pts = np.vstack([(w / w.sum(axis=1, keepdims=True)) @ np.array([a, b, c]), [a, b, c, p]])
+        assert geometry.hull_indices(pts) == _chain_all(pts)[1] == [len(pts) - 3, len(pts) - 1, len(pts) - 2,
+                                                                    len(pts) - 4]
+
+    def test_drops_the_interior(self):
+        pts = np.random.default_rng(8).uniform(-10, 10, (2000, 2))
+        keep = geometry._hull_candidates(pts)
+        assert len(keep) < 100 and set(geometry.hull_indices(pts)) <= set(keep.tolist())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_large_input(self, bad):
+        pts = np.random.default_rng(2).uniform(-1, 1, (3 * geometry._FILTER_CUT, 2))
+        pts[17, 1] = bad
+        for call in (convex_hull, geometry.hull_indices, lambda p: diameter(E, p)):
+            with pytest.raises(NonFinitePoint):
+                call(pts)
+        with pytest.raises(NonFinitePoint):
+            convex_hull(pts.tolist())
 
 
 class TestDiameter:
@@ -272,6 +362,36 @@ class TestPerimeter:
 
             rev = ConvexPolygon(tuple(reversed(h.vertices)))
             assert norm_perimeter(plane, rev) == pytest.approx(base, rel=1e-9)
+
+    @PLANES
+    @pytest.mark.filterwarnings("error")
+    def test_beyond_floats(self, plane):
+        # an edge of 2e308 overflows, and so does the perimeter, but on the
+        # two-arc norm, whose unit ball reaches 15 along x: there it is the
+        # perimeter at half scale, doubled
+        tri = [(-1e308, 0.0), (1e308, 0.0), (0.0, 1e308)]
+        a, b = [tri[0], tri[2]], [tri[1]]
+        res = SeparationResult(tuple(map(Point._make, a)), (Point(*tri[1]),),
+                               line_through(tri[0], tri[1]), SeparationWitness.NO_BAD_PAIRS)
+        if plane is TA:
+            half = convex_hull([(x / 2, y / 2) for x, y in tri])
+            assert norm_perimeter(plane, convex_hull(tri)) == 2 * norm_perimeter(plane, half)
+            assert perimeter_check(plane, a, b, res)[0] == 2 * gauge(plane, (1e308, 1e308))
+        else:
+            with pytest.raises(NonFiniteResult):
+                norm_perimeter(plane, convex_hull(tri))
+            with pytest.raises(NonFiniteResult):
+                perimeter_check(plane, a, b, res)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sum_beyond_floats(self):
+        # each side's perimeter is 1e308 (a segment counts both ways), their sum is not
+        a, b = [(0.0, 0.0), (0.5e308, 0.0)], [(0.0, 1.0), (0.5e308, 1.0)]
+        assert norm_perimeter(E, convex_hull(a)) == norm_perimeter(E, convex_hull(b)) == 1e308
+        res = SeparationResult(tuple(map(Point._make, a)), tuple(map(Point._make, b)),
+                               line_through((0.0, 0.5), (1.0, 0.5)), SeparationWitness.DISJOINT_HULLS)
+        with pytest.raises(NonFiniteResult):
+            perimeter_check(E, a, b, res)
 
 
 class TestLines:

@@ -180,6 +180,15 @@ class TestGauge:
         # the anchor pair of the counterexample is farther apart than 1.1
         assert dist(TA, (0, 0), (-9.81, 6.24)) >= 1.1
 
+    @pytest.mark.parametrize("v", [(1.68e308, 1.25e308), (-1.7e308, 1.7e308), (0.0, 1.7e308)])
+    def test_two_arc_scalar_beyond_floats(self, v):
+        # the hypot overflows: inf, as the array form gives, not OverflowError
+        plane = two_arc_plane(1, 1.5)
+        with np.errstate(over="ignore"):
+            want = gauge(plane, np.array([v]))[0]
+        assert want == math.inf
+        assert gauge(plane, v) == gauge_scalar(plane, *v) == want
+
 
 class TestBoundaryPoint:
     def test_euclidean(self):
