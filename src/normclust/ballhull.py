@@ -12,14 +12,17 @@ the bucket's points at a leaf and from its children's vertices above, or
 OVERFULL when no radius-d ball covers them.  A far-point query descends,
 left first, only into OVERFULL nodes: it answers with the farthest vertex
 of the first hull on its path that has a vertex at distance >= d, or with
-the first such live point, in x order, of an OVERFULL leaf.  A deletion
-rebuilds the victim's leaf and then the hulls along its root path.
+the first such live point, in x order, of an OVERFULL leaf.  A node is
+marked OVERFULL without a hull when two of its candidates are too far apart
+for one ball.  A deletion rebuilds the victim's leaf and then its ancestors
+up to the first node that its parent reads unchanged.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -180,6 +183,16 @@ def _sphere_point(plane, center: Point, d: float, theta: float) -> Point:
 # hull construction (incremental arc-clipping)
 
 
+def _limit(plane: NormedPlane, d: float, extent: float) -> float:
+    """The covering bound of a hull whose vertices have coordinates of at
+    most ``extent`` in absolute value: a gauge at most d, with a band
+    relative to d for the pair extremes and one for the rounding of
+    coordinates far from the origin in each difference; both scale with the
+    input."""
+    spread = extent * 2.0 ** -49  # 8 ulps, no overflow
+    return d * (1 + 1e-9) + gauge_scalar(plane, spread, spread)
+
+
 def _bh_from_candidates(
     plane: NormedPlane,
     candidates: Sequence[Point],
@@ -212,11 +225,7 @@ def _bh_from_candidates(
                 extremes[key] = tuple(_pair_extremes(plane, u, w, d))
         return extremes[key]
 
-    # A gauge at most d, with a band relative to d for the pair extremes and
-    # one for the rounding of coordinates far from the origin in each
-    # difference; both scale with the input.
-    spread = max(max(abs(v.x), abs(v.y)) for v in verts) * 2.0 ** -49  # 8 ulps, no overflow
-    lim = d * (1 + 1e-9) + gauge_scalar(plane, spread, spread)
+    lim = _limit(plane, d, max(max(abs(v.x), abs(v.y)) for v in verts))
 
     # arc-clipping: drop any vertex inside the pair-hull of its neighbours
     changed = True
@@ -262,6 +271,37 @@ def _bh_from_candidates(
             if e not in centers:
                 centers.append(e)
     return BallHull(tuple(verts), tuple(arcs), d, tuple(centers))
+
+
+_y = operator.itemgetter(1)
+
+
+def _witness_overfull(plane: NormedPlane, candidates: Sequence[Point], d: float) -> bool:
+    """Whether two of the candidates are too far apart for any radius-d
+    ball: the lexicographic minimum and maximum, or a lowest and a highest
+    point, whose half gauge, gauge((b - a) / 2), exceeds lim * (1 + 1e-9),
+    where lim is ``_bh_from_candidates``' covering bound.  When it holds,
+    ``_bh_from_candidates`` on the same candidates raises NoBallContainsS,
+    or NonFiniteResult where a sphere intersection leaves the floats first.
+
+    Why.  The extreme coordinates of the candidates are those of their
+    convex hull's vertices, so the four points give the hull's extent, and
+    lim, exactly.  For every centre e, gauge(a - e) + gauge(b - e) >=
+    gauge(a - b), so max(gauge(a - e), gauge(b - e)) >= gauge(a - b) / 2 >
+    lim: no pair extreme covers both a and b, and every arc's covering test
+    fails.  The lexicographic extremes are hull vertices.  A lowest or
+    highest point that is not a vertex lies on a hull edge, where the gauge
+    from e, convex along the edge, is at most that of one of the edge's
+    ends, which is then beyond lim too.  A float difference is within 2^-53
+    of its value, relative, and halving is exact above the subnormals, so
+    the gauges computed here and in the covering test are within a few ulps
+    of the true ones; the 1e-9 margin covers that.
+    """
+    lo, hi = min(candidates), max(candidates)
+    bottom, top = min(candidates, key=_y), max(candidates, key=_y)
+    lim = _limit(plane, d, max(abs(lo.x), abs(hi.x), abs(bottom.y), abs(top.y))) * (1 + 1e-9)
+    return (gauge_scalar(plane, hi.x / 2 - lo.x / 2, hi.y / 2 - lo.y / 2) > lim
+            or gauge_scalar(plane, top.x / 2 - bottom.x / 2, top.y / 2 - bottom.y / 2) > lim)
 
 
 def ball_hull(plane: NormedPlane, points, d: float) -> BallHull:
@@ -345,7 +385,8 @@ class BallHullTree:
 
     def _rebuild(self, node: int) -> None:
         """A leaf's hull from its live points, an inner node's from its
-        children's vertices; OVERFULL when no radius-d ball covers them."""
+        children's vertices; OVERFULL when no radius-d ball covers them,
+        without a hull when a witness pair shows it."""
         if node >= self._size - 1:
             candidates = [self.points[i] for i in self._bucket(node - self._size + 1) if self.alive[i]]
         else:
@@ -360,11 +401,13 @@ class BallHullTree:
             candidates = list(left.vertices) + list(right.vertices)
         if not candidates:
             self._hulls[node] = None
-            return
-        try:
-            self._hulls[node] = _bh_from_candidates(self.plane, candidates, self.d, self._extremes)
-        except NoBallContainsS:
+        elif _witness_overfull(self.plane, candidates, self.d):
             self._hulls[node] = OVERFULL
+        else:
+            try:
+                self._hulls[node] = _bh_from_candidates(self.plane, candidates, self.d, self._extremes)
+            except NoBallContainsS:
+                self._hulls[node] = OVERFULL
 
     @property
     def root(self):
@@ -436,7 +479,13 @@ def _far_point(tree: BallHullTree, node: int, ux: float, uy: float) -> Optional[
 
 def delete_point(tree: BallHullTree, p) -> None:
     """Mark a live point dead, rebuild its bucket's hull from the bucket's
-    remaining live points, then the hulls along the root path.
+    remaining live points, then its ancestors, up to the first node that its
+    parent reads unchanged.
+
+    A parent reads only its children's values: None, OVERFULL or the
+    vertices, or the whole hull when the other child is empty and the parent
+    holds this one's (the pair extremes are a cache of a pure function).  So
+    every node above the stop already is what a rebuild would give.
 
     Of equal points, the first live one goes.
     """
@@ -449,7 +498,20 @@ def delete_point(tree: BallHullTree, p) -> None:
         raise NotPresent(f"{target} is not a live point of the tree")
     tree.alive[idx] = False
     node = tree._size - 1 + idx // _BUCKET
-    tree._rebuild(node)
-    while node > 0:
-        node = (node - 1) // 2
+    while True:
+        old = tree._hulls[node]
         tree._rebuild(node)
+        if node == 0:
+            return
+        sibling = tree._hulls[node + 1 if node % 2 else node - 1]
+        if sibling is not None and _reads_same(old, tree._hulls[node]):
+            return
+        node = (node - 1) // 2
+
+
+def _reads_same(a, b) -> bool:
+    """Whether a parent reads the same from node values a and b: None,
+    OVERFULL, or the vertices to the bit (== alone takes -0.0 for 0.0)."""
+    if isinstance(a, BallHull) and isinstance(b, BallHull):
+        return a.vertices == b.vertices and repr(a.vertices) == repr(b.vertices)
+    return a is b

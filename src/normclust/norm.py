@@ -60,9 +60,13 @@ def check_finite(points) -> None:
 
 
 def finite_points(points) -> np.ndarray:
-    """A point sequence as a float (n, 2) array, n >= 0; raises
-    NonFinitePoint as check_finite does."""
-    arr = as_array([tuple(p) for p in points] or np.empty((0, 2)))
+    """A point sequence as a float (n, 2) array, n >= 0, a copy of an
+    ndarray; raises NonFinitePoint as check_finite does."""
+    if isinstance(points, np.ndarray) and points.ndim == 2 and len(points):
+        # what the rows as tuples give, without a tuple per row
+        arr = as_array(np.array(points, dtype=float))
+    else:
+        arr = as_array([tuple(p) for p in points] or np.empty((0, 2)))
     if not np.isfinite(arr).all():
         raise NonFinitePoint("point coordinates must be finite")
     return arr

@@ -1,7 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from normclust import (
     Point,
@@ -16,13 +18,14 @@ from normclust import (
     l1_plane,
     linf_plane,
     minimal_arcs,
+    polygon_plane,
     query_far_point,
     sample_arc,
     sphere_sphere_intersection,
     two_arc_plane,
 )
 from normclust.ballhull import _BUCKET as B
-from normclust.ballhull import OVERFULL
+from normclust.ballhull import OVERFULL, BallHullTree, _bh_from_candidates, _witness_overfull
 from normclust.errors import (
     BadBounds,
     NoBallContainsS,
@@ -38,6 +41,7 @@ E = euclidean_plane()
 L1 = l1_plane()
 LI = linf_plane()
 TA = two_arc_plane(10.0, 5 * math.sqrt(13))
+HEX = polygon_plane([(1, 0), (0.5, 1), (-0.5, 1), (-1, 0), (-0.5, -1), (0.5, -1)])
 
 
 class TestMinimalArcs:
@@ -480,3 +484,109 @@ class TestScale:
         diam = diameter(plane, cloud)[0]
         assert build_tree(plane, cloud, 0.7 * diam).root is not OVERFULL
         assert build_tree(plane, cloud, 0.3 * diam).root is OVERFULL
+
+
+def _rebuilt(tree):
+    """Every node of the tree rebuilt bottom-up from its live points."""
+    return BallHullTree(tree.plane, tree.d, tree.points, list(tree.alive))._hulls
+
+
+@st.composite
+def _deletions(draw):
+    """A plane, points with copies of one point (0 or -0, y) between a left
+    and a right part, so that they often straddle a bucket boundary, a
+    radius, and the order of deletion: a few picks, or every point."""
+    plane = draw(st.sampled_from([E, L1, TA]))
+    y = st.one_of(st.integers(-8, 8).map(float), st.just(-0.0))
+    part = st.integers(0, B + 4)
+    left = draw(st.lists(st.tuples(st.integers(-8, -1).map(float), y), min_size=(n := draw(part)), max_size=n))
+    copies = draw(st.lists(st.tuples(st.sampled_from([0.0, -0.0]), st.just(5.0)), max_size=6))
+    right = draw(st.lists(st.tuples(st.integers(1, 8).map(float), y), min_size=(n := draw(part)), max_size=n))
+    pts = left + copies + right
+    if not pts:
+        pts = [(0.0, 0.0)]
+    diam = diameter(plane, pts)[0] or 1.0
+    d = draw(st.sampled_from([0.2, 0.4, 0.7, 1.5])) * diam
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(len(pts))))
+    else:
+        order = draw(st.lists(st.integers(0, len(pts) - 1), max_size=12, unique=True))
+    return plane, pts, d, order
+
+
+class TestDeletionWalk:
+    """A deletion rebuilds up to the first node its parent reads unchanged;
+    every node must still be what a full rebuild gives, to the bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_deletions())
+    # copies of (0, 5) and (-0, 5) across the first bucket boundary
+    @example(case=(L1, [(-1.0, 0.0)] * (B - 1) + [(0.0, 5.0), (-0.0, 5.0)] + [(1.0, 8.0)], 100.0,
+                   [B - 1, 0, B, B + 1]))
+    # both in the first bucket: deleting (0, 5) leaves vertices that compare
+    # equal but hold -0.0 where the root holds 0.0
+    @example(case=(E, [(-1.0, 0.0)] * (B - 2) + [(0.0, 5.0), (-0.0, 5.0)] + [(1.0, 8.0)], 100.0,
+                   [B - 2]))
+    def test_nodes_match_a_full_rebuild(self, case):
+        plane, pts, d, order = case
+        tree = build_tree(plane, pts, d)
+        assert repr(tree._hulls) == repr(_rebuilt(tree))
+        victims = [tree.points[i] for i in order]
+        for v in victims:
+            delete_point(tree, v)
+            assert repr(tree._hulls) == repr(_rebuilt(tree))
+        if len(order) == len(pts):
+            assert tree.root is None
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+class TestWitness:
+    """Two candidates whose half gauge exceeds the covering bound mark a node
+    OVERFULL without a hull; the hull builder must raise on every such list,
+    including radii a few ulps from the witness's threshold."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        plane=st.sampled_from([E, L1, TA, HEX]),
+        pts=st.lists(st.tuples(*[st.one_of(st.integers(-2 ** 20, 2 ** 20).map(lambda v: v / 2 ** 16),
+                                           st.integers(-3, 3).map(float))] * 2),
+                     min_size=2, max_size=12),
+        k=st.integers(-60, 60),
+    )
+    def test_marks_only_what_raises(self, plane, pts, k):
+        cand = [Point(x * 2.0 ** k, y * 2.0 ** k) for x, y in pts]
+        lo, hi = 2.0 ** (k - 40), 2.0 ** (k + 8)  # marked at lo, not at hi
+        if not _witness_overfull(plane, cand, lo):
+            assert len(set(cand)) == 1
+            return
+        assert not _witness_overfull(plane, cand, hi)
+        a, b = _bits(lo), _bits(hi)
+        while b - a > 1:  # the largest marked radius
+            m = (a + b) // 2
+            a, b = (m, b) if _witness_overfull(plane, cand, _float(m)) else (a, m)
+        for step in range(5):
+            assert _witness_overfull(plane, cand, _float(a - step))
+            with pytest.raises(NoBallContainsS):
+                _bh_from_candidates(plane, cand, _float(a - step), {})
+            assert not _witness_overfull(plane, cand, _float(b + step))
+
+    @FAMILIES
+    def test_centres_beyond_floats(self, plane):
+        # (-1.7e308, 0) lies 3.4e308 from the two points at x = 1.7e308,
+        # farther than 2d: the witness marks the root OVERFULL, where the
+        # hull builder first met the lens of the close pair, whose centres
+        # lie beyond the floats, and build_tree raised NonFiniteResult
+        pts = [(1.7e308, -0.5e308), (1.7e308, 0.5e308), (1.6e308, 0.0), (-1.7e308, 0.0)]
+        d = 0.6e308 * gauge(plane, (0.0, 1.0))
+        with pytest.raises(NonFiniteResult):
+            ball_hull(plane, pts, d)
+        tree = build_tree(plane, pts, d)
+        assert tree.root is OVERFULL
+        assert query_far_point(tree, (0.0, 0.0)) in {Point(*p) for p in pts}

@@ -20,7 +20,7 @@ from normclust import (
     two_arc_plane,
     validate_norm,
 )
-from normclust.norm import gauge_scalar, pairwise_distances
+from normclust.norm import finite_points, gauge_scalar, pairwise_distances
 from normclust.errors import (
     DegenerateBody,
     NonFinitePoint,
@@ -475,3 +475,42 @@ class TestSphereSphereProperties:
             assert si.empty
         if kind == "near_tangent" and factor == 1.0 and d > band:
             assert len(si.components) == 1
+
+
+class TestFinitePoints:
+    """An ndarray is copied whole; it must give what its rows as tuples give."""
+
+    @pytest.mark.parametrize("arr", [
+        np.random.default_rng(3).uniform(-10, 10, (1500, 2)),
+        np.array([[1, 2], [3, -4]], dtype=np.int64),
+        np.array([[1.5, 2.0]], dtype=np.float32),
+        np.array([[True, False]]),
+        np.array([[1, 2.5]], dtype=object),
+        np.array([[-0.0, 1e308], [5e-324, -1e-300]]),
+        np.empty((0, 2)),
+        np.empty((0, 3)),
+    ], ids=["uniform", "int", "float32", "bool", "object", "extremes", "empty", "empty3"])
+    def test_same_as_tuples(self, arr):
+        before = arr.copy()
+        got = finite_points(arr)
+        want = finite_points([tuple(p) for p in arr])
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        if got.size:
+            got[...] = 7.0  # a copy: the caller's array keeps its values
+        assert np.array_equal(arr, before)
+
+    @pytest.mark.parametrize("arr, error", [
+        (np.array([[0.0, 1.0], [math.nan, 2.0]]), NonFinitePoint),
+        (np.array([[0.0, math.inf]]), NonFinitePoint),
+        (np.zeros((3, 3)), ValueError),
+        (np.zeros((2, 1)), ValueError),
+        (np.zeros((2, 0)), ValueError),
+    ], ids=["nan", "inf", "three_columns", "one_column", "no_columns"])
+    def test_same_errors_as_tuples(self, arr, error):
+        with pytest.raises(error) as from_array:
+            finite_points(arr)
+        with pytest.raises(error) as from_tuples:
+            finite_points([tuple(p) for p in arr])
+        assert str(from_array.value) == str(from_tuples.value)
