@@ -8,13 +8,16 @@ norm), multiplies every coordinate by each scale in turn and separates the
 pair; then moves the unit-scale pairs by 1e12 along both axes (the row
 labelled +1e+12), where the coordinates are 5e10 times the spread.  Prints
 one row per norm and scale or shift: how often each witness answered, the
-number of ``NormClustError``s, and the number of splits that raised a
-diameter, diam(A') > diam(A) or diam(B') > diam(B) by more than 1e-9 of it.
+number of ``NormClustError``s, the number of splits that raised a
+diameter, diam(A') > diam(A) or diam(B') > diam(B) by more than 1e-9 of it,
+and the number of answers whose line has a point of A' strictly right of
+it or a point of B' strictly left of it (``crossed``, exact ``side_of``).
 The diameters here are the largest pairwise distance, not the library's
 hull calipers.  The last column is a digest of the row's answers (witness,
 A', B' and the line's two points, or the error), so two versions of the
 library give the same answers when they print the same lines.  Exits 1
-when any row shows an error or a grown diameter, so a run can gate on it.
+when any row shows an error, a grown diameter or a crossed line, so a run
+can gate on it.
 
 Usage: python scripts/witness_counts.py [--seed 77] [--pairs 200]
 """
@@ -32,10 +35,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from normclust import (
     SeparationWitness,
+    Side,
     euclidean_plane,
     l1_plane,
     linf_plane,
     separate_clusters,
+    side_of,
     two_arc_plane,
 )
 from normclust.errors import NormClustError
@@ -79,6 +84,9 @@ def counts(plane, pairs, scale, shift) -> tuple[Counter, str]:
             if _diam(plane, after) > _diam(plane, before) * (1 + 1e-9):
                 out["grew"] += 1
                 break
+        if (any(side_of(res.line, p) is Side.RIGHT for p in res.a_prime)
+                or any(side_of(res.line, p) is Side.LEFT for p in res.b_prime)):
+            out["crossed"] += 1
     return out, digest.hexdigest()[:16]
 
 
@@ -87,7 +95,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=77)
     parser.add_argument("--pairs", type=int, default=200)
     args = parser.parse_args()
-    columns = [w.value for w in SeparationWitness] + ["errors", "grew"]
+    columns = [w.value for w in SeparationWitness] + ["errors", "grew", "crossed"]
     print(f"{'norm':10s} {'scale':>6s} " + " ".join(f"{c:>15s}" for c in columns) + f" {'digest':>16s}")
     wrong = 0
     for name, plane in NORMS:
@@ -95,7 +103,7 @@ def main() -> int:
         for label, scale, shift in ROWS:
             row, digest = counts(plane, pairs, scale, shift)
             print(f"{name:10s} {label:>6s} " + " ".join(f"{row[c]:15d}" for c in columns) + f" {digest}")
-            wrong += row["errors"] + row["grew"]
+            wrong += row["errors"] + row["grew"] + row["crossed"]
     return 1 if wrong else 0
 
 

@@ -263,11 +263,15 @@ def gauge(plane: NormedPlane, v):
     """Minkowski gauge of ``v``: the smallest t > 0 with v in t * unit ball.
 
     Accepts a single vector, evaluated by gauge_scalar, or an array of shape
-    (..., 2); broadcasts.
+    (..., 2); broadcasts.  A single vector with a NaN coordinate raises
+    NonFinitePoint; an infinite one has gauge inf.
     """
     arr = as_array(v)
     if arr.ndim == 1:
-        return gauge_scalar(plane, float(arr[0]), float(arr[1]))
+        x, y = float(arr[0]), float(arr[1])
+        if x != x or y != y:
+            raise NonFinitePoint("a vector with a NaN coordinate has no gauge")
+        return gauge_scalar(plane, x, y)
     pts = arr.reshape(-1, 2)
     return _gauge_xy(plane, pts[:, 0].copy(), pts[:, 1].copy()).reshape(arr.shape[:-1])
 

@@ -6,11 +6,13 @@ do not cross and that a line separates keep A and B.  Else,
 when conv(A u B) is no wider than the wider cluster, A' = A u B; if not, the
 construction decomposes the hull boundaries into interlacing pieces, finds
 "bad" piece pairs whose cross distance exceeds the larger diameter, groups
-them, and cuts along a line through two boundary crossings.  Where the
-construction does not apply (a hull of one or two points, or a collinear
-one) or fails, the best split among the line dissections is taken instead.
-Whichever path chose A' and B', the reported line is found from their
-hulls by one exact routine (``_disjoint_line``).
+them, and cuts along a line through two boundary crossings.  The crossings
+are decided as if B were moved by (eps, eps^2), eps -> 0+, from exact
+signs and one fixed tie-break, so touching hulls and segments (2-gons)
+take the construction too.  Where it fails, the best split among the line
+dissections is taken instead.  Whichever path chose A' and B', the
+reported line is found from their hulls by one exact routine
+(``_disjoint_line``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +30,6 @@ from .geometry import (
     ConvexPolygon,
     OrientedLine,
     convex_hull,
-    cross_sign,
     horizontal_line,
     line_dissections,
     line_splits,
@@ -46,18 +48,23 @@ class SeparationWitness(enum.Enum):
     NO_BAD_PAIRS = "no_bad_pairs"
     DISJOINT_HULLS = "disjoint_hulls"
     GROUP_SPLIT = "group_split"
-    # candidate-line search: degenerate hulls, or a group split whose
-    # perimeter sum failed to decrease (possible on flat-sided norms)
+    # candidate-line search where the construction fails: a group split
+    # whose perimeter sum failed to decrease (seen on flat-sided norms), or
+    # hulls that touch with their vertices on a common line interleaved
     FALLBACK_SPLIT = "fallback_split"
 
 
 @dataclass(frozen=True)
 class _Crossing:
-    point: Point
-    ia: int
-    ta: float
+    ia: int  # the A edge and the B edge that cross here
     ib: int
-    tb: float
+    leaves: bool  # A leaves conv(B) here; else it enters
+    at_vertex: bool  # the unmoved edges meet at an end of one of them
+    ends: tuple[Point, Point, Point, Point]  # the A edge's, then the B edge's
+
+    @cached_property
+    def point(self) -> Point:
+        return _meet(*self.ends)
 
 
 @dataclass(frozen=True)
@@ -80,8 +87,16 @@ class Piece:
     owner: str  # "A" or "B"
     index: int  # 0-based within its owner, clockwise
     polygon: ConvexPolygon
-    entry_point: Point
-    exit_point: Point
+    entry: _Crossing
+    exit: _Crossing
+
+    @property
+    def entry_point(self) -> Point:
+        return self.entry.point
+
+    @property
+    def exit_point(self) -> Point:
+        return self.exit.point
 
 
 @dataclass(frozen=True)
@@ -109,86 +124,73 @@ class SeparationResult:
 # boundary crossings
 
 
-def _edge_cross(a1: Point, a2: Point, b1: Point, b2: Point, eps: float):
-    """Proper transversal crossing of two closed segments, or None."""
-    d1 = (a2.x - a1.x, a2.y - a1.y)
-    d2 = (b2.x - b1.x, b2.y - b1.y)
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(den) <= eps:
-        return None
-    rx, ry = b1.x - a1.x, b1.y - a1.y
-    t = (rx * d2[1] - ry * d2[0]) / den
-    u = (rx * d1[1] - ry * d1[0]) / den
-    if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
-        return (
-            Point(a1.x + t * d1[0], a1.y + t * d1[1]),
-            min(max(t, 0.0), 1.0),
-            min(max(u, 0.0), 1.0),
-        )
-    return None
+def _lean(p: Point, q: Point) -> int:
+    """The side of the line pq moved by (eps, eps^2), eps -> 0+, that a point
+    of the unmoved line lies on: the sign of dy, else of -dx, for d = q - p."""
+    return (q.y > p.y) - (q.y < p.y) or (p.x > q.x) - (p.x < q.x)
+
+
+def _meet(a1: Point, a2: Point, b1: Point, b2: Point) -> Point:
+    """The point where the lines a1a2 and b1b2, not parallel, meet, each
+    coordinate the float nearest it: the coordinates as integers over their
+    largest power-of-two denominator, and one correctly rounded division.
+    The same lines give the same bits, whichever way their ends run, and
+    the point lies between the ends of any two crossing edges, so it is
+    finite."""
+    nums, dens = zip(*(v.as_integer_ratio() for v in (*a1, *a2, *b1, *b2)))
+    top = max(dens)
+    ax, ay, bx, by, cx, cy, dx, dy = (q * (top // r) for q, r in zip(nums, dens))
+    ex, ey, fx, fy = bx - ax, by - ay, dx - cx, dy - cy
+    den = ex * fy - ey * fx
+    t = (cx - ax) * fy - (cy - ay) * fx  # the point is a + e t / den
+    if den < 0:  # so that a zero comes out as 0.0, never -0.0
+        den, t = -den, -t
+    return Point((ax * den + ex * t) / (den * top), (ay * den + ey * t) / (den * top))
 
 
 def boundary_crossings(conv_a: ConvexPolygon, conv_b: ConvexPolygon) -> CrossingSequence:
-    """All transversal boundary intersection points, counterclockwise along
-    the A hull.
+    """The crossings of the two hull boundaries, counterclockwise along the
+    A hull, as if B were moved by (eps, eps^2), eps -> 0+ (Simulation of
+    Simplicity: Edelsbrunner and Muecke, ACM TOG 9, 1990).
 
-    Empty when the hulls are disjoint or nested.  The crossings are computed
-    points, so edges count as parallel, and two crossings as one, within
-    bands relative to the two hulls' extent.
-    """
-    if conv_a.degenerate or conv_b.degenerate:
-        return CrossingSequence((), conv_a, conv_b)
+    An A vertex's side of a B edge line is its exact ``orient``, or where
+    that is 0 the side the move takes the line to (``_lean``); a B vertex's
+    side of an A edge line is mirrored.  No vertex then lies on the other
+    hull's edge lines, so every contact is a proper crossing of one A edge
+    and one B edge, decided by four signs, and touching hulls either cross
+    or miss.  A hull of two vertices is a 2-gon whose two edges run both
+    ways; one of a single vertex has no crossings.  Along an A edge the
+    entry into conv(B) precedes the exit, since conv(B) meets the edge in
+    one interval, so the order needs no position along the edge.  A
+    record's point, computed when first read, is the exact crossing of the
+    unmoved edge lines, rounded (``_meet``); it is a hull vertex exactly
+    when one of the four signs is 0 (``at_vertex``), since no three
+    vertices of a hull are collinear.  Empty when the moved hulls are
+    disjoint or nested."""
     va, vb = conv_a.vertices, conv_b.vertices
-    xs, ys = [p.x for p in va + vb], [p.y for p in va + vb]
-    extent = max(max(xs) - min(xs), max(ys) - min(ys))
-    eps = 1e-9 * extent * extent
+    if len(va) < 2 or len(vb) < 2:
+        return CrossingSequence((), conv_a, conv_b)
+    edges_a, edges_b = list(zip(va, va[1:] + va[:1])), list(zip(vb, vb[1:] + vb[:1]))
+    # each A vertex's side of each B edge line, computed once; an edge pair
+    # whose A ends are on one side is rejected before B's ends turn
+    sides = [[orient(b1, b2, v) for v in va] for b1, b2 in edges_b]
+    leans = [_lean(b1, b2) for b1, b2 in edges_b]
     recs: list[_Crossing] = []
-    for ia in range(len(va)):
-        a1, a2 = va[ia], va[(ia + 1) % len(va)]
-        for ib in range(len(vb)):
-            b1, b2 = vb[ib], vb[(ib + 1) % len(vb)]
-            hit = _edge_cross(a1, a2, b1, b2, eps)
-            if hit is not None:
-                pt, t, u = hit
-                recs.append(_Crossing(pt, ia, t, ib, u))
-    # dedupe near-identical points (vertex grazing produces twins)
-    recs.sort(key=lambda r: (r.ia, r.ta))
-    dedup: list[_Crossing] = []
-    for r in recs:
-        if all(max(abs(r.point.x - s.point.x), abs(r.point.y - s.point.y)) > 1e-6 * extent for s in dedup):
-            dedup.append(r)
-    return CrossingSequence(tuple(dedup), conv_a, conv_b)
+    for ia, (a1, a2) in enumerate(edges_a):
+        ja, lean_a = (ia + 1) % len(va), -_lean(a1, a2)
+        hits = []
+        for ib, (b1, b2) in enumerate(edges_b):
+            s1, s2, lean_b = sides[ib][ia], sides[ib][ja], leans[ib]
+            if (s1 or lean_b) != (s2 or lean_b):
+                t1, t2 = orient(a1, a2, b1), orient(a1, a2, b2)
+                if (t1 or lean_a) != (t2 or lean_a):
+                    hits.append(_Crossing(ia, ib, (s1 or lean_b) > 0, 0 in (s1, s2, t1, t2), (a1, a2, b1, b2)))
+        recs += sorted(hits, key=lambda c: c.leaves)  # the entry first
+    return CrossingSequence(tuple(recs), conv_a, conv_b)
 
 
 # --------------------------------------------------------------------------
 # piece decomposition
-
-
-def _walk(hull: ConvexPolygon, pos1, pos2, p1: Point, p2: Point) -> list[Point]:
-    """Boundary polyline from p1 (at pos1) CCW to p2 (at pos2): the vertices
-    that end edges i1 .. i2 - 1, once round when p2 is behind p1 on one edge."""
-    verts = hull.vertices
-    (i1, t1), (i2, t2) = pos1, pos2
-    steps = 0 if i1 == i2 and t2 >= t1 else (i2 - i1) % len(verts) or len(verts)
-    return [p1] + [verts[(i1 + s) % len(verts)] for s in range(1, steps + 1)] + [p2]
-
-
-def _turns(va, vb, c: _Crossing) -> tuple[int, int]:
-    """Which run is the outer one into and out of crossing c: -1 for A's, 1
-    for B's, 0 for parallel edges; out of c, A's when its edge turns
-    clockwise from B's (one exact ``cross_sign`` each way).  Where c is an
-    end vertex of the recorded edges (exact ``orient``), the runs pass it
-    along the neighbouring edges.  Raises NormClustError for recorded edges
-    that do not meet."""
-    a0, a1, a2, a3 = (va[(c.ia + s) % len(va)] for s in range(-1, 3))
-    b0, b1, b2, b3 = (vb[(c.ib + s) % len(vb)] for s in range(-1, 3))
-    at_a1, at_a2 = orient(b1, b2, a1), orient(b1, b2, a2)
-    at_b1, at_b2 = orient(a1, a2, b1), orient(a1, a2, b2)
-    if at_a1 * at_a2 > 0 or at_b1 * at_b2 > 0:
-        raise NormClustError("a crossing whose edges do not meet")
-    a_in, a_out = (a0, a1) if at_a1 == 0 else (a1, a2), (a2, a3) if at_a2 == 0 else (a1, a2)
-    b_in, b_out = (b0, b1) if at_b1 == 0 else (b1, b2), (b2, b3) if at_b2 == 0 else (b1, b2)
-    return cross_sign(*a_in, *b_in), cross_sign(*b_out, *a_out)
 
 
 def decompose_pieces(crossings: CrossingSequence) -> list[Piece]:
@@ -198,59 +200,32 @@ def decompose_pieces(crossings: CrossingSequence) -> list[Piece]:
     Two crossings c1 -> c2 consecutive counterclockwise along A bound one A
     chain and one B chain of the hulls' intersection, and the crossings lie
     in the same cyclic order on both hulls (O'Rourke, Chien, Olson and
-    Naddor, 1982).  So the A run c1 -> c2 and the counterclockwise B run
-    c1 -> c2 bound one piece.  Its owner is the outer run, the one that
-    leaves the other hull at c1 and enters it at c2 (``_turns``, one exact
-    turn at each end); the inner run bends inwards, so the piece is the hull
-    of the owner's run.  A run along the other hull's edge lies on both
-    boundaries and takes the owner that alternates with the next run."""
+    Naddor, 1982); under ``boundary_crossings``' move every crossing is
+    proper, so A leaves and enters conv(B) in turn.  Where A leaves at c1,
+    its run c1 -> c2 is outside conv(B) and the piece is A's; else the
+    counterclockwise B run c1 -> c2, where B leaves conv(A), is outside it
+    and the piece is B's.  The other run bends inwards, so the piece is the
+    hull of its owner's run."""
     if len(crossings) < 2:
         raise NoOverlap("hulls are disjoint or nested")
-    va, vb = crossings.hull_a.vertices, crossings.hull_b.vertices
-    recs = list(crossings.records)
-    m = len(recs)
-    if m % 2 != 0:
-        raise NormClustError("odd crossing count; tangential configuration")
-
-    turns = [_turns(va, vb, c) for c in recs]
-    owners = [turns[k][1] or turns[(k + 1) % m][0] for k in range(m)]
-    if any(turns[k][1] * turns[(k + 1) % m][0] < 0 for k in range(m)):
-        raise NormClustError("a run is outer at one end and inner at the other")
-    last = next((k for k in range(m) if owners[k]), 0)
-    for k in range(last - 1, last - m, -1):
-        owners[k] = owners[k] or -owners[k + 1]
-    if 0 in owners or any(o == owners[k - 1] for k, o in enumerate(owners)):
-        raise NormClustError("crossing runs do not alternate")
+    recs = crossings.records
     pieces_ccw = []
-    for k, owner in enumerate(owners):
-        c1, c2 = recs[k], recs[(k + 1) % m]
-        if owner < 0:
-            walk = _walk(crossings.hull_a, (c1.ia, c1.ta), (c2.ia, c2.ta), c1.point, c2.point)
-        else:
-            walk = _walk(crossings.hull_b, (c1.ib, c1.tb), (c2.ib, c2.tb), c1.point, c2.point)
-        pieces_ccw.append(("A" if owner < 0 else "B", walk, c1, c2))
-
-    # clockwise presentation: reverse, rotate to start at an A piece
-    pieces_cw = list(reversed(pieces_ccw))
-    start = next(i for i, p in enumerate(pieces_cw) if p[0] == "A")
-    pieces_cw = pieces_cw[start:] + pieces_cw[:start]
-
-    out: list[Piece] = []
-    counts = {"A": 0, "B": 0}
-    for owner, walk, c1, c2 in pieces_cw:
-        # the clockwise entry is the counterclockwise end crossing
-        out.append(Piece(owner, counts[owner], convex_hull(walk), entry_point=c2.point, exit_point=c1.point))
-        counts[owner] += 1
-    # crossings are found within float bands, which merge or miss contacts
-    # closer than a band: a piece then reaching into the other hull is refused
-    na, nb = len(va), len(vb)
-    ends = np.concatenate([(np.arange(na) + 1) % na, na + (np.arange(nb) + 1) % nb])
-    left = orient_lines(as_array(va + vb), np.arange(na + nb), ends) > 0
-    inner = np.concatenate([left[na:, :na].all(axis=0), left[:na, na:].all(axis=0)]).tolist()
-    inside = {v for v, flag in zip(va + vb, inner) if flag}
-    if any(v in inside for p in out for v in p.polygon.vertices):
-        raise NormClustError("a piece reaches inside the other hull")
-    return out
+    for c1, c2 in zip(recs, recs[1:] + recs[:1]):
+        owner, verts, i1, i2 = (("A", crossings.hull_a.vertices, c1.ia, c2.ia) if c1.leaves
+                                else ("B", crossings.hull_b.vertices, c1.ib, c2.ib))
+        # the run passes the vertices that end edges i1 .. i2 - 1, once round
+        # when i1 == i2: it leaves the other hull at c1, and along one edge
+        # a hull enters the other before it leaves
+        steps = (i2 - i1) % len(verts) or len(verts)
+        run = [c1.point] + [verts[(i1 + s) % len(verts)] for s in range(1, steps + 1)] + [c2.point]
+        pieces_ccw.append((owner, convex_hull(run), c1, c2))
+    # clockwise from an A piece; the owners alternate, so the k-th piece is
+    # its owner's (k // 2)-th, and its clockwise entry is its
+    # counterclockwise end
+    pieces_cw = pieces_ccw[::-1]
+    start = next(k for k, p in enumerate(pieces_cw) if p[0] == "A")
+    return [Piece(owner, k // 2, hull, entry=c2, exit=c1)
+            for k, (owner, hull, c1, c2) in enumerate(pieces_cw[start:] + pieces_cw[:start])]
 
 
 def _cyclic_runs(flags: Sequence[bool]) -> list[list[int]]:
@@ -368,7 +343,17 @@ def _fallback_split(plane, union, diam_a, diam_b):
 def _splitting_line(pieces, records, groups) -> OrientedLine:
     """The splitting line of the construction: pick the last bad A piece of
     the first group; the line runs through the crossing before the first bad
-    B piece after it and the crossing after its last bad partner."""
+    B piece after it and the crossing after its last bad partner.
+
+    Where those two crossings coincide, as at the spike of a segment that
+    enters and leaves the other hull through one of its edges, the line is
+    their limit, the line of the edge that carries both.  Proof: in
+    ``boundary_crossings``' moved configuration the two are distinct points
+    of that edge for every eps > 0, so the line through them is the edge's
+    line, and the move's limit keeps it.  Two coincident crossings that
+    share no edge raise NormClustError.  B' takes the side of the B pieces,
+    or where they lie on the line (a segment's own line) the side away
+    from the A piece."""
     piece_pos = {(p.owner, p.index): pos for pos, p in enumerate(pieces)}
     m = len(pieces)
     a_i = groups.groups_a[0][-1]
@@ -383,13 +368,19 @@ def _splitting_line(pieces, records, groups) -> OrientedLine:
     b_last = max(partners, key=disp)
 
     pc_first, pc_last = pieces[piece_pos[("B", b_first)]], pieces[piece_pos[("B", b_last)]]
-    if pc_first.entry_point == pc_last.exit_point:
+    c1, c2 = pc_first.entry, pc_last.exit
+    if c1.point != c2.point:
+        line = line_through(c1.point, c2.point)
+    elif c1.ia == c2.ia or c1.ib == c2.ib:
+        line = line_through(*(c1.ends[:2] if c1.ia == c2.ia else c1.ends[2:]))
+    else:
         raise NormClustError("degenerate splitting line")
-    line = line_through(pc_first.entry_point, pc_last.exit_point)
 
     # B' lives on the side of B_first's piece
     verts = pc_first.polygon.vertices + pc_last.polygon.vertices
     ref_off = max((signed_offset(line, v) for v in verts), key=abs)
+    if ref_off == 0.0:  # B's pieces lie on the line: A' lives on a_i's side
+        ref_off = -max((signed_offset(line, v) for v in pieces[pos_ai].polygon.vertices), key=abs)
     if ref_off == 0.0:
         raise NormClustError("cannot orient the splitting line")
     # orient so that the A' side is the closed left side
@@ -415,9 +406,9 @@ def _split_assignments(union, line):
 def _group_split(plane, union, crossings, diam_a, diam_b):
     """The construction's split of A u B along ``_splitting_line``, for hulls
     whose boundaries cross and a union wider than diam(A).  Raises
-    NormClustError where it does not apply: a decomposition that fails, no
-    bad pair, or no split that fits, lowers the perimeter sum and has a
-    separating line."""
+    NormClustError where it does not apply: no bad pair, a splitting line
+    that cannot be drawn or oriented, or no split that fits, lowers the
+    perimeter sum and has a separating line."""
     pieces = decompose_pieces(crossings)
     records, groups = find_bad_structure(plane, pieces, diam_a)
     if not records:
@@ -476,28 +467,30 @@ def _separate_ordered(plane, a_points, hull_a, diam_a, b_points, hull_b, diam_b)
     """Core construction assuming diam(A) >= diam(B), given both hulls.
     The witnesses are tried in this order:
 
-    1. DISJOINT_HULLS, for hulls whose boundaries do not cross (no crossings
-       are taken for a hull of one or two points or a collinear one): an
+    1. DISJOINT_HULLS, for hulls whose boundaries do not cross under
+       ``boundary_crossings``' move, or cross only at hull vertices (hulls
+       that touch in a point or along a piece may cross once moved): an
        edge line of either hull with A on its closed left, B on its closed
        right (``_disjoint_line``).  Nested hulls of three or more vertices
        have no such line.
     2. NO_BAD_PAIRS, A' = A u B: diam(conv(A u B)) <= diam(A).  It leaves no
        bad piece pair, so the piece decomposition is built only when it
        fails.
-    3. GROUP_SPLIT, for crossing boundaries (``_group_split``).
+    3. GROUP_SPLIT, for crossing boundaries, a segment's two-vertex hull
+       included (``_group_split``).
     4. FALLBACK_SPLIT, the best line dissection (``_fallback_split``).
     """
     union = tuple(a_points) + tuple(b_points)
     crossings = boundary_crossings(hull_a, hull_b)
-    crossing = len(crossings) >= 2
-    if not crossing:
+    # hulls that only touch cross under the move at hull vertices alone
+    if all(c.at_vertex for c in crossings.records):
         line = _disjoint_line(hull_a, hull_b)
         if line is not None:
             return (tuple(a_points), tuple(b_points), line, SeparationWitness.DISJOINT_HULLS)
     merged = _merged(plane, union, hull_a, hull_b, diam_a)
     if merged is not None:
         return merged
-    if crossing:
+    if crossings.records:
         try:
             return (*_group_split(plane, union, crossings, diam_a, diam_b),
                     SeparationWitness.GROUP_SPLIT)

@@ -101,6 +101,18 @@ class TestGauge:
         out = gauge(L1, [(3, 4), (1, 0), (0, 0)])
         assert np.allclose(out, [7.0, 1.0, 0.0])
 
+    def test_nan_vector(self, norm_suite):
+        # a single vector or point pair with a NaN coordinate raises, where
+        # gauge(l1_plane(), (nan, 0)) and dist(euclidean_plane(), (nan, 0),
+        # (0, 0)) returned NaN; an infinite coordinate still gives inf
+        for _, plane in norm_suite:
+            for v in ((math.nan, 0), (0.0, math.nan)):
+                with pytest.raises(NonFinitePoint):
+                    gauge(plane, v)
+            with pytest.raises(NonFinitePoint):
+                dist(plane, (math.nan, 0), (0, 0))
+            assert gauge(plane, (math.inf, 0.0)) == math.inf
+
     def test_dist_symmetric_zero(self):
         for plane in PLANES:
             assert dist(plane, (2, 3), (2, 3)) == 0.0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from normclust import (
     Point,
@@ -142,7 +142,7 @@ class TestBadStructure:
                 if db > da:
                     A, B, da = B, A, db
                 ha, hb = convex_hull(A), convex_hull(B)
-                if ha.degenerate or hb.degenerate:
+                if len(ha) < 2 or len(hb) < 2:
                     continue
                 cs = boundary_crossings(ha, hb)
                 if len(cs) < 2:
@@ -257,19 +257,35 @@ class TestSeparate:
 
 
     def test_no_bad_pairs_before_the_decomposition(self):
-        # the hulls meet at the shared vertex (-3, -3) and cross twice more:
-        # an odd crossing count, which the piece decomposition rejects.  No
+        # the hulls meet at the shared vertex (-3, -3) and cross twice more;
+        # B moved by (eps, eps^2) takes its copy of that vertex inside
+        # conv(A), so the two proper crossings are all there are.  No
         # pair of the union is longer than diam(A) (the longest, (0, 3) to
         # (-3, -3) and (-2, 3) to (1, -3), tie at sqrt(45)), so the no-bad
         # test, which comes first, merges the clusters
         A = [(0, 3), (-3, -3), (-3, -1), (1, -3)]
         B = [(-2, 3), (0, -2), (-3, -3)]
-        assert len(boundary_crossings(convex_hull(A), convex_hull(B))) == 3
+        assert len(boundary_crossings(convex_hull(A), convex_hull(B))) == 2
         res = separate_clusters(E, A, B)
         assert res.witness is SeparationWitness.NO_BAD_PAIRS
         assert sorted(res.a_prime) == sorted(Point(*p) for p in A + B)
         assert res.b_prime == ()
         _check_invariants(E, A, B, res)
+
+
+    @pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+    @pytest.mark.parametrize("A, B", [
+        # a sliver whose contacts lie closer together than a float band
+        ([(0, -2), (1.192092896e-07, 4.5e-125), (0, 0)], [(0, -1), (1, 0), (0, 1.4e-45)]),
+        # a collinear cluster with one end inside a triangle
+        ([(-3, 0), (0.2, 0)], [(0, -1), (1, 2), (-1, 2)]),
+    ], ids=["sliver", "segment"])
+    def test_constructive_split(self, plane, A, B):
+        # both took the line-dissection fallback while crossings were found
+        # within float bands and a two-vertex hull had none
+        res = separate_clusters(plane, A, B)
+        assert res.witness is SeparationWitness.GROUP_SPLIT
+        _check_invariants(plane, A, B, res)
 
 
 def _pairwise_diameter(plane, pts):
@@ -298,26 +314,42 @@ def _cluster(draw):
 
 @st.composite
 def _two_hulls(draw):
-    """Two hulls of three or more vertices, both of lattice points (shared
-    vertices, collinear edges) or both of uniform reals, B taking some of
-    A's points as well."""
+    """Two hulls of two or more vertices (segments included), both of
+    lattice points (shared vertices, collinear edges) or both of uniform
+    reals, B taking some of A's points as well."""
     coord = draw(st.sampled_from([_lattice, _real]))
-    a = draw(st.lists(coord, min_size=3, max_size=8))
-    b = draw(st.lists(st.one_of(coord, st.sampled_from(a)), min_size=3, max_size=8))
+    a = draw(st.lists(coord, min_size=2, max_size=8))
+    b = draw(st.lists(st.one_of(coord, st.sampled_from(a)), min_size=2, max_size=8))
     ha, hb = convex_hull(a), convex_hull(b)
-    assume(not ha.degenerate and not hb.degenerate)
+    assume(len(ha) >= 2 and len(hb) >= 2)
     return ha, hb
+
+
+def _edge_line(hull, i):
+    verts = hull.vertices
+    return frozenset((verts[i], verts[(i + 1) % len(verts)]))
 
 
 class TestPieceProperties:
     @settings(max_examples=400, deadline=None)
     @given(hulls=_two_hulls())
+    # a crossing whose float formula divides by a cross product that
+    # underflows to zero
+    @example(hulls=(convex_hull([(0, 0), (8.964633869748203e-238, 0), (0, 2.0143438441086045e-269)]),
+                    convex_hull([(0, 0), (3.85755066065433e-132, 2.0143438441086045e-269), (0, 1)])))
     def test_owners(self, hulls):
         # whenever the decomposition returns, the owner of each piece is the
         # hull whose run lies outside the other: no vertex of a piece but
         # its two crossings is inside the other hull
         ha, hb = hulls
         crossings = boundary_crossings(ha, hb)
+        # every crossing point is finite, and one pair of edge lines gives it
+        # the same bits (a 2-gon's two edges lie on one line)
+        points = {}
+        for c in crossings.records:
+            assert math.isfinite(c.point.x) and math.isfinite(c.point.y)
+            lines = (_edge_line(ha, c.ia), _edge_line(hb, c.ib))
+            assert repr(points.setdefault(lines, c.point)) == repr(c.point)
         try:
             pieces = decompose_pieces(crossings)
         except NormClustError:
@@ -428,7 +460,7 @@ class TestBadSegmentGeometry:
         if db > da:
             A, B, da = B, A, db
         ha, hb = convex_hull(A), convex_hull(B)
-        if ha.degenerate or hb.degenerate:
+        if len(ha) < 2 or len(hb) < 2:
             return 0
         cs = boundary_crossings(ha, hb)
         if len(cs) < 2:
