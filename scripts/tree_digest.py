@@ -13,9 +13,13 @@ query from a random point around the set or the deletion of a random live
 point.  Feeds every node of the tree after the build and after each
 deletion (None, OVERFULL, or the vertices, arc centres and sides and
 support centres), every query's answer and the name of every error raised
-to one hash, coordinates as ``float.hex``, and prints its hex digest and
-the number of trees; two versions of the library that print the same line
-gave the same bits on every node and answer.
+to one hash, coordinates as ``float.hex``.  At each radius it also feeds
+the ball hull of the whole set and the components of
+``sphere_sphere_intersection`` for 32 pairs of the set's points, drawn from a
+second generator, ``numpy.random.default_rng(1)``, so the trees replay as
+before.  Prints the hex digest and the number of trees, ball hulls and
+sphere pairs; two versions of the library that print the same line gave
+the same bits on every node, hull, intersection and answer.
 
 Usage: python scripts/tree_digest.py
 """
@@ -29,8 +33,8 @@ import numpy as np
 # this checkout's src/ first, as bench/run.py does, so no install is needed
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from normclust import (build_tree, delete_point, diameter, euclidean_plane, l1_plane, polygon_plane,
-                       query_far_point, two_arc_plane)
+from normclust import (ball_hull, build_tree, delete_point, diameter, euclidean_plane, l1_plane, polygon_plane,
+                       query_far_point, sphere_sphere_intersection, two_arc_plane)
 from normclust.ballhull import OVERFULL
 from normclust.errors import NormClustError
 
@@ -45,6 +49,7 @@ SHAPES = {
 }
 RADII = (0.3, 0.55, 0.8)
 STEPS = 16
+PAIRS = 32
 
 
 def _hex(*xs) -> str:
@@ -85,6 +90,19 @@ def _replay(digest, rng, plane, pts, d) -> None:
                 digest.update(f"query {type(exc).__name__}\n".encode())
 
 
+def _hull_and_pairs(digest, rng, plane, pts, d) -> None:
+    try:
+        digest.update(f"hull {_node(ball_hull(plane, pts, d))}\n".encode())
+    except NormClustError as exc:
+        digest.update(f"hull {type(exc).__name__}\n".encode())
+    for i, j in rng.integers(0, len(pts), (PAIRS, 2)):
+        try:
+            si = sphere_sphere_intersection(plane, pts[i], pts[j], d)
+            digest.update(f"pair {' ; '.join(_hex(*g.a, *g.b) for g in si.components)}\n".encode())
+        except NormClustError as exc:
+            digest.update(f"pair {type(exc).__name__}\n".encode())
+
+
 def _corpus(rng):
     for make in SHAPES.values():
         for _ in range(15):
@@ -100,7 +118,7 @@ def _corpus(rng):
 
 
 def main() -> None:
-    rng = np.random.default_rng(0)
+    rng, pair_rng = np.random.default_rng(0), np.random.default_rng(1)
     digest, trees = hashlib.sha256(), 0
     for pts in _corpus(rng):
         for plane in PLANES:
@@ -110,9 +128,11 @@ def main() -> None:
                 digest.update(f"diameter {type(exc).__name__}\n".encode())
                 continue
             for frac in RADII:
-                _replay(digest, rng, plane, pts, frac * diam if diam > 0 else 2.0 ** -30)
+                d = frac * diam if diam > 0 else 2.0 ** -30
+                _replay(digest, rng, plane, pts, d)
+                _hull_and_pairs(digest, pair_rng, plane, pts, d)
                 trees += 1
-    print(f"{digest.hexdigest()} {trees} trees")
+    print(f"{digest.hexdigest()} {trees} trees, {trees} ball hulls, {PAIRS * trees} sphere pairs")
 
 
 if __name__ == "__main__":

@@ -42,11 +42,12 @@ from .norm import (
     EuclideanNorm,
     NormedPlane,
     Point,
+    _sphere_ends,
     boundary_point,
     check_finite,
+    finite_points,
     gauge,
     gauge_scalar,
-    sphere_sphere_intersection,
 )
 
 
@@ -79,11 +80,12 @@ class BallHull:
 
 
 def _pair_extremes(plane, p: Point, q: Point, d: float) -> list[Point]:
-    """The extreme points of S(p, d) cap S(q, d).  The Euclidean formula
-    runs where |q - p| is finite and d^2 a normal float; its centres are
-    then within d < 2^512 of the midpoint, so finite.  Elsewhere the scaled
-    sphere kernel, which raises NonFiniteResult for a centre beyond the
-    floats."""
+    """The extreme points of S(p, d) cap S(q, d), for finite p and q, as
+    sphere_sphere_intersection(...).all_extremes() lists them.  The
+    Euclidean formula runs where |q - p| is finite and d^2 a normal float;
+    its centres are then within d < 2^512 of the midpoint, so finite.
+    Elsewhere the scaled sphere kernel, which raises NonFiniteResult for a
+    centre beyond the floats."""
     if isinstance(plane.descriptor, EuclideanNorm):
         dx, dy = q.x - p.x, q.y - p.y
         dd = math.hypot(dx, dy)
@@ -96,7 +98,7 @@ def _pair_extremes(plane, p: Point, q: Point, d: float) -> list[Point]:
                 return [Point(mx, my)]
             h = math.sqrt(max(h2, 0.0)) / dd
             return [Point(mx - dy * h, my + dx * h), Point(mx + dy * h, my - dx * h)]
-    return sphere_sphere_intersection(plane, p, q, d).all_extremes()
+    return [z for a, b in _sphere_ends(plane, p.x, p.y, q.x, q.y, d) for z in ((a,) if a == b else (a, b))]
 
 
 def _signed_depth(p: Point, q: Point, z: Point) -> float:
@@ -306,8 +308,7 @@ def _witness_overfull(plane: NormedPlane, candidates: Sequence[Point], d: float)
 
 def ball_hull(plane: NormedPlane, points, d: float) -> BallHull:
     """Boundary representation of bh(points, d)."""
-    pts = [Point(float(p[0]), float(p[1])) for p in points]
-    check_finite(pts)
+    pts = [Point(x, y) for x, y in finite_points(points).tolist()]
     if not pts:
         raise EmptyInput("ball hull of an empty set")
     if not d > 0:  # NaN fails too
@@ -417,8 +418,7 @@ class BallHullTree:
 def build_tree(plane: NormedPlane, points, d: float) -> BallHullTree:
     """Complete binary tree over buckets of x-sorted points; each node holds
     the ball hull of the live points beneath it, or OVERFULL."""
-    pts = sorted(Point(float(p[0]), float(p[1])) for p in points)
-    check_finite(pts)
+    pts = sorted(Point(x, y) for x, y in finite_points(points).tolist())
     if not pts:
         raise EmptyInput("tree of an empty set")
     if not d > 0:  # NaN fails too

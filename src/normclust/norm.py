@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Union
 
@@ -113,11 +114,13 @@ class NormedPlane:
     # Gauge coefficients, fixed at validation.  Polygon: the facets' polar
     # rows u_f = n_f / b_f (n_f . z = b_f on facet f) as an (m, 2) array and
     # as (s, rows), rows the float (ux, uy) / s and s the least power of two
-    # >= 1 taking them below 1; its vertices, edge f from vertex f to f + 1.
+    # >= 1 taking them below 1; its edge table, edge f from vertex
+    # (x1, y1) = v_f to (x2, y2) = v_(f+1) as the row
+    # (y2 - y1, x1 - x2, math.hypot of those, x1, y1, x2, y2).
     # Two-arc: (c / a, r / a, 1 / sqrt(a)) with a = r^2 - c^2.
     _polar: np.ndarray | None = field(default=None, repr=False, compare=False)
     _coef: tuple | None = field(default=None, repr=False, compare=False)
-    _verts: tuple | None = field(default=None, repr=False, compare=False)
+    _edges: tuple | None = field(default=None, repr=False, compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -200,7 +203,8 @@ def validate_norm(descriptor: NormDescriptor, tolerance: float = DEFAULT_TOL) ->
             tolerance,
             _polar=polar,
             _coef=(s, tuple(map(tuple, (polar / s).tolist()))),
-            _verts=tuple(map(tuple, corners)),
+            _edges=tuple((y2 - y1, x1 - x2, math.hypot(y2 - y1, x1 - x2), x1, y1, x2, y2)
+                         for (x1, y1), (x2, y2) in zip(corners, corners[1:] + corners[:1])),
         )
         _spot_check(plane)
         return plane
@@ -478,12 +482,9 @@ def _twoarc_sphere_arcs(desc: TwoArcNorm, center, d):
     """The two circular arcs making up S(center, d) for a two-arc norm.
     Returns [(circle_center, radius, is_upper)] where is_upper means the arc
     bounds the sphere from above (y >= center_y side)."""
-    h, r = desc.center_height, desc.radius
+    dh, dr = d * desc.center_height, d * desc.radius
     cx, cy = float(center[0]), float(center[1])
-    return [
-        ((cx, cy - d * h), d * r, True),   # upper arc
-        ((cx, cy + d * h), d * r, False),  # lower arc
-    ]
+    return [((cx, cy - dh), dr, True), ((cx, cy + dh), dr, False)]  # upper, lower
 
 
 def _on_twoarc_arc(z, center, arc, eps):
@@ -505,22 +506,18 @@ def _polygon_components(plane: NormedPlane, u, d: float, eps: float) -> list:
     can lie (no pruning when an edge is shorter than eps).
     """
     ux, uy = u
-    verts = plane._verts
-    m = len(verts)
-    normals = [(y2 - y1, x1 - x2) for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1])]
-    norms = [math.hypot(nx, ny) for nx, ny in normals]
-    band = 4 * eps if d * min(norms) > eps else math.inf
+    edges = plane._edges
+    band = 4 * eps if d * min(e[2] for e in edges) > eps else math.inf
     mine, theirs = [], []
-    for i, (nx, ny) in enumerate(normals):
+    for nx, ny, n, x1, y1, x2, y2 in edges:
         sigma = nx * ux + ny * uy
-        slack = band * norms[i]
-        (x1, y1), (x2, y2) = verts[i], verts[i + 1 - m]
+        slack = band * n
         ax, ay = d * x1, d * y1
         ex, ey = d * x2 - ax, d * y2 - ay
         if sigma >= -slack:
-            mine.append((ax, ay, ex, ey, d * norms[i]))
+            mine.append((ax, ay, ex, ey, d * n))
         if sigma <= slack:
-            theirs.append((ux + ax, uy + ay, ex, ey, d * norms[i]))
+            theirs.append((ux + ax, uy + ay, ex, ey, d * n))
 
     hits = []  # closed segment intersections, (end, end) for a point
     for ax, ay, dx1, dy1, l1 in mine:
@@ -584,13 +581,13 @@ def _join_hits(hits: list, u, eps: float) -> list:
 def _component(pts: list, eps: float) -> tuple:
     """A connected group of hits as its two extreme points along the axis of
     larger spread, or as its mean (both ends) when it spans at most eps."""
-    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    xs, ys = zip(*pts)
     sx, sy = max(xs) - min(xs), max(ys) - min(ys)
     if math.hypot(sx, sy) <= eps:
         mean = (sum(xs) / len(xs), sum(ys) / len(ys))
         return mean, mean
-    k = 0 if sx >= sy else 1
-    return min(pts, key=lambda z: z[k]), max(pts, key=lambda z: z[k])
+    key = operator.itemgetter(0 if sx >= sy else 1)
+    return min(pts, key=key), max(pts, key=key)
 
 
 def sphere_sphere_intersection(plane: NormedPlane, p, q, d: float) -> SphereIntersection:
@@ -603,24 +600,33 @@ def sphere_sphere_intersection(plane: NormedPlane, p, q, d: float) -> SphereInte
     the max norm): it scales with the spheres, not with their distance from
     the origin, and the ulps cover the rounding of q - p and of the move back.
     Coincident centres give no components: the two spheres are one, not at
-    most two segments.  So does a radius d <= 0; a NaN radius raises, and
-    an end beyond the floats raises NonFiniteResult.
+    most two segments.  So does a radius d <= 0; a NaN radius raises, a
+    centre with a NaN or infinite coordinate raises NonFinitePoint, and an
+    end beyond the floats raises NonFiniteResult.
     """
-    if math.isnan(d):
-        raise NormClustError("radius must be positive")
     px, py = float(p[0]), float(p[1])
     qx, qy = float(q[0]), float(q[1])
+    if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(qx) and math.isfinite(qy)):
+        raise NonFinitePoint("sphere centres must be finite")
+    return SphereIntersection(tuple(Segment(a, b) for a, b in _sphere_ends(plane, px, py, qx, qy, d)))
+
+
+def _sphere_ends(plane: NormedPlane, px: float, py: float, qx: float, qy: float, d: float) -> list:
+    """sphere_sphere_intersection's components as (end, end) Point pairs, for
+    finite centres (px, py) and (qx, qy)."""
     if not d > 0 or (px == qx and py == qy):
-        return SphereIntersection(())
-    desc = plane.descriptor
+        if d != d:
+            raise NormClustError("radius must be positive")
+        return []
     try:
         s = math.ldexp(1.0, math.frexp(d)[1])
     except OverflowError:  # d >= 2^1023: the spheres at half scale, which is exact, doubled
-        half = sphere_sphere_intersection(plane, (px / 2, py / 2), (qx / 2, qy / 2), d / 2)
-        ends = [(2 * g.a.x, 2 * g.a.y, 2 * g.b.x, 2 * g.b.y) for g in half.components]
-        if not all(map(math.isfinite, itertools.chain.from_iterable(ends))):
+        ends = [(Point(2 * a.x, 2 * a.y), Point(2 * b.x, 2 * b.y))
+                for a, b in _sphere_ends(plane, px / 2, py / 2, qx / 2, qy / 2, d / 2)]
+        if not _finite_ends(ends):
             raise NonFiniteResult("the intersection does not fit in floats") from None
-        return SphereIntersection(tuple(Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in ends))
+        return ends
+    desc = plane.descriptor
     far = max(abs(px), abs(py), abs(qx), abs(qy))
     eps = (1e3 * plane.tolerance * max(d, abs(qx - px), abs(qy - py)) + 4 * math.ulp(far)) / s
     u, r = ((qx - px) / s, (qy - py) / s), d / s
@@ -639,11 +645,21 @@ def sphere_sphere_intersection(plane: NormedPlane, p, q, d: float) -> SphereInte
                 if _on_twoarc_arc(z, (0.0, 0.0), ap, eps) and _on_twoarc_arc(z, u, aq, eps):
                     hits.append((z, z))
         ends = _join_hits(hits, u, eps)
-    moved = [
-        (Point(px + s * a[0], py + s * a[1]), Point(px + s * b[0], py + s * b[1])) for a, b in ends
-    ]
-    if not all(map(math.isfinite, itertools.chain.from_iterable(itertools.chain.from_iterable(moved)))):
+    moved = []
+    for a, b in ends:
+        ma = Point(px + s * a[0], py + s * a[1])
+        moved.append((ma, ma if b is a else Point(px + s * b[0], py + s * b[1])))
+    if not _finite_ends(moved):
         raise NonFiniteResult("the intersection does not fit in floats")
     if len(moved) > 1:
         moved.sort(key=lambda ab: (min(ab), max(ab)))
-    return SphereIntersection(tuple(Segment(a, b) for a, b in moved))
+    return moved
+
+
+def _finite_ends(ends: list) -> bool:
+    """Whether every coordinate of the (end, end) pairs is finite."""
+    isfinite = math.isfinite
+    for (ax, ay), (bx, by) in ends:
+        if not (isfinite(ax) and isfinite(ay) and isfinite(bx) and isfinite(by)):
+            return False
+    return True

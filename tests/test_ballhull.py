@@ -25,7 +25,7 @@ from normclust import (
     two_arc_plane,
 )
 from normclust.ballhull import _BUCKET as B
-from normclust.ballhull import OVERFULL, BallHullTree, _bh_from_candidates, _witness_overfull
+from normclust.ballhull import OVERFULL, BallHullTree, _bh_from_candidates, _pair_extremes, _witness_overfull
 from normclust.errors import (
     BadBounds,
     NoBallContainsS,
@@ -590,3 +590,51 @@ class TestWitness:
         tree = build_tree(plane, pts, d)
         assert tree.root is OVERFULL
         assert query_far_point(tree, (0.0, 0.0)) in {Point(*p) for p in pts}
+
+
+@st.composite
+def _sphere_pairs(draw):
+    """A norm, two centres and a radius: a generic radius, one within a few
+    ulps of half the centres' distance (tangent spheres) or one of 2^1023 and
+    more; the first two scaled by 2^k, k in [-60, 60], and moved by up to 1e12."""
+    plane = draw(st.sampled_from([L1, HEX, TA]))
+    unit = st.floats(-1, 1)
+    kind = draw(st.sampled_from(["generic", "tangent", "huge"]))
+    if kind == "huge":
+        big = st.floats(-1.7e308, 1.7e308)
+        p, q = (draw(big), draw(big)), (draw(big), draw(big))
+        return plane, p, q, 2.0 ** 1023 * draw(st.floats(1, 1.99))
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    moved = draw(st.sampled_from([0.0, 1.0]))
+    ox, oy = moved * draw(st.floats(-1e12, 1e12)), moved * draw(st.floats(-1e12, 1e12))
+    px, py, vx, vy = draw(unit), draw(unit), draw(unit), draw(unit)
+    p, q = ((ox + px) * scale, (oy + py) * scale), ((ox + px + vx) * scale, (oy + py + vy) * scale)
+    g = gauge(plane, (q[0] - p[0], q[1] - p[1]))
+    if kind == "generic":
+        return plane, p, q, g * draw(st.floats(0.3, 3))
+    d = g / 2
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        d = math.nextafter(d, math.copysign(math.inf, steps))
+    return plane, p, q, d
+
+
+def _extremes_bits(extremes):
+    """The points as float.hex pairs, or the name of the error raised."""
+    try:
+        return [(z.x.hex(), z.y.hex()) for z in extremes()]
+    except NormClustError as exc:
+        return type(exc).__name__
+
+
+class TestPairExtremes:
+    """The tree's pair extremes and sphere_sphere_intersection share one
+    kernel; they must list the same points to the bit, or raise alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_sphere_pairs())
+    def test_same_bits_as_the_intersection(self, case):
+        plane, p, q, d = case
+        p, q = Point(*p), Point(*q)
+        assert _extremes_bits(lambda: _pair_extremes(plane, p, q, d)) == _extremes_bits(
+            lambda: sphere_sphere_intersection(plane, p, q, d).all_extremes())

@@ -339,6 +339,14 @@ class TestSphereSphere:
             sphere_sphere_intersection(plane, (0, 0), (1, 0), math.nan)
         assert sphere_sphere_intersection(plane, (0, 0), (1, 0), -1.0).empty
 
+    @pytest.mark.parametrize("plane", [E, L1, TA], ids=["euclidean", "l1", "two_arc"])
+    @pytest.mark.parametrize("p, q", [((math.inf, 0.0), (0.0, 0.0)), ((math.nan, 0.0), (1.0, 0.0)),
+                                      ((0.0, 0.0), (math.inf, math.inf))], ids=["inf", "nan", "inf_inf"])
+    def test_non_finite_centre(self, plane, p, q):
+        # each family's kernel gave no components or NonFiniteResult
+        with pytest.raises(NonFinitePoint):
+            sphere_sphere_intersection(plane, p, q, 1.0)
+
     @pytest.mark.parametrize("plane", [E, L1], ids=["euclidean", "l1"])
     def test_radius_of_2_to_the_1023(self, plane):
         # no power of two above d fits a float: the half-scale answer, doubled
