@@ -38,43 +38,81 @@ SCHEMA_VERSION = 1
 # file formats
 
 
-def load_points(path: str) -> list[Point]:
-    """CSV rows "x,y"; an optional header line "x,y" is skipped."""
-    pts: list[Point] = []
+def load_points(path: str) -> np.ndarray:
+    """The points of a CSV file as a float (n, 2) array, n >= 1: the first
+    two comma-separated fields of each line, parsed as float() parses them.
+    Further fields are ignored, blank lines skipped and a first line "x,y"
+    is a header.  A line with one field, a field float() rejects or a NaN
+    or infinite coordinate raises ValueError naming path:line, and a file
+    with no points one naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and parts[:2] == ["x", "y"]:
-                continue
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected 'x,y'")
-            x, y = float(parts[0]), float(parts[1])
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"{path}:{lineno}: coordinates must be finite")
-            pts.append(Point(x, y))
-    if not pts:
+        lines = fh.read().split("\n")
+    start = 1 if [f.strip() for f in lines[0].split(",", 2)[:2]] == ["x", "y"] else 0
+    fields: list[str] = []
+    for line in lines[start:]:
+        xy = line.split(",", 2)
+        if len(xy) > 1:
+            fields += xy[:2]
+        elif line.strip():
+            raise _first_bad_line(path, lines, start)
+    try:
+        pts = np.fromiter(map(float, fields), float, len(fields)).reshape(-1, 2)
+    except ValueError:
+        raise _first_bad_line(path, lines, start) from None
+    if not np.isfinite(pts).all():
+        raise _first_bad_line(path, lines, start)
+    if not len(pts):
         raise ValueError(f"{path}: no points")
     return pts
 
 
+def _first_bad_line(path: str, lines: list[str], start: int) -> ValueError:
+    """load_points' error for the first of lines[start:] that holds no
+    point; called once some line is known to fail, so that the loader's
+    loop need not count lines."""
+    for lineno, line in enumerate(lines[start:], start + 1):
+        xy = line.split(",", 2)
+        if len(xy) < 2:
+            if line.strip():
+                return ValueError(f"{path}:{lineno}: expected 'x,y'")
+            continue
+        try:
+            x, y = float(xy[0].strip()), float(xy[1].strip())
+        except ValueError as exc:
+            return ValueError(f"{path}:{lineno}: {exc}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return ValueError(f"{path}:{lineno}: coordinates must be finite")
+    raise AssertionError(f"{path}: every line holds a point")
+
+
 def load_norm(spec: str, tolerance: float = 1e-9) -> NormedPlane:
-    """Named norm ("euclidean", "l1", "linf") or a JSON descriptor file."""
+    """Named norm ("euclidean", "l1", "linf") or a JSON descriptor file:
+    {"kind": "euclidean"}, {"kind": "polygon", "vertices": [[x, y], ...]}
+    or {"kind": "two_arc", "center": c, "radius": r}.  A malformed
+    descriptor raises ValueError naming the file and the field."""
     named = {"euclidean": euclidean_plane, "l1": l1_plane, "linf": linf_plane}
     if spec.lower() in named:
         return named[spec.lower()](tolerance)
     with open(spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{spec}: a norm descriptor is a JSON object with a \"kind\" field")
+
+    def field(key, convert, what):
+        try:
+            return convert(doc[key])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ValueError(f"{spec}: field {key!r} is missing or not {what}") from None
+
     kind = doc.get("kind")
     if kind == "euclidean":
         return euclidean_plane(tolerance)
     if kind == "polygon":
-        return polygon_plane([(float(x), float(y)) for x, y in doc["vertices"]], tolerance)
+        vertices = field("vertices", lambda vs: [(float(x), float(y)) for x, y in vs], "a list of [x, y] pairs")
+        return polygon_plane(vertices, tolerance)
     if kind == "two_arc":
-        return two_arc_plane(float(doc["center"]), float(doc["radius"]), tolerance)
-    raise ValueError(f"unknown norm kind {kind!r}")
+        return two_arc_plane(field("center", float, "a number"), field("radius", float, "a number"), tolerance)
+    raise ValueError(f"{spec}: unknown norm kind {kind!r}")
 
 
 def norm_doc(plane: NormedPlane) -> dict:
@@ -252,7 +290,7 @@ def _cmd_separate(args, plane):
         "perimeter_after": after,
         "invariants": {
             "union_preserved": sorted(map(tuple, res.a_prime + res.b_prime))
-            == sorted(map(tuple, tuple(a) + tuple(b))),
+            == sorted(map(tuple, a.tolist() + b.tolist())),
             "diam_a_ok": dap <= da * (1 + _REL),
             "diam_b_ok": dbp <= db * (1 + _REL),
             "perimeter_ok": after <= before * (1 + _REL),
@@ -270,7 +308,7 @@ def _cmd_cluster2(args, plane):
     if args.verify:
         # rotating calipers, independent of the spanning-tree split
         for c in part.clusters:
-            dd = diameter(plane, [pts[i] for i in c])[0] if c else 0.0
+            dd = diameter(plane, pts[list(c)])[0] if c else 0.0
             if dd > d_star * (1 + _REL):
                 raise VerificationFailed(f"cluster2: a cluster of diameter {dd} exceeds d* = {d_star}")
     result = {"d_star": d_star, "partition": _partition_doc(part)}
@@ -319,7 +357,7 @@ def _cmd_ballhull(args, plane):
     tree = bh.build_tree(plane, pts, args.d)
     deleted = None
     if args.delete is not None:
-        deleted = pts[args.delete]
+        deleted = Point(*pts[args.delete].tolist())
         bh.delete_point(tree, deleted)
     # an OVERFULL root (no radius-d ball holds the points) has no boundary
     overfull = tree.root is bh.OVERFULL
@@ -350,13 +388,13 @@ def _cmd_mineball(args, plane):
 def _cmd_plot(args, plane):
     pts = load_points(args.points)
     scene = Scene()
-    scene.points.append(("points", pts))
+    scene.points.append(("points", list(map(Point._make, pts.tolist()))))
     if len(pts) >= 2:
         hull = convex_hull(pts)
         scene.hulls.append(list(hull.vertices))
     if args.b is not None:
         bpts = load_points(args.b)
-        scene.points.append(("b", bpts))
+        scene.points.append(("b", list(map(Point._make, bpts.tolist()))))
         if len(bpts) >= 2:
             scene.hulls.append(list(convex_hull(bpts).vertices))
         res = separate_clusters(plane, pts, bpts)

@@ -165,44 +165,48 @@ def validate_norm(descriptor: NormDescriptor, tolerance: float = DEFAULT_TOL) ->
         return NormedPlane(descriptor, tolerance, _coef=(c / a, r / a, 1 / math.sqrt(a)))
 
     if isinstance(descriptor, PolygonNorm):
-        verts = as_array([tuple(v) for v in descriptor.vertices])
-        if len(verts) == 0 or not np.isfinite(verts).all():
+        verts = [(float(x), float(y)) for x, y in descriptor.vertices]
+        if not verts or not all(map(math.isfinite, itertools.chain.from_iterable(verts))):
             raise DegenerateBody("polygon vertices must be finite and nonempty")
-        scale = float(np.abs(verts).max())
+        scale = max(max(abs(x), abs(y)) for x, y in verts)
         tol_len = tolerance * scale
-        # central symmetry: every vertex must have its negation among the vertices
-        lone = np.abs(verts[:, None, :] + verts).max(axis=2).min(axis=1) > tol_len
-        if lone.any():
-            raise NotSymmetric(f"vertex {tuple(verts[lone.argmax()])} has no opposite vertex")
-        # orientation and convexity; vertex nxt[i] follows vertex i
-        nxt = (np.arange(len(verts)) + 1) % len(verts)
-        x, y = verts[:, 0], verts[:, 1]
-        area2 = float(np.dot(x, y[nxt]) - np.dot(y, x[nxt]))
+        # central symmetry: every vertex must have its negation among the
+        # vertices, within tol_len in both coordinates
+        exact = set(verts)
+        for x, y in verts:
+            if (-x, -y) not in exact and min(max(abs(x + u), abs(y + v)) for u, v in verts) > tol_len:
+                raise NotSymmetric(f"vertex {(x, y)} has no opposite vertex")
+        # orientation and convexity; twice the signed area as numpy dot
+        # products, whose summation order decides a flat body (its area is
+        # rounding noise) at a tolerance near 0
+        arr, after = np.array(verts), np.array(verts[1:] + verts[:1])
+        area2 = float(np.dot(arr[:, 0], after[:, 1]) - np.dot(arr[:, 1], after[:, 0]))
         if area2 < 0:
-            verts = verts[::-1].copy()
-        edges = verts[nxt] - verts
-        crosses = edges[:, 0] * edges[nxt, 1] - edges[:, 1] * edges[nxt, 0]
+            verts.reverse()
+        edges = [(u - x, v - y) for (x, y), (u, v) in zip(verts, verts[1:] + verts[:1])]
         tol_area = tolerance * scale ** 2
-        if np.any(crosses < -tol_area):
+        if any(ex * fy - ey * fx < -tol_area for (ex, ey), (fx, fy) in zip(edges, edges[1:] + edges[:1])):
             raise NotConvex("polygon has a reflex vertex")
         if abs(area2) <= tol_area:
             raise DegenerateBody("polygon has (near) zero area")
-        corners = _strip_collinear(verts.tolist(), tol_area)
+        corners = _strip_collinear(verts, tol_area)
         if len(corners) < 4:
             raise DegenerateBody("symmetric convex body needs at least 4 vertices")
-        reduced = np.array(corners)
-        edges = reduced[(np.arange(len(reduced)) + 1) % len(reduced)] - reduced
-        normals = edges[:, ::-1] * (1.0, -1.0)  # (e_y, -e_x)
-        offsets = np.einsum("ij,ij->i", normals, reduced)
-        if np.any(offsets <= tol_len * np.sqrt(np.einsum("ij,ij->i", normals, normals))):
-            raise OriginNotInterior("origin must be strictly inside the unit ball")
-        polar = normals / offsets[:, None]
-        s = math.ldexp(1.0, max(0, math.frexp(float(np.abs(polar).max()))[1]))
+        # facet f from corner (x1, y1) to (x2, y2): normal (y2 - y1, -(x2 - x1)),
+        # offset b_f = n_f . (x1, y1), polar row n_f / b_f
+        polar = []
+        for (x1, y1), (x2, y2) in zip(corners, corners[1:] + corners[:1]):
+            nx, ny = y2 - y1, -(x2 - x1)
+            offset = nx * x1 + ny * y1
+            if offset <= tol_len * math.sqrt(nx * nx + ny * ny):
+                raise OriginNotInterior("origin must be strictly inside the unit ball")
+            polar.append((nx / offset, ny / offset))
+        s = math.ldexp(1.0, max(0, math.frexp(max(max(abs(ux), abs(uy)) for ux, uy in polar))[1]))
         plane = NormedPlane(
-            PolygonNorm(tuple(Point(*v) for v in verts)),
+            PolygonNorm(tuple(map(Point._make, verts))),
             tolerance,
-            _polar=polar,
-            _coef=(s, tuple(map(tuple, (polar / s).tolist()))),
+            _polar=np.array(polar),
+            _coef=(s, tuple((ux / s, uy / s) for ux, uy in polar)),
             _edges=tuple((y2 - y1, x1 - x2, math.hypot(y2 - y1, x1 - x2), x1, y1, x2, y2)
                          for (x1, y1), (x2, y2) in zip(corners, corners[1:] + corners[:1])),
         )
@@ -212,18 +216,18 @@ def validate_norm(descriptor: NormDescriptor, tolerance: float = DEFAULT_TOL) ->
     raise TypeError(f"unknown descriptor {descriptor!r}")
 
 
-# the sample vectors u (first 8) and v (last 8) of _spot_check
+# the sample vectors of _spot_check: u (8), v (8), -u and u + v
 _SPOT = np.random.default_rng(0).normal(size=(16, 2))
+_SPOT = np.concatenate([_SPOT, -_SPOT[:8], _SPOT[:8] + _SPOT[8:]])
 _SPOT.flags.writeable = False
 
 
 def _spot_check(plane: NormedPlane) -> None:
     """Cheap sampled sanity check of gauge symmetry and subadditivity."""
-    u, v = _SPOT[:8], _SPOT[8:]
-    gu, gv, gneg, gsum = gauge(plane, np.concatenate([_SPOT, -u, u + v])).reshape(4, 8)
-    if np.any(np.abs(gu - gneg) > 1e-7 * (1 + gu)):
+    gauges = _gauge_xy(plane, _SPOT[:, 0].copy(), _SPOT[:, 1]).reshape(4, 8).tolist()
+    if any(abs(gu - gneg) > 1e-7 * (1 + gu) for gu, gneg in zip(gauges[0], gauges[2])):
         raise NotSymmetric("gauge failed the symmetry spot check")
-    if np.any(gsum > gu + gv + 1e-7 * (1 + gu + gv)):
+    if any(gsum > gu + gv + 1e-7 * (1 + gu + gv) for gu, gv, gsum in zip(gauges[0], gauges[1], gauges[3])):
         raise NotConvex("gauge failed the triangle-inequality spot check")
 
 

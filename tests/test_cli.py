@@ -307,3 +307,121 @@ class TestSvg:
         ])
         assert rc == 0
         assert out.read_text().count('class="line"') == 1
+
+
+def _rows(points):
+    """The loaded points as a list of [x, y] float pairs."""
+    return np.asarray(points, dtype=float).tolist()
+
+
+class TestLoadPoints:
+    """The point-file rules: one "x,y" row per line, fields split at commas
+    and parsed as float() parses them, errors naming path:line."""
+
+    def write(self, tmp_path, text, name="p.csv"):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        return str(path)
+
+    def test_header(self, tmp_path):
+        path = self.write(tmp_path, "x,y\n0,0\n1,2\n")
+        assert _rows(cli.load_points(path)) == [[0.0, 0.0], [1.0, 2.0]]
+        path = self.write(tmp_path, " x , y ,label\n3,4\n")
+        assert _rows(cli.load_points(path)) == [[3.0, 4.0]]
+
+    def test_header_only_on_the_first_line(self, tmp_path):
+        path = self.write(tmp_path, "\nx,y\n0,0\n")
+        with pytest.raises(ValueError):
+            cli.load_points(path)
+
+    def test_blank_and_whitespace_lines(self, tmp_path):
+        path = self.write(tmp_path, "\n0,0\n\n   \n\t\n1,1\n  \n")
+        assert _rows(cli.load_points(path)) == [[0.0, 0.0], [1.0, 1.0]]
+
+    def test_crlf(self, tmp_path):
+        path = self.write(tmp_path, "x,y\r\n0.5,1\r\n\r\n-2,3e2\r\n")
+        assert _rows(cli.load_points(path)) == [[0.5, 1.0], [-2.0, 300.0]]
+
+    def test_spaces_around_fields(self, tmp_path):
+        path = self.write(tmp_path, " 1.5 , -2 \n\t3 ,\t4\t\n")
+        assert _rows(cli.load_points(path)) == [[1.5, -2.0], [3.0, 4.0]]
+
+    def test_extra_columns_ignored(self, tmp_path):
+        path = self.write(tmp_path, "1,2,3\n4,5,foo,\n")
+        assert _rows(cli.load_points(path)) == [[1.0, 2.0], [4.0, 5.0]]
+
+    def test_fields_parse_as_float_does(self, tmp_path):
+        fields = ["1_0", "+.5", "-0", "1e-320", "0.1", "  7  ", "١٢"]
+        path = self.write(tmp_path, "".join(f"{f},{f}\n" for f in fields))
+        got = _rows(cli.load_points(path))
+        assert [float(x).hex() for x, _ in got] == [float(f).hex() for f in fields]
+        assert got[2] == [0.0, 0.0] and math.copysign(1.0, got[2][0]) == -1.0
+
+    @pytest.mark.parametrize("field", ["infinity", "-inf", "nan", "1e400"])
+    def test_non_finite_names_the_line(self, tmp_path, field):
+        path = self.write(tmp_path, f"x,y\n0,0\n\n1,{field}\n")
+        with pytest.raises(ValueError) as exc:
+            cli.load_points(path)
+        assert str(exc.value) == f"{path}:4: coordinates must be finite"
+
+    def test_too_few_fields_names_the_line(self, tmp_path):
+        path = self.write(tmp_path, "0,0\n\n  \n5\n1,1\n")
+        with pytest.raises(ValueError) as exc:
+            cli.load_points(path)
+        assert str(exc.value) == f"{path}:4: expected 'x,y'"
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = self.write(tmp_path, "0,0\nnan,1\n5\n")
+        with pytest.raises(ValueError) as exc:
+            cli.load_points(path)
+        assert str(exc.value) == f"{path}:2: coordinates must be finite"
+        path = self.write(tmp_path, "0,0\n5\nnan,1\n")
+        with pytest.raises(ValueError) as exc:
+            cli.load_points(path)
+        assert str(exc.value) == f"{path}:2: expected 'x,y'"
+
+    def test_unparsable_field_names_the_line(self, tmp_path):
+        path = self.write(tmp_path, "x,y\n0,0\n\nabc,1\n2,2\n")
+        with pytest.raises(ValueError) as exc:
+            cli.load_points(path)
+        assert str(exc.value).startswith(f"{path}:4: ")
+        assert "'abc'" in str(exc.value)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "x,y\n", "x,y\r\n  \r\n"])
+    def test_no_points(self, tmp_path, text):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError) as exc:
+            cli.load_points(path)
+        assert str(exc.value) == f"{path}: no points"
+
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.csv")
+        with pytest.raises(OSError):
+            cli.load_points(missing)
+        assert main(["cluster2", "--points", missing, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "nope.csv" in captured.err
+
+
+class TestNormDescriptorErrors:
+    """A malformed descriptor file is an input error naming the file and
+    the field, not a traceback."""
+
+    @pytest.mark.parametrize("text, field", [
+        ("[1,2]", "object"),
+        ('"l1"', "object"),
+        ('{"kind":"polygon"}', "'vertices'"),
+        ('{"kind":"two_arc","center":1}', "'radius'"),
+        ('{"kind":"two_arc","center":null,"radius":2}', "'center'"),
+        ('{"kind":"polygon","vertices":[1,2]}', "'vertices'"),
+    ])
+    def test_exit_2_naming_the_field(self, square_csv, tmp_path, capsys, text, field):
+        path = tmp_path / "norm.json"
+        path.write_text(text)
+        rc = main(["diameter", "--points", square_csv, "--norm", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert field in captured.err

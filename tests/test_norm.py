@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -85,6 +86,70 @@ class TestValidate:
             two_arc_plane(5.0, 3.0)  # R <= c
         with pytest.raises(DegenerateBody):
             two_arc_plane(-1.0, 2.0)
+
+
+def _symmetric_polygon(draw, half):
+    """A centrally symmetric convex polygon with 2 * half vertices, counter-
+    clockwise: edges at sorted angles in [0, pi) at least 0.1 apart, then
+    their negations; vertex half + i is exactly -(vertex i)."""
+    gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=half, max_size=half))
+    assume(sum(gaps) < math.pi - 0.1)
+    start = draw(st.floats(0.0, 2 * math.pi))
+    lengths = draw(st.lists(st.floats(0.2, 2.0), min_size=half, max_size=half))
+    angles = list(itertools.accumulate(gaps, initial=start))[1:]
+    edges = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, lengths)]
+    first = (-sum(e[0] for e in edges) / 2, -sum(e[1] for e in edges) / 2)
+    verts = list(itertools.accumulate(edges[:-1], lambda v, e: (v[0] + e[0], v[1] + e[1]), initial=first))
+    return verts + [(-x, -y) for x, y in verts]
+
+
+@st.composite
+def _validation_cases(draw):
+    """(kind, vertices) for the validation property: a valid polygon, one
+    with a symmetric pair of vertices pushed outward past the line of an
+    earlier edge, one with a vertex's opposite dropped, or a symmetric set
+    on a line through the origin; listed either way round from any vertex."""
+    kind = draw(st.sampled_from(["valid", "pushed", "dropped", "flat"]))
+    half = draw(st.integers(3 if kind == "pushed" else 2, 7))
+    if kind == "flat":
+        theta = draw(st.floats(0.0, math.pi))
+        radii = draw(st.lists(st.floats(0.1, 2.0), min_size=half, max_size=half))
+        verts = [(r * math.cos(theta), r * math.sin(theta)) for r in radii]
+        verts += [(-x, -y) for x, y in verts]
+    else:
+        verts = _symmetric_polygon(draw, half)
+        i = draw(st.integers(0, half - 1))
+        if kind == "pushed":
+            # the outward unit normal of the edge from vertex i - 2 to i - 1,
+            # and vertex i moved along it to past that edge's line
+            (ax, ay), (bx, by), (vx, vy) = verts[i - 2], verts[i - 1], verts[i]
+            ex, ey = bx - ax, by - ay
+            nx, ny = ey / math.hypot(ex, ey), -ex / math.hypot(ex, ey)
+            lift = (ax - vx) * nx + (ay - vy) * ny + draw(st.floats(0.05, 1.0))
+            verts[i] = (vx + lift * nx, vy + lift * ny)
+            verts[half + i] = (-verts[i][0], -verts[i][1])
+        elif kind == "dropped":
+            del verts[half + i]
+    if draw(st.booleans()):
+        verts = verts[::-1]
+    k = draw(st.integers(0, len(verts) - 1))
+    return kind, verts[k:] + verts[:k]
+
+
+class TestValidateProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_validation_cases())
+    def test_decisions(self, case):
+        kind, verts = case
+        if kind == "valid":
+            plane = polygon_plane(verts)
+            for x, y in verts:
+                assert abs(gauge_scalar(plane, x, y) - 1.0) <= 1e-12
+            assert len(plane._polar) == len(verts)
+            return
+        error = {"pushed": NotConvex, "dropped": NotSymmetric, "flat": DegenerateBody}[kind]
+        with pytest.raises(error):
+            polygon_plane(verts)
 
 
 class TestGauge:
